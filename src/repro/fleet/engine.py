@@ -34,10 +34,10 @@ from repro.arch.specs import MachineSpec, haswell_i7_4770k
 from repro.common.errors import ConfigError
 from repro.fleet.arrivals import ArrivalConfig, generate_arrivals
 from repro.fleet.corpus import builtin_templates, draw_tenants, load_corpus_dir
-from repro.fleet.policy import FleetPolicy, get_policy
+from repro.fleet.policy import Candidate, FleetPolicy, get_policy
 from repro.fleet.profiles import ProfileStore
 from repro.fleet.report import FleetReport, percentile
-from repro.fleet.tenants import TenantSpec, profile_key
+from repro.fleet.tenants import TenantSpec
 
 #: Relative slack on power-cap comparisons (float accumulation).
 _CAP_REL_EPS = 1e-9
@@ -93,24 +93,35 @@ class FleetConfig:
         }
 
 
+def _power_table(cands: Sequence[Candidate]) -> Tuple[Tuple[float, ...], float]:
+    """Candidate powers of one candidate tuple, and its cheapest raise:
+    the lowest power above the floor (infinity with a single candidate)."""
+    powers = tuple(cand.power_w for cand in cands)
+    return powers, min(powers[1:], default=_INFINITY)
+
+
 class _Running:
     """Mutable state of one admitted tenant."""
 
-    __slots__ = ("seq", "cands", "cand", "work", "energy_j", "start_ns")
+    __slots__ = (
+        "seq", "cands", "powers", "raise_w", "cand", "work", "energy_j",
+        "start_ns",
+    )
 
-    def __init__(self, seq: int, cands, start_ns: float) -> None:
+    def __init__(
+        self,
+        seq: int,
+        cands: Sequence[Candidate],
+        table: Tuple[Tuple[float, ...], float],
+        start_ns: float,
+    ) -> None:
         self.seq = seq
         self.cands = cands
+        self.powers, self.raise_w = table
         self.cand = 0
         self.work = 1.0  # fraction of the run remaining
         self.energy_j = 0.0
         self.start_ns = start_ns
-
-    def power_w(self) -> float:
-        return self.cands[self.cand].power_w
-
-    def floor_power_w(self) -> float:
-        return self.cands[0].power_w
 
     def completion_ns(self, at_ns: float) -> float:
         return at_ns + self.work * self.cands[self.cand].duration_ns
@@ -131,26 +142,32 @@ def _tail_reallocate(
     baselines: Sequence[float],
 ) -> None:
     """The tail-aware assignment: floor everyone, then spend the budget
-    on the worst projected whole-run slowdown first."""
+    on the worst projected whole-run slowdown first.
+
+    Each tenant in turn is raised to its fastest candidate that still
+    fits under the cap. Float addition is monotone, so when even the
+    cheapest raise (``raise_w``) does not fit, none does and the tenant
+    is skipped without scanning its candidates.
+    """
     power = 0.0
+    order = []
     for run in running.values():
         run.cand = 0
-        power += run.floor_power_w()
-    order = sorted(
-        running.values(),
-        key=lambda run: (
-            -(
-                (run.completion_ns(now_ns) - arrivals_ns[run.seq])
-                / baselines[run.seq]
-                - 1.0
-            ),
-            run.seq,
-        ),
-    )
+        power += run.powers[0]
+        seq = run.seq
+        completion = now_ns + run.work * run.cands[0].duration_ns
+        order.append(
+            (-((completion - arrivals_ns[seq]) / baselines[seq] - 1.0), seq, run)
+        )
+    order.sort()
     cap = cap_w * (1.0 + _CAP_REL_EPS)
-    for run in order:
-        for j in range(len(run.cands) - 1, run.cand, -1):
-            headroom = power - run.cands[run.cand].power_w + run.cands[j].power_w
+    for _, _, run in order:
+        rest = power - run.powers[0]
+        if rest + run.raise_w > cap:
+            continue
+        powers = run.powers
+        for j in range(len(powers) - 1, 0, -1):
+            headroom = rest + powers[j]
             if headroom <= cap:
                 power = headroom
                 run.cand = j
@@ -209,9 +226,16 @@ def run_fleet(
         candidates = [policy.candidates(tenant) for tenant in tenants]
     else:
         plans = [policy.plan(tenant) for tenant in tenants]
-        candidates = [
-            [_plan_candidate(plan)] for plan in plans
-        ]
+        candidates = [(_plan_candidate(plan),) for plan in plans]
+    # Capped policies share one candidate tuple per profile: build its
+    # power table once.
+    shared_tables: Dict[int, Tuple[Tuple[float, ...], float]] = {}
+    tables = []
+    for cands in candidates:
+        table = shared_tables.get(id(cands))
+        if table is None:
+            table = shared_tables[id(cands)] = _power_table(cands)
+        tables.append(table)
 
     # ------------------------------------------------------------------
     # Event loop
@@ -240,15 +264,15 @@ def run_fleet(
 
     def start(seq: int, now_ns: float) -> None:
         nonlocal solo_overrides
-        run = _Running(seq, candidates[seq], now_ns)
-        if not running and run.floor_power_w() > cap:
+        run = _Running(seq, candidates[seq], tables[seq], now_ns)
+        if not running and run.powers[0] > cap:
             solo_overrides += 1
         running[seq] = run
 
     def admit(now_ns: float) -> None:
         while queue:
             seq = queue[0]
-            floor = sum(run.floor_power_w() for run in running.values())
+            floor = sum([run.powers[0] for run in running.values()])
             head_power = candidates[seq][0].power_w
             if running and floor + head_power > cap:
                 break
@@ -267,7 +291,7 @@ def run_fleet(
         rows[seq] = {
             "name": tenant.name,
             "origin": tenant.origin,
-            "profile": profile_key(tenant),
+            "profile": profiles[seq].key,
             "arrival_ns": arrivals_ns[seq],
             "start_ns": run.start_ns,
             "end_ns": end_ns,
@@ -317,7 +341,7 @@ def run_fleet(
                     running, config.power_cap_w, last_ns, arrivals_ns,
                     baselines,
                 )
-        power = sum(run.power_w() for run in running.values())
+        power = sum([run.powers[run.cand] for run in running.values()])
         peak_power_w = max(peak_power_w, power)
         peak_concurrency = max(peak_concurrency, len(running))
         if policy.capped and len(running) >= 2 and power > cap:
@@ -389,9 +413,7 @@ def run_fleet(
     return report
 
 
-def _plan_candidate(plan):
-    from repro.fleet.policy import Candidate
-
+def _plan_candidate(plan) -> Candidate:
     power = (
         plan.energy_j / (plan.duration_ns * 1e-9)
         if plan.duration_ns > 0

@@ -26,7 +26,7 @@ fleet run is a pure function of its seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Type
+from typing import Dict, List, Optional, Sequence, Tuple, Type
 
 from repro.common.errors import ConfigError
 from repro.energy.manager import ManagerConfig
@@ -73,13 +73,18 @@ class FleetPolicy:
     def __init__(self, store: ProfileStore, power_cap_w: float) -> None:
         self.store = store
         self.power_cap_w = power_cap_w
+        #: Candidate tuples, built once per profile (and per threshold
+        #: where the policy reads one) and shared by all its tenants.
+        self._shared: Dict[tuple, Tuple[Candidate, ...]] = {}
 
     # Fixed-plan hook -----------------------------------------------------
     def plan(self, tenant: TenantSpec) -> FixedPlan:
         raise NotImplementedError
 
     # Capped hook ---------------------------------------------------------
-    def candidates(self, tenant: TenantSpec) -> List[Candidate]:
+    def candidates(self, tenant: TenantSpec) -> Sequence[Candidate]:
+        """The tenant's candidates, floor first: an immutable tuple shared
+        by every tenant with the same profile (and threshold)."""
         raise NotImplementedError
 
     #: Capped policies that re-allocate at every fleet event override this.
@@ -156,12 +161,17 @@ class AdmissionCapPolicy(FleetPolicy):
     prediction_driven = True
     capped = True
 
-    def candidates(self, tenant: TenantSpec) -> List[Candidate]:
+    def candidates(self, tenant: TenantSpec) -> Tuple[Candidate, ...]:
         profile = self.store.profile_for(tenant)
-        run = profile.static_run(
-            tenant.manager.tolerable_slowdown, sane_only=True
-        )
-        return [_candidate(profile, profile.index_of(run.freq_ghz))]
+        threshold = tenant.manager.tolerable_slowdown
+        key = (profile.key, threshold)
+        cands = self._shared.get(key)
+        if cands is None:
+            run = profile.static_run(threshold, sane_only=True)
+            cands = self._shared[key] = (
+                _candidate(profile, profile.index_of(run.freq_ghz)),
+            )
+        return cands
 
 
 class TailAwarePolicy(FleetPolicy):
@@ -185,9 +195,15 @@ class TailAwarePolicy(FleetPolicy):
     capped = True
     reallocates = True
 
-    def candidates(self, tenant: TenantSpec) -> List[Candidate]:
+    def candidates(self, tenant: TenantSpec) -> Tuple[Candidate, ...]:
         profile = self.store.profile_for(tenant)
-        return [_candidate(profile, j) for j in profile.sane_indices]
+        key = (profile.key,)
+        cands = self._shared.get(key)
+        if cands is None:
+            cands = self._shared[key] = tuple(
+                _candidate(profile, j) for j in profile.sane_indices
+            )
+        return cands
 
 
 _POLICIES: Dict[str, Type[FleetPolicy]] = {

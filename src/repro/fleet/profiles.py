@@ -92,6 +92,8 @@ class TenantProfile:
         self._durations: Optional[np.ndarray] = None
         self._energies: Optional[np.ndarray] = None
         self._sane: Optional[List[int]] = None
+        self._totals_ns: Dict[int, float] = {}
+        self._totals_energy_j: Dict[int, float] = {}
         self._governor_plans: Dict[ManagerConfig, GovernorPlan] = {}
         self._static_runs: Dict[Tuple[float, bool], StaticOracleResult] = {}
 
@@ -156,12 +158,26 @@ class TenantProfile:
     # ------------------------------------------------------------------
 
     def total_ns(self, index: int) -> float:
-        """Predicted whole-run duration at set point ``index``."""
-        return float(self.durations[:, index].sum())
+        """Predicted whole-run duration at set point ``index``, memoized.
+
+        Each column is summed on its own: a whole-matrix ``sum(axis=0)``
+        adds in another order, which would move report bytes.
+        """
+        total = self._totals_ns.get(index)
+        if total is None:
+            total = self._totals_ns[index] = float(
+                self.durations[:, index].sum()
+            )
+        return total
 
     def total_energy_j(self, index: int) -> float:
-        """Predicted whole-run energy at set point ``index``."""
-        return float(self.energies[:, index].sum())
+        """Predicted whole-run energy at set point ``index`` (memoized)."""
+        total = self._totals_energy_j.get(index)
+        if total is None:
+            total = self._totals_energy_j[index] = float(
+                self.energies[:, index].sum()
+            )
+        return total
 
     @property
     def baseline_ns(self) -> float:

@@ -18,9 +18,10 @@ that turns a fuzz-found workload into a first-class fleet tenant.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Dict, Optional
 
 from repro.arch.dram import DramConfig
@@ -82,11 +83,36 @@ class TenantSpec:
         """The deterministic program this tenant runs."""
         return build_synthetic_program(self.workload)
 
+    @functools.cached_property
+    def _profile_key(self) -> str:
+        # Memo of profile_key(self). cached_property writes straight into
+        # the instance __dict__, so the frozen spec accepts it, and it is
+        # not a dataclass field: equality, asdict and the JSON form never
+        # see it. dataclasses.replace builds a new spec, hence a new key.
+        return _digest(
+            {
+                "workload": self.workload,
+                "base_freq_ghz": self.base_freq_ghz,
+                "quantum_ns": self.quantum_ns,
+                "predictor": self.predictor,
+            }
+        )
+
+
+def _field_dict(value: Any) -> Dict[str, Any]:
+    """``json.dumps`` hook for (nested) dataclasses: the JSON it yields
+    is that of ``dataclasses.asdict``, without asdict's deep copies."""
+    return {f.name: getattr(value, f.name) for f in fields(value)}
+
+
+def _digest(payload: Any) -> str:
+    canonical = json.dumps(payload, sort_keys=True, default=_field_dict)
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+
 
 def workload_fingerprint(workload: SyntheticWorkloadConfig) -> str:
     """Stable content hash of a workload config (program identity)."""
-    canonical = json.dumps(asdict(workload), sort_keys=True)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+    return _digest(workload)
 
 
 def profile_key(spec: TenantSpec) -> str:
@@ -95,17 +121,9 @@ def profile_key(spec: TenantSpec) -> str:
 
     Tenants that differ only in name, governor config or SLA share a
     profile — that sharing is what makes thousand-tenant fleets cheap.
+    The key is hashed once per spec and memoized on it.
     """
-    canonical = json.dumps(
-        {
-            "workload": asdict(spec.workload),
-            "base_freq_ghz": spec.base_freq_ghz,
-            "quantum_ns": spec.quantum_ns,
-            "predictor": spec.predictor,
-        },
-        sort_keys=True,
-    )
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+    return spec._profile_key
 
 
 def tenant_spec_to_dict(spec: TenantSpec) -> Dict[str, Any]:

@@ -83,3 +83,19 @@ def test_tail_candidates_are_all_sane_and_floor_first(tiny_fleet, tiny_store):
     # Higher candidates are faster (monotone durations).
     for slower, faster in zip(cands, cands[1:]):
         assert faster.duration_ns <= slower.duration_ns * (1.0 + 1e-9)
+
+
+def test_candidates_are_one_shared_tuple_per_profile(tiny_fleet, tiny_store):
+    # t0a and t0b share a profile but not a threshold.
+    tail = _policy("tail-allocator", tiny_store)
+    first = tail.candidates(tiny_fleet[0])
+    assert isinstance(first, tuple)
+    assert tail.candidates(tiny_fleet[1]) is first
+    assert tail.candidates(tiny_fleet[2]) is not first
+    admission = _policy("predictive-admission", tiny_store)
+    same = tiny_fleet[0]
+    assert admission.candidates(same) is admission.candidates(same)
+    assert isinstance(admission.candidates(same), tuple)
+    bounds = {t.manager.tolerable_slowdown for t in tiny_fleet[:2]}
+    assert len(bounds) == 2  # distinct thresholds: separate tuples
+    assert admission.candidates(tiny_fleet[1]) is not admission.candidates(same)

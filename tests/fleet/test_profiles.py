@@ -54,6 +54,17 @@ def test_durations_monotone_with_frequency(tiny_fleet, tiny_store):
         assert faster <= slower * (1.0 + 1e-9)
 
 
+def test_whole_run_totals_are_memoized_column_sums(tiny_fleet, tiny_store):
+    profile = tiny_store.profile_for(tiny_fleet[0])
+    for j in range(len(profile.targets)):
+        duration = profile.total_ns(j)
+        assert duration == float(profile.durations[:, j].sum())
+        assert profile.total_ns(j) is duration
+        energy = profile.total_energy_j(j)
+        assert energy == float(profile.energies[:, j].sum())
+        assert profile.total_energy_j(j) is energy
+
+
 def test_sane_indices_bounded_by_baseline_energy(tiny_fleet, tiny_store):
     profile = tiny_store.profile_for(tiny_fleet[0])
     assert profile.fmax_index in profile.sane_indices
