@@ -216,7 +216,6 @@ def _run_suite(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
         jobs = resolve_jobs(args.jobs)
     except ConfigError as exc:
         parser.error(str(exc))
-    runner.jobs = jobs
     print(
         f"# DEP+BURST reproduction — scale={runner.config.scale}, "
         f"benchmarks={', '.join(runner.config.benchmarks)}"

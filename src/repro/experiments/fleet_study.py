@@ -6,16 +6,15 @@ energy-managed tenants arriving on an open-loop process, stepped
 through :mod:`repro.fleet` under every registered policy at every power
 cap of :data:`CAPS_W` — the full grid of
 :mod:`repro.fleet.grid` over one drawn population. Profiles are built
-once (batched, multiprocess when ``--jobs`` asks, persisted in the
-fleet profile cache when the suite's cache is on) and shared by every
-cell. Reported per cell: aggregate energy against the
+once (batched, persisted in the fleet profile cache when the suite's
+cache is on) and shared by every cell. Reported per cell: aggregate energy against the
 all-max-frequency baseline, mean and tail slowdown, SLA misses, and
 peak fleet power — plus the per-tenant static-oracle bound
 (:mod:`repro.energy.static_oracle`), the best any frequency-per-tenant
 assignment could do with hindsight (cap-independent, so one row).
 
-The run is deterministic from the study seed at any ``--jobs`` width:
-the same table — and the same ``--out`` figure JSON from the
+The run is deterministic from the study seed, cold or warm: the same
+table — and the same ``--out`` figure JSON from the
 ``python -m repro.experiments.fleet_study`` renderer the CI smoke
 byte-compares — regenerates identically on every invocation.
 """
@@ -69,11 +68,7 @@ def profile_cache_for(runner: ExperimentRunner) -> Optional[ProfileCache]:
 def run(runner: ExperimentRunner) -> ExperimentResult:
     """Evaluate every fleet policy at every cap over one population."""
     config = _grid_config()
-    payload = run_grid(
-        config,
-        jobs=getattr(runner, "jobs", 1),
-        cache=profile_cache_for(runner),
-    )
+    payload = run_grid(config, cache=profile_cache_for(runner))
     result = ExperimentResult(
         experiment_id="Fleet study",
         title=(
@@ -110,11 +105,9 @@ def run(runner: ExperimentRunner) -> ExperimentResult:
     return result
 
 
-def write_figure(path, runner: ExperimentRunner, jobs: int = 1):
+def write_figure(path, runner: ExperimentRunner):
     """Write the grid figure JSON; return the payload."""
-    payload = run_grid(
-        _grid_config(), jobs=jobs, cache=profile_cache_for(runner)
-    )
+    payload = run_grid(_grid_config(), cache=profile_cache_for(runner))
     out = Path(path)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_bytes(grid_bytes(payload))
@@ -124,18 +117,14 @@ def write_figure(path, runner: ExperimentRunner, jobs: int = 1):
 def main(argv=None) -> int:
     """``python -m repro.experiments.fleet_study --out fleet_grid.json``.
 
-    The standalone figure renderer the CI smoke job runs serially and
-    at ``--jobs 4`` and byte-compares (execution diagnostics are
-    excluded from the figure, so the two runs must match exactly).
+    The standalone figure renderer the CI smoke job runs cold and warm
+    and byte-compares (execution diagnostics are excluded from the
+    figure, so the two runs must match exactly).
     """
     parser = argparse.ArgumentParser(
         description="Render the fleet policy x power-cap grid figure JSON."
     )
     parser.add_argument("--out", required=True, help="output JSON path")
-    parser.add_argument(
-        "--jobs", "-j", type=int, default=1,
-        help="worker processes for the profile build and the grid cells",
-    )
     parser.add_argument(
         "--no-cache",
         action="store_true",
@@ -154,7 +143,7 @@ def main(argv=None) -> int:
     if not args.no_cache:
         cache = ResultCache(args.cache_dir or default_cache_dir())
     runner = get_runner(cache=cache)
-    payload = write_figure(args.out, runner, jobs=args.jobs)
+    payload = write_figure(args.out, runner)
     print(f"wrote {args.out}: {len(payload['cells'])} grid cells")
     return 0
 

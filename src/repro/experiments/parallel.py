@@ -18,14 +18,17 @@ results. This module exploits that:
 * ``--jobs N`` on the CLI (or ``REPRO_JOBS``) picks the width; ``N=1``
   is a plain serial loop with no pool and no extra processes.
 
-Failures are contained: a work item that dies in a worker is recomputed
-serially in the parent, so parallelism is purely an optimization.
+Failures are contained: a work item that dies in a worker — by raising,
+or by taking the worker process down with it (an OOM kill, a hard
+exit) — is recomputed serially in the parent, so parallelism is purely
+an optimization.
 """
 
 from __future__ import annotations
 
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from functools import partial
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -81,7 +84,8 @@ class ExecutionReport:
 
     items: int = 0
     jobs: int = 1
-    #: Items whose worker raised; they were recomputed in the parent.
+    #: Items whose worker raised or died; they were recomputed in the
+    #: parent.
     recovered: List[Tuple[WorkItem, str]] = None  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
@@ -220,16 +224,26 @@ def execute(
         )
     batches = _partition(grid, jobs)
     failures = {}
-    with ProcessPoolExecutor(
-        max_workers=min(jobs, len(batches)),
-        initializer=_init_worker,
-        initargs=(runner.config, str(runner.cache.root)),
-    ) as pool:
-        run_one = partial(_run_batch, use_batch=batch)
-        for results in pool.map(run_one, batches, chunksize=1):
-            for item, error in results:
-                if error is not None:
-                    failures[item] = error
+    finished = set()
+    try:
+        with ProcessPoolExecutor(
+            max_workers=min(jobs, len(batches)),
+            initializer=_init_worker,
+            initargs=(runner.config, str(runner.cache.root)),
+        ) as pool:
+            run_one = partial(_run_batch, use_batch=batch)
+            for results in pool.map(run_one, batches, chunksize=1):
+                for item, error in results:
+                    finished.add(item)
+                    if error is not None:
+                        failures[item] = error
+    except BrokenProcessPool as exc:
+        # A worker died outright and the pool dropped every pending
+        # batch: recompute each unreported item in the parent (a cache
+        # hit where a worker had already published it).
+        for item in grid:
+            if item not in finished:
+                failures[item] = f"BrokenProcessPool: {exc}"
     for item in grid:
         error = failures.get(item)
         if error is not None:

@@ -98,11 +98,6 @@ class ExperimentRunner:
         #: bit-identical either way; ``sweep=False`` keeps the scalar
         #: per-frequency loops for benchmarking and differential runs.
         self.sweep = sweep
-        #: Worker-process width drivers that fan work out themselves
-        #: (the fleet grid) should use; the CLI's ``--jobs`` sets it.
-        #: Purely an execution detail — results are identical at any
-        #: width.
-        self.jobs = 1
         #: Simulations actually executed by this process (cache misses).
         self.simulations = 0
         self._bundles: Dict[str, BenchmarkBundle] = {}

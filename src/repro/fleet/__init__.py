@@ -24,13 +24,11 @@ from one seed; same-seed runs emit byte-identical reports
 drive every governor decision stream through a real multi-worker
 ``repro.serve`` pool to validate the wire path at fleet scale.
 
-Profile building scales out and persists: :mod:`repro.fleet.parallel`
-shards distinct tenant shapes across a spawn-context process pool,
-:mod:`repro.fleet.profile_cache` gives every simulated trace a
-content-addressed on-disk home so repeat runs skip simulation, and
-:mod:`repro.fleet.grid` fans a policy × power-cap study out over the
-shared warm store. All three leave the report bytes untouched — the
-``fleet-parallel-identity`` qa invariant holds serial, multiprocess and
+Profiles persist: :mod:`repro.fleet.profile_cache` gives every
+simulated trace a content-addressed on-disk home so repeat runs skip
+simulation, and :mod:`repro.fleet.grid` runs a policy × power-cap study
+over one shared store. Neither moves a report byte — the
+``fleet-store-identity`` qa invariant holds fresh, cold-cached and
 store-rehydrated runs byte-identical.
 """
 
@@ -38,7 +36,6 @@ from repro.fleet.arrivals import ArrivalConfig, generate_arrivals
 from repro.fleet.corpus import builtin_templates, draw_tenants, load_corpus_dir
 from repro.fleet.engine import FleetConfig, run_fleet
 from repro.fleet.grid import GridConfig, grid_bytes, render_grid, run_grid
-from repro.fleet.parallel import build_traces_parallel, partition_shapes
 from repro.fleet.policy import get_policy, policy_names, prediction_driven_names
 from repro.fleet.profile_cache import (
     ProfileCache,
@@ -66,14 +63,12 @@ __all__ = [
     "TenantProfile",
     "TenantSpec",
     "builtin_templates",
-    "build_traces_parallel",
     "default_profile_cache_dir",
     "draw_tenants",
     "generate_arrivals",
     "get_policy",
     "grid_bytes",
     "load_corpus_dir",
-    "partition_shapes",
     "policy_names",
     "prediction_driven_names",
     "profile_cache_key",

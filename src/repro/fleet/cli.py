@@ -4,7 +4,6 @@ Subcommands::
 
     repro-fleet run --tenants 1000 --seed 42           # one policy, dashboard
     repro-fleet run --tenants 200 --policy tail-allocator --out fleet.json
-    repro-fleet run --tenants 2000 --jobs 4            # multiprocess build
     repro-fleet run --tenants 64 --serve-workers 2     # + wire validation
     repro-fleet report fleet.json                      # re-render a saved run
     repro-fleet compare --tenants 200 --seed 7         # all policies, one table
@@ -13,8 +12,8 @@ Subcommands::
     repro-fleet cache clear
 
 ``run`` is deterministic from ``--seed``: the same invocation writes a
-byte-identical ``--out`` file every time, at any ``--jobs`` width, cold
-or warm. Simulated tenant profiles persist in a content-addressed store
+byte-identical ``--out`` file every time, cold or warm. Simulated
+tenant profiles persist in a content-addressed store
 (``~/.cache/repro/fleet-profiles``, override with ``REPRO_CACHE_DIR``
 or ``--cache-dir``; ``--no-cache`` opts out) keyed by everything that
 determines the trace, so repeat runs — and every cell of a ``grid`` or
@@ -64,7 +63,6 @@ def _fleet_config(args: argparse.Namespace, policy: str) -> FleetConfig:
         batch=not args.no_batch,
         corpus_dirs=tuple(args.corpus or ()),
         serve_workers=getattr(args, "serve_workers", 0),
-        jobs=args.jobs,
     )
 
 
@@ -164,7 +162,7 @@ def _cmd_grid(args: argparse.Namespace) -> int:
         rate_per_s=args.rate,
         corpus_dirs=tuple(args.corpus or ()),
     )
-    payload = run_grid(config, jobs=args.jobs, cache=_profile_cache(args))
+    payload = run_grid(config, cache=_profile_cache(args))
     print(render_grid(payload))
     if args.out:
         from pathlib import Path
@@ -202,9 +200,6 @@ def _add_fleet_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--corpus", action="append", metavar="DIR",
                         help="directory of promoted tenant specs "
                              "(repeatable)")
-    parser.add_argument("--jobs", "-j", type=int, default=1,
-                        help="worker processes for the profile build "
-                             "(default 1; identical results at any width)")
     parser.add_argument("--cache-dir", default=None,
                         help="profile store location (default: "
                              "REPRO_CACHE_DIR/fleet-profiles or "

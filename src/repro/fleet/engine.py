@@ -66,10 +66,6 @@ class FleetConfig:
     #: Validate governor decision streams through a live serve pool of
     #: this many workers (0 disables).
     serve_workers: int = 0
-    #: Worker processes for the profile build (1 = serial in-process).
-    #: An execution detail like ``batch``: results are byte-identical
-    #: at any width.
-    jobs: int = 1
 
     def __post_init__(self) -> None:
         if self.tenants < 1:
@@ -78,8 +74,6 @@ class FleetConfig:
             raise ConfigError("power_cap_w must be positive")
         if self.serve_workers < 0:
             raise ConfigError("serve_workers must be >= 0")
-        if self.jobs < 1:
-            raise ConfigError("jobs must be >= 1")
 
     def describe(self) -> Dict[str, object]:
         """The report's ``config`` block (execution details excluded)."""
@@ -209,7 +203,7 @@ def run_fleet(
         )
     if store is None:
         store = ProfileStore(spec)
-    diagnostics = store.build(tenants, batch=config.batch, jobs=config.jobs)
+    diagnostics = store.build(tenants, batch=config.batch)
     diagnostics["batched"] = config.batch
 
     policy_cls = get_policy(config.policy)

@@ -1,4 +1,4 @@
-"""Fleet build benchmark: naive vs batched vs multiprocess vs warm store.
+"""Fleet build benchmark: naive vs batched vs warm store.
 
 The fleet's hot path is *profile building* — running the simulations
 behind every tenant the drawn population needs. This benchmark times
@@ -11,13 +11,10 @@ coldest to warmest:
 ``serial``
     tenants deduplicated into distinct shapes and batched through
     :mod:`repro.sim.batch` (one shared timing store per workload
-    family), in-process;
-``parallel``
-    the same shapes sharded over a spawn-context worker pool
-    (:mod:`repro.fleet.parallel`) publishing into a fresh
+    family), in-process, publishing into a fresh
     :class:`~repro.fleet.profile_cache.ProfileCache`;
 ``warm``
-    a second run against the store the parallel build just filled —
+    a second run against the store the serial build just filled —
     no simulation at all, profiles rehydrate from disk.
 
 Each phase is timed ``reps`` times (min/median/mean via
@@ -26,8 +23,8 @@ store then drives one full engine run, and all reports must be
 byte-identical on the determinism view — the run aborts otherwise, so
 every speedup is pure mechanics. The gated metrics:
 
-* ``cold_speedup`` — median naive / median parallel build (the
-  ``--jobs``-wide cold build; CI floors this at 3x);
+* ``cold_speedup`` — median naive / median serial build (what batching
+  distinct shapes saves a cold run; CI floors this at 3x);
 * ``warm_speedup`` — median serial cold build / median warm build
   (what the persistent store saves a repeat run; CI floors this at
   5x — warm runs drop to engine-only cost).
@@ -55,14 +52,11 @@ def fleet_bench(
     tenants: int = 512,
     seed: int = 7,
     reps: int = 1,
-    jobs: int = 4,
     cache_root: Optional[str] = None,
 ) -> Dict[str, object]:
     """Time every fleet build strategy; verify byte-identity throughout."""
     if reps < 1:
         raise ReproError("reps must be >= 1")
-    if jobs < 1:
-        raise ReproError("jobs must be >= 1")
     specs = draw_tenants(builtin_templates(), tenants, seed)
     config = FleetConfig(tenants=tenants, seed=seed, policy=_BENCH_POLICY)
 
@@ -71,28 +65,22 @@ def fleet_bench(
 
         naive_walls: List[float] = []
         serial_walls: List[float] = []
-        parallel_walls: List[float] = []
         warm_walls: List[float] = []
         diagnostics: Dict[str, int] = {}
-        naive_store = serial_store = parallel_store = warm_store = None
-        for _ in range(reps):
+        naive_store = serial_store = warm_store = None
+        for rep in range(reps):
             naive_store = ProfileStore()
             begin = time.perf_counter()
             naive_store.build(specs, batch=False)
             naive_walls.append(time.perf_counter() - begin)
 
-            serial_store = ProfileStore()
+            # A fresh cache directory per rep keeps the serial phase
+            # cold; the warm phase reads what it published.
+            cache = ProfileCache(ProfileCache(root).root / f"rep-{rep}")
+            serial_store = ProfileStore(cache=cache)
             begin = time.perf_counter()
             diagnostics = serial_store.build(specs)
             serial_walls.append(time.perf_counter() - begin)
-
-            # A fresh cache directory per rep keeps the parallel phase
-            # cold; the last rep's directory feeds the warm phase.
-            cache = ProfileCache(ProfileCache(root).root / f"rep-{_}")
-            parallel_store = ProfileStore(cache=cache)
-            begin = time.perf_counter()
-            parallel_store.build(specs, jobs=jobs)
-            parallel_walls.append(time.perf_counter() - begin)
 
             warm_store = ProfileStore(cache=ProfileCache(cache.root))
             begin = time.perf_counter()
@@ -106,42 +94,37 @@ def fleet_bench(
 
         engine_walls: List[float] = []
         reports = []
-        for store in (naive_store, serial_store, parallel_store, warm_store):
+        for store in (naive_store, serial_store, warm_store):
             begin = time.perf_counter()
             reports.append(run_fleet(config, store=store))
             engine_walls.append(time.perf_counter() - begin)
         views = {report_identity_bytes(report) for report in reports}
         if len(views) != 1:
             raise ReproError(
-                "naive/serial/parallel/warm fleet runs diverged: the "
-                "reports are not byte-identical on the determinism view"
+                "naive/serial/warm fleet runs diverged: the reports are "
+                "not byte-identical on the determinism view"
             )
         cache_disk = warm_store.cache.disk_stats()
 
     naive = wall_stats(naive_walls)
     serial = wall_stats(serial_walls)
-    parallel = wall_stats(parallel_walls)
     warm = wall_stats(warm_walls)
     engine = wall_stats(engine_walls)
     cold_run_s = serial["median"] + engine_walls[1]
-    warm_run_s = warm["median"] + engine_walls[3]
+    warm_run_s = warm["median"] + engine_walls[2]
     return {
         "tenants": tenants,
         "seed": seed,
         "reps": reps,
-        "jobs": jobs,
         "profiles": diagnostics.get("profiles_total", 0),
         "groups": diagnostics.get("groups", 0),
         "prewarmed_freqs": diagnostics.get("prewarmed_freqs", 0),
         "naive_build_s": naive,
         "serial_build_s": serial,
-        "parallel_build_s": parallel,
         "warm_build_s": warm,
         "engine_s": engine,
-        "cold_speedup": naive["median"] / parallel["median"],
+        "cold_speedup": naive["median"] / serial["median"],
         "warm_speedup": serial["median"] / warm["median"],
-        "parallel_vs_serial": serial["median"] / parallel["median"],
-        "batched_speedup": naive["median"] / serial["median"],
         "cold_run_s": cold_run_s,
         "warm_run_s": warm_run_s,
         "tenants_per_s": tenants / cold_run_s,

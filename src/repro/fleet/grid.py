@@ -1,28 +1,20 @@
-"""Policy × power-cap grids: the fleet-scale figure, fanned out.
+"""Policy × power-cap grids: the fleet-scale figure.
 
 One grid cell is one :func:`~repro.fleet.engine.run_fleet` call — a
 policy and a power cap over the *same* drawn fleet — and the figure the
 ROADMAP asks for ("energy/slowdown at datacenter scale") is the whole
-grid. Cells share everything expensive:
-
-* the parent builds (or warm-loads) the profile store **once**, through
-  a shared :class:`~repro.fleet.profile_cache.ProfileCache`, optionally
-  with a multiprocess build (:mod:`repro.fleet.parallel`);
-* with ``jobs > 1`` the cells then fan out over a spawn-context worker
-  pool; each worker rehydrates its profiles from the warm cache (no
-  simulation) and only a small aggregate dict rides the pipe home;
-* a cell is a pure function of its configuration, so the grid payload
-  is byte-identical at any ``jobs`` width — the CI smoke ``cmp``-s a
-  serial and a parallel run of the figure writer.
+grid. The profile store is built (or warm-loaded through a shared
+:class:`~repro.fleet.profile_cache.ProfileCache`) **once**, and every
+cell then reads its profiles from that one store, so the cells
+themselves never simulate. A cell is a pure function of its
+configuration: the grid payload is byte-identical cold or warm — the CI
+smoke ``cmp``-s a cold and a warm run of the figure writer.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.arch.specs import MachineSpec, haswell_i7_4770k
 from repro.common.errors import ConfigError
@@ -109,79 +101,31 @@ def _run_cell(
     return cell
 
 
-# One (config, spec, store) per grid worker; the store rehydrates its
-# profiles from the cache the parent warmed — workers never simulate.
-_GRID_WORKER: Optional[Tuple[GridConfig, MachineSpec, ProfileStore]] = None
-
-
-def _init_grid_worker(
-    config: GridConfig, spec: MachineSpec, cache_root: str
-) -> None:
-    global _GRID_WORKER
-    store = ProfileStore(spec, cache=ProfileCache(cache_root))
-    _GRID_WORKER = (config, spec, store)
-
-
-def _grid_cell(cell: Tuple[str, float]) -> Tuple[Tuple[str, float], Optional[Dict[str, object]]]:
-    assert _GRID_WORKER is not None, "worker used before initialization"
-    config, spec, store = _GRID_WORKER
-    policy, cap_w = cell
-    try:
-        return cell, _run_cell(config, policy, cap_w, spec, store)
-    except Exception:  # contained: the parent recomputes
-        return cell, None
-
-
 def run_grid(
     config: GridConfig,
-    jobs: int = 1,
     cache: Optional[ProfileCache] = None,
     spec: Optional[MachineSpec] = None,
 ) -> Dict[str, object]:
     """Evaluate the whole grid; the figure payload.
 
     The profile store is built once up front — through ``cache`` when
-    given (so repeat grids and ``repro-fleet`` runs share the work),
-    ephemeral otherwise — and with ``jobs > 1`` both the build and the
-    cells fan out over that many worker processes. Output is identical
-    at any width; cell failures in workers are recomputed in-parent.
+    given, so repeat grids and ``repro-fleet`` runs share the work —
+    and every cell runs serially over it.
     """
     from repro.fleet.corpus import builtin_templates, draw_tenants, load_corpus_dir
 
     spec = spec or haswell_i7_4770k()
-    jobs = max(1, int(jobs))
     templates = builtin_templates()
     for directory in config.corpus_dirs:
         templates.extend(load_corpus_dir(directory))
     tenants = draw_tenants(templates, config.tenants, config.seed)
 
-    ephemeral = cache is None and jobs > 1
-    if ephemeral:
-        cache = ProfileCache(tempfile.mkdtemp(prefix="repro-fleet-grid-"))
     store = ProfileStore(spec, cache=cache)
-    build = store.build(tenants, jobs=jobs)
-
-    cells = config.cells()
-    results: Dict[Tuple[str, float], Optional[Dict[str, object]]] = {}
-    if jobs > 1 and len(cells) > 1:
-        context = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(
-            max_workers=min(jobs, len(cells)),
-            mp_context=context,
-            initializer=_init_grid_worker,
-            initargs=(config, spec, str(cache.root)),
-        ) as pool:
-            for cell, result in pool.map(_grid_cell, cells, chunksize=1):
-                results[cell] = result
-    recovered = 0
-    rows: List[Dict[str, object]] = []
-    for policy, cap_w in cells:
-        row = results.get((policy, cap_w))
-        if row is None:
-            if (policy, cap_w) in results:
-                recovered += 1
-            row = _run_cell(config, policy, cap_w, spec, store)
-        rows.append(row)
+    build = store.build(tenants)
+    rows = [
+        _run_cell(config, policy, cap_w, spec, store)
+        for policy, cap_w in config.cells()
+    ]
 
     return {
         "kind": GRID_KIND,
@@ -198,15 +142,13 @@ def run_grid(
         "diagnostics": {
             "profiles": build["profiles_total"],
             "cache_hits": build["cache_hits"],
-            "jobs": jobs,
-            "recovered_cells": recovered,
         },
     }
 
 
 def grid_bytes(payload: Dict[str, object]) -> bytes:
-    """Canonical figure bytes — minus execution diagnostics, so serial
-    and parallel grid runs compare equal byte-for-byte."""
+    """Canonical figure bytes — minus execution diagnostics, so cold
+    and warm grid runs compare equal byte-for-byte."""
     import json
 
     view = {

@@ -20,24 +20,28 @@ home so the work is done once per shape *ever*, not once per run:
   :class:`~repro.common.store.FileStore` via
   :class:`~repro.common.store.TieredStore` — repeat fetches within one
   process are dict-speed, across processes they ride the page cache,
-  and concurrent writers (the multiprocess build workers of
-  :mod:`repro.fleet.parallel`) publish atomically with identical bytes.
+  and concurrent writers (two ``repro-fleet`` runs sharing a directory)
+  publish atomically with identical bytes.
 * **Distrust by default.** The stored value is itself a versioned
   envelope around :func:`~repro.sim.serialize.trace_to_dict` output,
   with the trace body carried as a SHA-256-checksummed string; a
   corrupt, truncated, bit-flipped or stale-version entry is treated as
   a miss and recomputed, never trusted
   (``tests/property/test_profile_cache_prop.py`` pins both the
-  bit-exact round-trip and the rejection paths).
+  bit-exact round-trip and the rejection paths), and the
+  ``fleet-store-identity`` QA invariant
+  (:func:`case_store_identity_violations`) holds whole fleet reports
+  byte-identical through the store.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import tempfile
 from dataclasses import asdict
 from pathlib import Path
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, List, Optional, Union
 
 from repro.arch.specs import MachineSpec
 from repro.common.store import FileStore, MemoryLRU, TieredStore, stable_hash
@@ -116,8 +120,8 @@ class ProfileCache:
 
     ``get``/``put`` speak :class:`~repro.sim.trace.SimulationTrace`; the
     envelope plumbing (versioning, JSON, rejection of defects) is
-    internal. Safe for concurrent multi-process use — the parallel
-    build workers and a warm parent share one directory.
+    internal. Safe for concurrent multi-process use: publishes are
+    atomic, so processes may share one directory.
     """
 
     def __init__(
@@ -230,3 +234,91 @@ def describe(cache: ProfileCache) -> str:
             f"{cache.rejected} rejected"
         )
     return "\n".join(lines)
+
+
+# ----------------------------------------------------------------------
+# The fleet-store-identity QA property
+# ----------------------------------------------------------------------
+
+#: Tenants in the invariant's miniature fleet.
+_FLEET_SIZE = 6
+
+
+def case_store_identity_violations(context) -> List[str]:
+    """Injected vs cold-cached vs warm-store reports must be byte-identical.
+
+    The fuzz case is promoted to a tenant (the ``repro-qa promote``
+    adapter) at both of its frequencies, and one small overlapping
+    fleet is run three ways: over the QA context's own simulations
+    injected into a store, over a store that simulates fresh through
+    :func:`repro.sim.batch.run_batch` and publishes into a temporary
+    cache, and over a store rehydrated entirely from that cache. Any
+    byte of divergence on the identity view means the batched build or
+    the persistence round-trip changed a result.
+    """
+    from dataclasses import replace
+
+    from repro.fleet.engine import FleetConfig, run_fleet
+    from repro.fleet.profiles import ProfileStore
+    from repro.fleet.report import report_identity_bytes
+    from repro.fleet.tenants import profile_key, tenant_from_fuzz_case
+
+    case = context.case
+    base_tenant = tenant_from_fuzz_case(case, name=f"qa-{case.seed}-base")
+    high_tenant = replace(
+        base_tenant,
+        name=f"qa-{case.seed}-high",
+        base_freq_ghz=case.high_freq_ghz,
+    )
+    variants = [base_tenant, high_tenant]
+    tenants = [variants[i % 2] for i in range(_FLEET_SIZE)]
+    injected_store = ProfileStore(context.spec)
+    injected_store.build(
+        variants,
+        traces={
+            profile_key(base_tenant): context.result(
+                case.base_freq_ghz
+            ).trace,
+            profile_key(high_tenant): context.result(
+                case.high_freq_ghz
+            ).trace,
+        },
+    )
+    spacing = min(
+        injected_store.profile_for(tenant).baseline_ns for tenant in variants
+    ) / 4.0
+    arrivals_ns = [i * spacing for i in range(_FLEET_SIZE)]
+
+    def fleet(store: ProfileStore):
+        return run_fleet(
+            FleetConfig(
+                tenants=_FLEET_SIZE, seed=case.seed, policy="paper-governor"
+            ),
+            spec=context.spec,
+            store=store,
+            tenants=tenants,
+            arrivals_ns=arrivals_ns,
+        )
+
+    with tempfile.TemporaryDirectory(prefix="repro-qa-fleet-") as root:
+        injected = report_identity_bytes(fleet(injected_store))
+        cold = fleet(ProfileStore(context.spec, cache=ProfileCache(root)))
+        warm = fleet(ProfileStore(context.spec, cache=ProfileCache(root)))
+    violations: List[str] = []
+    if report_identity_bytes(cold) != injected:
+        violations.append(
+            "cold-cached fleet report diverges from the injected build "
+            "on the identity view"
+        )
+    if report_identity_bytes(warm) != injected:
+        violations.append(
+            "warm-store fleet report diverges from the injected build "
+            "on the identity view"
+        )
+    published = len({profile_key(tenant) for tenant in variants})
+    if warm.diagnostics["cache_hits"] != published:
+        violations.append(
+            f"warm store hit the cache {warm.diagnostics['cache_hits']} "
+            f"time(s) for {published} published profile(s)"
+        )
+    return violations

@@ -46,6 +46,7 @@ from repro.energy.manager import (
 )
 from repro.energy.power import PowerModel
 from repro.energy.static_oracle import StaticOracleResult, static_optimal
+from repro.fleet.profile_cache import ProfileCache, key_for_tenant
 from repro.fleet.tenants import TenantSpec, profile_key, workload_fingerprint
 from repro.sim.run import simulate
 from repro.sim.trace import SimulationTrace
@@ -302,7 +303,7 @@ class ProfileStore:
         self,
         spec: Optional[MachineSpec] = None,
         power_model: Optional[PowerModel] = None,
-        cache: Optional["ProfileCache"] = None,
+        cache: Optional[ProfileCache] = None,
     ) -> None:
         self.spec = spec or haswell_i7_4770k()
         self.power_model = power_model or PowerModel(self.spec)
@@ -325,7 +326,6 @@ class ProfileStore:
         tenants: Sequence[TenantSpec],
         batch: bool = True,
         traces: Optional[Dict[str, SimulationTrace]] = None,
-        jobs: int = 1,
     ) -> Dict[str, int]:
         """Simulate the profiles a fleet needs.
 
@@ -343,15 +343,13 @@ class ProfileStore:
 
         With a persistent :attr:`cache`, batched builds fetch each
         shape's trace from the cache first and publish every trace they
-        simulate. With ``jobs > 1`` the still-pending shapes are
-        sharded over a spawn-context worker pool
-        (:func:`repro.fleet.parallel.build_traces_parallel`) — again
-        byte-identical, the ``fleet-parallel-identity`` invariant.
+        simulate — warm profiles are byte-identical to cold ones, the
+        ``fleet-store-identity`` invariant.
 
         ``traces`` injects pre-simulated traces by profile key (the
         dominance invariant reuses the QA context's simulations this
         way). Returns build diagnostics: profile/group/prewarm counts
-        plus ``cache_hits``, ``jobs`` and (parallel) ``recovered``.
+        plus ``cache_hits``.
         """
         pending: List[Tuple[str, TenantSpec]] = []
         pending_keys = set()
@@ -369,8 +367,6 @@ class ProfileStore:
             if batch and key in pending_keys:
                 continue
             if batch and self.cache is not None:
-                from repro.fleet.profile_cache import key_for_tenant
-
                 cached = self.cache.get(key_for_tenant(tenant, self.spec))
                 if cached is not None:
                     cache_hits += 1
@@ -383,72 +379,50 @@ class ProfileStore:
             pending.append((key, tenant))
         groups = 0
         prewarmed = 0
-        recovered = 0
-        effective_jobs = 1
         if pending:
-            if batch and jobs > 1 and len(pending) > 1:
-                from repro.fleet.parallel import build_traces_parallel
+            if batch:
+                from repro.sim.batch import BatchInstance, run_batch
 
-                built, par = build_traces_parallel(
-                    pending, self.spec, jobs, cache=self.cache
-                )
-                groups = par["groups"]
-                prewarmed = par["prewarmed_freqs"]
-                recovered = par["recovered"]
-                effective_jobs = jobs
-                for key, tenant in pending:
-                    self.profiles[key] = TenantProfile(
-                        key, built[key], self.spec, tenant.predictor,
-                        self.power_model,
-                    )
-            else:
-                if batch:
-                    from repro.sim.batch import BatchInstance, run_batch
-
-                    report = run_batch(
-                        [
-                            BatchInstance(
-                                program=self._program_for(tenant),
-                                freq_ghz=tenant.base_freq_ghz,
-                                spec=self.spec,
-                                quantum_ns=tenant.quantum_ns,
-                                label=key,
-                            )
-                            for key, tenant in pending
-                        ]
-                    )
-                    results = report.results
-                    groups = report.groups
-                    prewarmed = report.prewarmed_freqs
-                else:
-                    results = [
-                        simulate(
-                            tenant.program(),
-                            tenant.base_freq_ghz,
+                report = run_batch(
+                    [
+                        BatchInstance(
+                            program=self._program_for(tenant),
+                            freq_ghz=tenant.base_freq_ghz,
                             spec=self.spec,
                             quantum_ns=tenant.quantum_ns,
+                            label=key,
                         )
                         for key, tenant in pending
                     ]
-                for (key, tenant), result in zip(pending, results):
-                    if batch and self.cache is not None:
-                        from repro.fleet.profile_cache import key_for_tenant
-
-                        self.cache.put(
-                            key_for_tenant(tenant, self.spec), result.trace
-                        )
-                    self.profiles[key] = TenantProfile(
-                        key, result.trace, self.spec, tenant.predictor,
-                        self.power_model,
+                )
+                results = report.results
+                groups = report.groups
+                prewarmed = report.prewarmed_freqs
+            else:
+                results = [
+                    simulate(
+                        tenant.program(),
+                        tenant.base_freq_ghz,
+                        spec=self.spec,
+                        quantum_ns=tenant.quantum_ns,
                     )
+                    for key, tenant in pending
+                ]
+            for (key, tenant), result in zip(pending, results):
+                if batch and self.cache is not None:
+                    self.cache.put(
+                        key_for_tenant(tenant, self.spec), result.trace
+                    )
+                self.profiles[key] = TenantProfile(
+                    key, result.trace, self.spec, tenant.predictor,
+                    self.power_model,
+                )
         return {
             "profiles_built": len(pending),
             "profiles_total": len(self.profiles),
             "groups": groups,
             "prewarmed_freqs": prewarmed,
             "cache_hits": cache_hits,
-            "jobs": effective_jobs,
-            "recovered": recovered,
         }
 
     def profile_for(self, tenant: TenantSpec) -> TenantProfile:

@@ -31,16 +31,14 @@ REPORT_KIND = "repro-fleet-report"
 _PathLike = Union[str, Path]
 
 #: Build counters that describe *how* this particular run executed —
-#: worker width, persistent-store hits, parent-side recoveries — rather
-#: than what it computed. They vary between a cold and a warm run of the
+#: simulations run, batch groups, persistent-store hits — rather than
+#: what it computed. They vary between a cold and a warm run of the
 #: same seed, so the canonical ``--out`` bytes exclude them.
 _VOLATILE_DIAGNOSTICS = (
     "profiles_built",
     "groups",
     "prewarmed_freqs",
     "cache_hits",
-    "jobs",
-    "recovered",
 )
 
 
@@ -106,8 +104,8 @@ def report_bytes(report: FleetReport) -> bytes:
     """Canonical serialization: what ``--out`` writes, byte for byte.
 
     Execution-only diagnostics (:data:`_VOLATILE_DIAGNOSTICS`) are
-    dropped so the file is byte-identical at any ``--jobs`` width and
-    whether the profile store was cold or warm.
+    dropped so the file is byte-identical whether the profile store was
+    cold or warm.
     """
     payload = report_to_dict(report)
     payload["diagnostics"] = {

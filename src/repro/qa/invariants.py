@@ -340,12 +340,12 @@ def _fleet_policy_dominance(context: CaseContext) -> List[str]:
 
 
 @register(
-    "fleet-parallel-identity",
+    "fleet-store-identity",
     "fleet reports are byte-identical on the determinism view whether "
-    "profiles are built serially, by a multiprocess worker pool, or "
-    "rehydrated from the persistent profile store",
+    "profiles are injected, simulated fresh into the persistent profile "
+    "store, or rehydrated from it",
 )
-def _fleet_parallel_identity(context: CaseContext) -> List[str]:
-    from repro.fleet.parallel import case_parallel_identity_violations
+def _fleet_store_identity(context: CaseContext) -> List[str]:
+    from repro.fleet.profile_cache import case_store_identity_violations
 
-    return case_parallel_identity_violations(context)
+    return case_store_identity_violations(context)

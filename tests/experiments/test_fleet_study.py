@@ -36,23 +36,20 @@ def test_study_covers_the_whole_grid(monkeypatch):
     assert again.rows == result.rows
 
 
-def test_runner_jobs_fans_the_grid_out(monkeypatch):
-    monkeypatch.setattr(fleet_study, "FLEET_TENANTS", 6)
-    monkeypatch.setattr(fleet_study, "CAPS_W", (400.0,))
-    serial = fleet_study.run(ExperimentRunner())
-    runner = ExperimentRunner()
-    runner.jobs = 2
-    parallel = fleet_study.run(runner)
-    assert parallel.rows == serial.rows
-
-
 def test_figure_writer_is_deterministic(monkeypatch, tmp_path):
+    from repro.experiments.cache import ResultCache
+
     monkeypatch.setattr(fleet_study, "FLEET_TENANTS", 6)
     monkeypatch.setattr(fleet_study, "CAPS_W", (150.0, 400.0))
-    out_a = tmp_path / "a.json"
-    out_b = tmp_path / "b.json"
-    fleet_study.write_figure(out_a, ExperimentRunner())
-    fleet_study.write_figure(out_b, ExperimentRunner(), jobs=2)
+    out_a = tmp_path / "cold.json"
+    out_b = tmp_path / "warm.json"
+    fleet_study.write_figure(
+        out_a, ExperimentRunner(cache=ResultCache(tmp_path / "cache"))
+    )
+    warm = fleet_study.write_figure(
+        out_b, ExperimentRunner(cache=ResultCache(tmp_path / "cache"))
+    )
+    assert warm["diagnostics"]["cache_hits"] == warm["diagnostics"]["profiles"]
     assert out_a.read_bytes() == out_b.read_bytes()
     payload = json.loads(out_a.read_text())
     assert payload["kind"] == "repro-fleet-grid"

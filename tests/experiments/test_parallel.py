@@ -3,12 +3,18 @@
 The end-to-end bit-parity of the pooled path is pinned separately in
 ``test_parallel_parity.py``; this file covers the pieces — work-item
 validation, job resolution, grid partitioning, the fixed/managed split —
-and the ``batch=True`` route through ``fixed_runs_batch``.
+the ``batch=True`` route through ``fixed_runs_batch``, and recovery
+from a worker that dies outright.
 """
+
+import multiprocessing
+import os
 
 import pytest
 
 from repro.common.errors import ConfigError
+from repro.experiments import parallel
+from repro.experiments.cache import ResultCache
 from repro.experiments.parallel import (
     WorkItem,
     _group_fixed,
@@ -109,5 +115,36 @@ def test_serial_batch_path_matches_per_item_runs():
         else:
             a = per_item.managed_run(item.benchmark, item.value)
             b = batched.managed_run(item.benchmark, item.value)
+        assert a.total_ns == b.total_ns, item
+        assert a.energy_j == b.energy_j, item
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_context().get_start_method() != "fork",
+    reason="the patched _apply reaches workers only through fork",
+)
+def test_killed_worker_items_are_recomputed_in_the_parent(
+    monkeypatch, tmp_path
+):
+    parent = os.getpid()
+    real_apply = parallel._apply
+
+    def dying_apply(runner, item):
+        if os.getpid() != parent and item.benchmark == "pmd_scale":
+            os._exit(9)  # a hard kill, not a Python exception
+        return real_apply(runner, item)
+
+    monkeypatch.setattr(parallel, "_apply", dying_apply)
+    grid = fixed_items(CONFIG.benchmarks, (1.0, 4.0))
+    runner = ExperimentRunner(CONFIG, cache=ResultCache(tmp_path))
+    report = execute(runner, grid, jobs=2)
+
+    recovered = {item for item, _ in report.recovered}
+    assert {item for item in grid if item.benchmark == "pmd_scale"} <= recovered
+    assert all("BrokenProcessPool" in error for _, error in report.recovered)
+    reference = ExperimentRunner(CONFIG)
+    for item in grid:
+        a = runner.fixed_run(item.benchmark, item.value)
+        b = reference.fixed_run(item.benchmark, item.value)
         assert a.total_ns == b.total_ns, item
         assert a.energy_j == b.energy_j, item

@@ -11,17 +11,10 @@ def test_reps_must_be_positive():
         fleet_bench(tenants=2, seed=1, reps=0)
 
 
-def test_jobs_must_be_positive():
-    with pytest.raises(ReproError):
-        fleet_bench(tenants=2, seed=1, jobs=0)
-
-
 def test_payload_shape_and_identity_gate(tmp_path):
-    payload = fleet_bench(
-        tenants=5, seed=3, reps=1, jobs=2, cache_root=str(tmp_path)
-    )
+    payload = fleet_bench(tenants=5, seed=3, reps=1, cache_root=str(tmp_path))
     assert payload["tenants"] == 5
-    assert payload["jobs"] == 2
+    assert "jobs" not in payload
     assert payload["identical"] is True
     assert payload["profiles"] >= 1
     assert payload["groups"] >= 1
@@ -29,7 +22,6 @@ def test_payload_shape_and_identity_gate(tmp_path):
     for phase in (
         "naive_build_s",
         "serial_build_s",
-        "parallel_build_s",
         "warm_build_s",
         "engine_s",
     ):
@@ -39,8 +31,6 @@ def test_payload_shape_and_identity_gate(tmp_path):
     for metric in (
         "cold_speedup",
         "warm_speedup",
-        "parallel_vs_serial",
-        "batched_speedup",
         "cold_run_s",
         "warm_run_s",
         "tenants_per_s",

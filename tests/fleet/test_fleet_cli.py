@@ -28,12 +28,15 @@ def test_run_writes_a_deterministic_report(tmp_path, capsys):
     assert out_a.read_bytes() == out_b.read_bytes()
 
 
-def test_run_jobs_and_no_cache_leave_report_bytes_alone(tmp_path, capsys):
-    out_a = tmp_path / "a.json"
-    out_b = tmp_path / "b.json"
-    assert main(["run", *ARGS, "--no-cache", "--out", str(out_a)]) == 0
-    assert main(["run", *ARGS, "--jobs", "2", "--out", str(out_b)]) == 0
-    assert out_a.read_bytes() == out_b.read_bytes()
+def test_run_no_cache_cold_and_warm_leave_report_bytes_alone(
+    tmp_path, isolated_cache, capsys
+):
+    outs = [tmp_path / f"{leg}.json" for leg in ("none", "cold", "warm")]
+    assert main(["run", *ARGS, "--no-cache", "--out", str(outs[0])]) == 0
+    assert not isolated_cache.exists()
+    assert main(["run", *ARGS, "--out", str(outs[1])]) == 0
+    assert main(["run", *ARGS, "--out", str(outs[2])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
 
 
 def test_report_rerenders_a_saved_run(tmp_path, capsys):

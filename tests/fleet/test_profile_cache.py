@@ -13,6 +13,7 @@ from repro.fleet.profile_cache import (
     key_for_tenant,
     profile_cache_key,
 )
+from repro.fleet.profiles import ProfileStore
 from repro.sim.run import simulate
 from repro.sim.serialize import trace_to_dict
 from tests.fleet.conftest import tiny_tenant
@@ -119,3 +120,26 @@ def test_clear_and_stats(tmp_path, tenant_and_trace):
 def test_default_dir_honours_cache_env(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "root"))
     assert default_profile_cache_dir() == tmp_path / "root" / "fleet-profiles"
+
+
+def test_cold_build_fills_the_shared_cache(tmp_path):
+    tenants = [
+        tiny_tenant("p0", seed=1, base=3.0),
+        tiny_tenant("p1", seed=1, base=4.0),
+        tiny_tenant("p2", seed=2, base=3.0),
+        tiny_tenant("p3", seed=2, base=3.0, quantum=4.0e4),
+        tiny_tenant("p0-again", seed=1, base=3.0),
+    ]
+    cold_store = ProfileStore(SPEC, cache=ProfileCache(tmp_path))
+    cold = cold_store.build(tenants)
+    assert cold["profiles_built"] == 4
+    assert len(ProfileCache(tmp_path)) == 4  # one entry per shape
+
+    warm_store = ProfileStore(SPEC, cache=ProfileCache(tmp_path))
+    warm = warm_store.build(tenants)
+    assert warm["cache_hits"] == 4
+    assert warm["profiles_built"] == 0
+    for key, profile in cold_store.profiles.items():
+        assert trace_to_dict(
+            warm_store.profiles[key].trace
+        ) == trace_to_dict(profile.trace)

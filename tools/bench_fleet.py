@@ -1,4 +1,4 @@
-"""Fleet build benchmark: naive vs batched vs multiprocess vs warm store.
+"""Fleet build benchmark: naive vs batched vs warm store.
 
 Usage::
 
@@ -8,19 +8,18 @@ Usage::
 
 Times one drawn fleet's profile build through every strategy the engine
 offers (see ``repro.fleet.fleet_bench``): the naive per-tenant loop, the
-deduplicated serial batch, the ``--jobs``-wide multiprocess build
-publishing into the persistent profile store, and a warm rebuild from
-that store. Every store then drives one full engine run and the reports
-must be byte-identical on the determinism view; the run aborts
-otherwise, so every speedup is pure mechanics.
+deduplicated serial batch publishing into the persistent profile store,
+and a warm rebuild from that store. Every store then drives one full
+engine run and the reports must be byte-identical on the determinism
+view; the run aborts otherwise, so every speedup is pure mechanics.
 
 ``BENCH_fleet.json`` commits the result, with cold and warm wall times
 recorded separately (``cold_run_s``/``warm_run_s``) and min/median/mean
 stats for every phase including the engine. With ``--check BASELINE``
 a fresh run is gated two ways:
 
-* ``cold_speedup`` (naive -> parallel cold build) must clear the 3x
-  absolute floor this PR guarantees;
+* ``cold_speedup`` (naive -> serial batched cold build) must clear the
+  3x absolute floor;
 * ``warm_speedup`` (serial cold build -> warm store rebuild) must
   clear the 5x absolute floor;
 
@@ -73,9 +72,6 @@ def main(argv=None) -> int:
     parser.add_argument("--reps", type=int, default=1,
                         help="repetitions per build phase (default 1; the "
                              "gated speedups use the medians)")
-    parser.add_argument("--jobs", type=int, default=4,
-                        help="workers of the parallel build phase "
-                             "(default 4)")
     parser.add_argument("--out", default="BENCH_fleet.json",
                         help="output JSON path")
     parser.add_argument(
@@ -85,17 +81,14 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    payload = fleet_bench(
-        tenants=args.tenants, seed=args.seed, reps=args.reps, jobs=args.jobs
-    )
+    payload = fleet_bench(tenants=args.tenants, seed=args.seed, reps=args.reps)
     Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
     print(
         f"fleet {payload['tenants']} tenants -> {payload['profiles']} "
         f"profiles in {payload['groups']} groups: naive "
         f"{payload['naive_build_s']['median']:.3f}s -> serial "
-        f"{payload['serial_build_s']['median']:.3f}s -> parallel[x"
-        f"{payload['jobs']}] {payload['parallel_build_s']['median']:.3f}s "
-        f"-> warm {payload['warm_build_s']['median']:.3f}s"
+        f"{payload['serial_build_s']['median']:.3f}s -> warm "
+        f"{payload['warm_build_s']['median']:.3f}s"
     )
     print(
         f"cold_speedup {payload['cold_speedup']:.2f}x, warm_speedup "
