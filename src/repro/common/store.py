@@ -1,25 +1,32 @@
 """Multi-backend content-addressed key/value store.
 
-The persistent result cache of :mod:`repro.experiments.cache` and the
-cross-worker prediction cache of :mod:`repro.serve.predcache` share one
-storage discipline:
+Every persistent cache in the repo is built on this module: the result
+cache of :mod:`repro.experiments.cache`, the fleet profile store of
+:mod:`repro.fleet.profile_cache` and the cross-worker prediction cache
+of :mod:`repro.serve.predcache`. They share one storage discipline:
 
 * **Content-addressed keys.** :func:`stable_hash` reduces an arbitrary
   configuration object to a SHA-256 over its canonical JSON form
   (:func:`canonical`), so equal inputs hash identically regardless of
   dict insertion order or dataclass field order, and any input change
   produces a fresh key — stale values are orphaned, never returned.
+* **One checksummed envelope.** A file entry is ``{"key", "sha256",
+  "value"}``: the full key guards against hash-prefix filename
+  collisions, the SHA-256 of the value text against any byte damage —
+  including a changed digit that leaves the JSON valid. This is the
+  only place a stored value is checksummed; callers never add a digest
+  of their own.
 * **Crash/corruption safety.** Disk writes are published with an atomic
   ``os.replace`` (:func:`atomic_write_text`); reads treat *any* defect —
-  truncation, bit flips, a key mismatch from a hash-prefix collision —
-  as a miss and drop the offender best-effort.
+  truncation, bit flips, a key or checksum mismatch — as a miss and
+  drop the offender best-effort.
 
 On top of those primitives this module layers composable backends:
 
 :class:`MemoryLRU`
     A per-process LRU dict — the first tier of a read path; no I/O.
 :class:`FileStore`
-    One JSON envelope file per key in a shared directory. Multiple
+    One envelope file per key in a shared directory. Multiple
     *processes* can read and write the same directory concurrently:
     writers publish atomically and both sides of a racing write store
     identical bytes for a key (content addressing), so the last rename
@@ -50,6 +57,14 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Union
 
 _PathLike = Union[str, Path]
+
+
+def default_cache_dir() -> Path:
+    """``REPRO_CACHE_DIR`` if set, else ``~/.cache/repro``."""
+    override = os.environ.get("REPRO_CACHE_DIR")
+    if override:
+        return Path(override).expanduser()
+    return Path.home() / ".cache" / "repro"
 
 
 # ----------------------------------------------------------------------
@@ -95,7 +110,12 @@ def stable_hash(obj: Any) -> str:
     payload = json.dumps(
         canonical(obj), sort_keys=True, separators=(",", ":"), allow_nan=True
     )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return _digest(payload)
+
+
+def _digest(text: str) -> str:
+    """SHA-256 hex digest of ``text``'s UTF-8 bytes."""
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 # ----------------------------------------------------------------------
@@ -189,13 +209,14 @@ class MemoryLRU:
 
 
 class FileStore:
-    """Shared directory of ``{"key", "value"}`` envelope files.
+    """Shared directory of ``{"key", "sha256", "value"}`` envelope files.
 
-    The envelope carries the *full* key, so a hash-prefix filename
-    collision or a bit-flipped file is detected at read time and treated
-    as a miss (the offender is dropped best-effort). Safe for concurrent
-    multi-process use: writes are atomic renames and identical keys store
-    identical bytes.
+    The envelope carries the *full* key and the SHA-256 of the value
+    text, so a hash-prefix filename collision or *any* byte damage to
+    the file is detected at read time and treated as one error plus one
+    miss (the offender is dropped best-effort). Safe for concurrent
+    multi-process use: writes are atomic renames and identical keys
+    store identical bytes.
     """
 
     def __init__(self, root: _PathLike, prefix: str = "kv") -> None:
@@ -209,27 +230,20 @@ class FileStore:
     def get(self, key: str) -> Optional[str]:
         path = self.path_for(key)
         try:
-            raw = path.read_text(encoding="utf-8")
-        except FileNotFoundError:
+            raw = path.read_bytes()
+        except OSError:  # absent (or unreadable): a plain miss
             self.stats.misses += 1
-            return None
-        except OSError:
-            self.stats.misses += 1
-            return None
-        except UnicodeDecodeError:
-            # Bit damage bad enough to break the text encoding: same
-            # treatment as a corrupt envelope below.
-            self.stats.errors += 1
-            self.stats.misses += 1
-            unlink_quiet(path)
             return None
         try:
+            # Bytes that no longer decode as text fail here too.
             envelope = json.loads(raw)
             if not isinstance(envelope, dict) or envelope.get("key") != key:
                 raise ValueError("key mismatch")
             value = envelope["value"]
-            if not isinstance(value, str):
-                raise ValueError("non-text value")
+            if not isinstance(value, str) or _digest(value) != envelope.get(
+                "sha256"
+            ):
+                raise ValueError("value fails its checksum")
         except Exception:
             self.stats.errors += 1
             self.stats.misses += 1
@@ -240,7 +254,8 @@ class FileStore:
 
     def put(self, key: str, value: str) -> None:
         envelope = json.dumps(
-            {"key": key, "value": value}, separators=(",", ":")
+            {"key": key, "sha256": _digest(value), "value": value},
+            separators=(",", ":"),
         )
         atomic_write_text(self.path_for(key), envelope)
         self.stats.stores += 1

@@ -14,13 +14,15 @@ scratch. This module gives those results a durable home:
   and this module's :data:`CACHE_SCHEMA_VERSION`. Same inputs → same key;
   any config or schema change → different key, so stale entries are never
   returned (they are simply orphaned until ``clear``).
-* **Durable values.** Fixed- and managed-run summaries are stored as small
-  JSON documents; base-frequency traces ride in a gzip sidecar written by
-  :mod:`repro.sim.serialize` (the archival trace format).
-* **Crash/corruption safety.** Writes go to a temporary file in the cache
-  directory and are published with an atomic ``os.replace``; reads treat
-  *any* malformed entry as a miss (recompute, never crash) and remove the
-  offender best-effort.
+* **One entry per run.** :class:`ResultCache` is a thin codec over
+  :class:`~repro.common.store.FileStore`: a fixed or managed run becomes
+  one JSON value, and a retained base-frequency trace rides inline as
+  :func:`~repro.sim.serialize.trace_to_dict` output — there is no
+  sidecar file.
+* **Crash/corruption safety** comes from the store's checksummed
+  envelope and atomic publish: *any* damaged entry — truncated,
+  bit-flipped, one digit changed — reads as a miss (recompute, never
+  crash, never a wrong number) and is removed best-effort.
 
 The default location is ``~/.cache/repro``, overridable with the
 ``REPRO_CACHE_DIR`` environment variable.
@@ -28,22 +30,14 @@ The default location is ``~/.cache/repro``, overridable with the
 
 from __future__ import annotations
 
-import dataclasses
 import json
-import os
 import shutil
-import tempfile
-from dataclasses import dataclass
+from dataclasses import astuple
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Union
 
-from repro.common.store import (  # noqa: F401 — canonical/stable_hash are
-    atomic_write_text,            # this module's historical public API
-    canonical,
-    stable_hash,
-    unlink_quiet,
-)
-from repro.sim.serialize import FORMAT_VERSION, load_trace, save_trace
+from repro.common.store import FileStore, default_cache_dir, stable_hash
+from repro.sim.serialize import FORMAT_VERSION, trace_from_dict, trace_to_dict
 
 if TYPE_CHECKING:  # runner imports this module; keep the cycle import-time free
     from repro.experiments.runner import FixedRun, ManagedRun
@@ -51,21 +45,13 @@ if TYPE_CHECKING:  # runner imports this module; keep the cycle import-time free
 #: Bump when the simulator/cache semantics change in a way the key's
 #: config fields cannot capture (e.g. a timing-model fix): every existing
 #: entry becomes unreachable and is recomputed on demand.
-CACHE_SCHEMA_VERSION = 1
+CACHE_SCHEMA_VERSION = 2
 
 _PathLike = Union[str, Path]
 
 
-def default_cache_dir() -> Path:
-    """``REPRO_CACHE_DIR`` if set, else ``~/.cache/repro``."""
-    override = os.environ.get("REPRO_CACHE_DIR")
-    if override:
-        return Path(override).expanduser()
-    return Path.home() / ".cache" / "repro"
-
-
 # ----------------------------------------------------------------------
-# Content keys (canonical hashing now lives in repro.common.store)
+# Content keys (canonical hashing lives in repro.common.store)
 # ----------------------------------------------------------------------
 
 
@@ -132,224 +118,140 @@ def managed_key(
 # ----------------------------------------------------------------------
 
 
-@dataclass
-class CacheStats:
-    """Per-process counters of one :class:`ResultCache` instance."""
+def _dumps(value: Dict[str, Any]) -> str:
+    return json.dumps(value, separators=(",", ":"))
 
-    hits: int = 0
-    misses: int = 0
-    stores: int = 0
-    #: Entries found on disk but rejected (truncated, bit-flipped, wrong
-    #: schema...); each rejection is also a miss.
-    errors: int = 0
 
-    def as_dict(self) -> Dict[str, int]:
-        return dataclasses.asdict(self)
+def _decode_fixed(text: str) -> "FixedRun":
+    from repro.experiments.runner import FixedRun
+
+    value = json.loads(text)
+    trace = value.pop("trace")
+    return FixedRun(
+        trace=None if trace is None else trace_from_dict(trace), **value
+    )
+
+
+def _decode_managed(text: str) -> "ManagedRun":
+    from repro.energy.manager import ManagerDecision
+    from repro.experiments.runner import ManagedRun
+
+    value = json.loads(text)
+    value["decisions"] = [
+        ManagerDecision(*decision) for decision in value["decisions"]
+    ]
+    return ManagedRun(**value)
 
 
 class ResultCache:
     """Content-addressed on-disk store of experiment ground truths.
 
-    One directory per schema version; inside it, one JSON summary per
-    entry (name = ``<kind>-<benchmark>-<key prefix>``) plus an optional
-    gzip trace sidecar for base-frequency runs. Concurrent writers are
-    safe: both compute identical bytes for a key and publish atomically,
-    so the last rename wins with an identical result.
+    One directory per schema version; inside it, one checksummed
+    :class:`~repro.common.store.FileStore` entry per run (the keys of
+    fixed and managed runs hash distinct ``kind`` fields, so both share
+    one store). Concurrent writers are safe: both compute identical
+    bytes for a key and publish atomically, so the last rename wins
+    with an identical result. ``stats`` is the store's counters: hits,
+    misses, stores and rejected (corrupt) entries.
     """
 
     def __init__(self, root: Optional[_PathLike] = None) -> None:
         self.root = Path(root) if root is not None else default_cache_dir()
-        self.stats = CacheStats()
+        self._dir = self.root / f"v{CACHE_SCHEMA_VERSION}"
+        self._store = FileStore(self._dir, prefix="run")
+        self.stats = self._store.stats
 
-    # -- layout --------------------------------------------------------
-
-    @property
-    def _store(self) -> Path:
-        return self.root / f"v{CACHE_SCHEMA_VERSION}"
-
-    def _summary_path(self, kind: str, benchmark: str, key: str) -> Path:
-        return self._store / f"{kind}-{benchmark}-{key[:20]}.json"
-
-    def _trace_path(self, summary: Path) -> Path:
-        return summary.with_suffix(".trace.gz")
-
-    # -- atomic plumbing ----------------------------------------------
-
-    def _publish_text(self, path: Path, text: str) -> None:
-        atomic_write_text(path, text)
-
-    def _publish_trace(self, path: Path, trace) -> None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=str(path.parent), prefix=".tmp-", suffix=".gz"
-        )
-        os.close(fd)
-        try:
-            save_trace(trace, tmp)
-            os.replace(tmp, path)
-        except BaseException:
-            unlink_quiet(Path(tmp))
-            raise
-
-    def _read_entry(self, path: Path, key: str) -> Optional[Dict]:
-        """Load and sanity-check a summary; any defect counts as corruption."""
-        try:
-            entry = json.loads(path.read_text(encoding="utf-8"))
-        except FileNotFoundError:
+    def _load(self, key: str, decode: Callable[[str], Any]) -> Any:
+        text = self._store.get(key)
+        if text is None:
             return None
+        try:
+            return decode(text)
         except Exception:
-            self._reject(path)
+            # Intact bytes this codec cannot read (a codec change without
+            # a schema bump): a rejection like any corrupt entry, not a hit.
+            self.stats.hits -= 1
+            self.stats.errors += 1
+            self.stats.misses += 1
+            self._store.drop(key)
             return None
-        if not isinstance(entry, dict) or entry.get("key") != key:
-            self._reject(path)
-            return None
-        return entry
-
-    def _reject(self, summary: Path) -> None:
-        """Drop a corrupt entry (and its sidecar) so it is rebuilt cleanly."""
-        self.stats.errors += 1
-        unlink_quiet(summary)
-        unlink_quiet(self._trace_path(summary))
-
-    # -- fixed runs ----------------------------------------------------
 
     def load_fixed(self, key: str, benchmark: str) -> Optional["FixedRun"]:
-        """The cached :class:`FixedRun` under ``key``, or ``None``."""
-        from repro.experiments.runner import FixedRun
+        """The cached :class:`FixedRun` under ``key``, or ``None``.
 
-        path = self._summary_path("fixed", benchmark, key)
-        entry = self._read_entry(path, key)
-        if entry is None:
-            self.stats.misses += 1
-            return None
-        try:
-            trace = None
-            if entry["has_trace"]:
-                trace = load_trace(self._trace_path(path))
-            run = FixedRun(
-                benchmark=str(entry["benchmark"]),
-                freq_ghz=float(entry["freq_ghz"]),
-                total_ns=entry["total_ns"],
-                gc_time_ns=entry["gc_time_ns"],
-                gc_cycles=int(entry["gc_cycles"]),
-                energy_j=entry["energy_j"],
-                trace=trace,
-            )
-        except Exception:
-            self._reject(path)
-            self.stats.misses += 1
-            return None
-        self.stats.hits += 1
-        return run
+        ``benchmark`` is already part of ``key``; the loaders take it so
+        call sites name the entry they want.
+        """
+        return self._load(key, _decode_fixed)
 
     def store_fixed(self, key: str, run: "FixedRun") -> None:
-        """Persist a fixed run (trace sidecar first, then the summary)."""
-        path = self._summary_path("fixed", run.benchmark, key)
-        if run.trace is not None:
-            self._publish_trace(self._trace_path(path), run.trace)
-        entry = {
-            "key": key,
-            "benchmark": run.benchmark,
-            "freq_ghz": run.freq_ghz,
-            "total_ns": run.total_ns,
-            "gc_time_ns": run.gc_time_ns,
-            "gc_cycles": run.gc_cycles,
-            "energy_j": run.energy_j,
-            "has_trace": run.trace is not None,
-        }
-        self._publish_text(path, json.dumps(entry, separators=(",", ":")))
-        self.stats.stores += 1
-
-    # -- managed runs --------------------------------------------------
+        """Persist a fixed run, its trace (if retained) inline."""
+        self._store.put(
+            key,
+            _dumps(
+                {
+                    "benchmark": run.benchmark,
+                    "freq_ghz": run.freq_ghz,
+                    "total_ns": run.total_ns,
+                    "gc_time_ns": run.gc_time_ns,
+                    "gc_cycles": run.gc_cycles,
+                    "energy_j": run.energy_j,
+                    "trace": None
+                    if run.trace is None
+                    else trace_to_dict(run.trace),
+                }
+            ),
+        )
 
     def load_managed(self, key: str, benchmark: str) -> Optional["ManagedRun"]:
         """The cached :class:`ManagedRun` under ``key``, or ``None``."""
-        from repro.energy.manager import ManagerDecision
-        from repro.experiments.runner import ManagedRun
-
-        path = self._summary_path("managed", benchmark, key)
-        entry = self._read_entry(path, key)
-        if entry is None:
-            self.stats.misses += 1
-            return None
-        try:
-            run = ManagedRun(
-                benchmark=str(entry["benchmark"]),
-                threshold=float(entry["threshold"]),
-                total_ns=entry["total_ns"],
-                energy_j=entry["energy_j"],
-                decisions=[
-                    ManagerDecision(
-                        interval_index=int(index),
-                        base_freq_ghz=base,
-                        chosen_freq_ghz=chosen,
-                        predicted_slowdown=slowdown,
-                    )
-                    for index, base, chosen, slowdown in entry["decisions"]
-                ],
-            )
-        except Exception:
-            self._reject(path)
-            self.stats.misses += 1
-            return None
-        self.stats.hits += 1
-        return run
+        return self._load(key, _decode_managed)
 
     def store_managed(self, key: str, run: "ManagedRun") -> None:
         """Persist a managed run, decisions inline."""
-        path = self._summary_path("managed", run.benchmark, key)
-        entry = {
-            "key": key,
-            "benchmark": run.benchmark,
-            "threshold": run.threshold,
-            "total_ns": run.total_ns,
-            "energy_j": run.energy_j,
-            "decisions": [
-                [
-                    d.interval_index,
-                    d.base_freq_ghz,
-                    d.chosen_freq_ghz,
-                    d.predicted_slowdown,
-                ]
-                for d in run.decisions
-            ],
-        }
-        self._publish_text(path, json.dumps(entry, separators=(",", ":")))
-        self.stats.stores += 1
+        self._store.put(
+            key,
+            _dumps(
+                {
+                    "benchmark": run.benchmark,
+                    "threshold": run.threshold,
+                    "total_ns": run.total_ns,
+                    "energy_j": run.energy_j,
+                    "decisions": [astuple(d) for d in run.decisions],
+                }
+            ),
+        )
 
     # -- maintenance ---------------------------------------------------
 
+    def _version_dirs(self) -> List[Path]:
+        if not self.root.is_dir():
+            return []
+        return [
+            child
+            for child in sorted(self.root.iterdir())
+            if child.is_dir() and child.name.startswith("v")
+        ]
+
     def disk_stats(self) -> Dict[str, int]:
         """Entry and byte counts on disk, across all schema versions."""
-        entries = traces = size = stale = 0
-        if self.root.is_dir():
-            for path in self.root.rglob("*"):
+        entries = stale = size = 0
+        for child in self._version_dirs():
+            for path in child.iterdir():
                 if not path.is_file():
                     continue
                 size += path.stat().st_size
-                if path.name.startswith(".tmp-"):
-                    continue
-                current = path.parent == self._store
-                if path.suffix == ".json":
-                    entries += current
-                    stale += not current
-                elif path.name.endswith(".trace.gz"):
-                    traces += current
-        return {
-            "entries": entries,
-            "traces": traces,
-            "stale_entries": stale,
-            "size_bytes": size,
-        }
+                if path.suffix == ".json" and not path.name.startswith(".tmp-"):
+                    entries += child == self._dir
+                    stale += child != self._dir
+        return {"entries": entries, "stale_entries": stale, "size_bytes": size}
 
     def clear(self) -> int:
         """Remove every version directory under the root; return files removed."""
         removed = 0
-        if self.root.is_dir():
-            for child in sorted(self.root.iterdir()):
-                if child.is_dir() and child.name.startswith("v"):
-                    removed += sum(1 for p in child.rglob("*") if p.is_file())
-                    shutil.rmtree(child, ignore_errors=True)
+        for child in self._version_dirs():
+            removed += sum(1 for p in child.rglob("*") if p.is_file())
+            shutil.rmtree(child, ignore_errors=True)
         return removed
 
 
@@ -359,8 +261,8 @@ def describe(cache: ResultCache) -> str:
     lines = [
         f"cache root:    {cache.root}",
         f"schema:        v{CACHE_SCHEMA_VERSION} (trace format {FORMAT_VERSION})",
-        f"entries:       {disk['entries']} ({disk['traces']} traces, "
-        f"{disk['stale_entries']} stale from other versions)",
+        f"entries:       {disk['entries']} "
+        f"({disk['stale_entries']} stale from other versions)",
         f"size on disk:  {disk['size_bytes'] / 1e6:.1f} MB",
     ]
     session = cache.stats

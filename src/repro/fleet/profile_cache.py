@@ -16,17 +16,18 @@ home so the work is done once per shape *ever*, not once per run:
   :data:`PROFILE_CACHE_VERSION`. Any input or schema change produces a
   fresh key, so stale entries are orphaned, never returned.
 * **Tiered storage** (:mod:`repro.common.store`): an in-memory
-  :class:`~repro.common.store.MemoryLRU` over an envelope-checked
+  :class:`~repro.common.store.MemoryLRU` over a checksummed
   :class:`~repro.common.store.FileStore` via
   :class:`~repro.common.store.TieredStore` — repeat fetches within one
   process are dict-speed, across processes they ride the page cache,
   and concurrent writers (two ``repro-fleet`` runs sharing a directory)
   publish atomically with identical bytes.
-* **Distrust by default.** The stored value is itself a versioned
-  envelope around :func:`~repro.sim.serialize.trace_to_dict` output,
-  with the trace body carried as a SHA-256-checksummed string; a
-  corrupt, truncated, bit-flipped or stale-version entry is treated as
-  a miss and recomputed, never trusted
+* **Distrust by default.** The stored value is a versioned
+  ``{"kind", "cache_version", "trace"}`` document around
+  :func:`~repro.sim.serialize.trace_to_dict` output; the file tier's
+  checksum catches any byte damage, this module the stale or foreign
+  versions. A corrupt, truncated, bit-flipped or stale-version entry is
+  treated as a miss and recomputed, never trusted
   (``tests/property/test_profile_cache_prop.py`` pins both the
   bit-exact round-trip and the rejection paths), and the
   ``fleet-store-identity`` QA invariant
@@ -36,7 +37,6 @@ home so the work is done once per shape *ever*, not once per run:
 
 from __future__ import annotations
 
-import hashlib
 import json
 import tempfile
 from dataclasses import asdict
@@ -44,7 +44,13 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
 from repro.arch.specs import MachineSpec
-from repro.common.store import FileStore, MemoryLRU, TieredStore, stable_hash
+from repro.common.store import (
+    FileStore,
+    MemoryLRU,
+    TieredStore,
+    default_cache_dir,
+    stable_hash,
+)
 from repro.sim.serialize import (
     FORMAT_VERSION,
     trace_from_dict,
@@ -54,7 +60,7 @@ from repro.sim.trace import SimulationTrace
 
 #: Bump when the profile envelope or its semantics change: every
 #: existing entry becomes unreachable (new keys) and is rebuilt.
-PROFILE_CACHE_VERSION = 1
+PROFILE_CACHE_VERSION = 2
 
 #: The ``kind`` field of a stored profile envelope.
 PROFILE_KIND = "repro-fleet-profile"
@@ -67,8 +73,6 @@ _PathLike = Union[str, Path]
 
 def default_profile_cache_dir() -> Path:
     """``<result-cache root>/fleet-profiles`` (honours ``REPRO_CACHE_DIR``)."""
-    from repro.experiments.cache import default_cache_dir
-
     return default_cache_dir() / "fleet-profiles"
 
 
@@ -149,13 +153,7 @@ class ProfileCache:
                 or envelope.get("cache_version") != PROFILE_CACHE_VERSION
             ):
                 raise ValueError("stale or foreign profile envelope")
-            body = envelope["trace"]
-            if not isinstance(body, str) or (
-                hashlib.sha256(body.encode("utf-8")).hexdigest()
-                != envelope.get("sha256")
-            ):
-                raise ValueError("profile body fails its checksum")
-            return trace_from_dict(json.loads(body))
+            return trace_from_dict(envelope["trace"])
         except Exception:
             # Never trust a defective entry: count it, drop it from
             # every tier best-effort, and let the caller recompute.
@@ -165,19 +163,12 @@ class ProfileCache:
             return None
 
     def put(self, key: str, trace: SimulationTrace) -> None:
-        """Persist ``trace`` under ``key`` (atomic publish, every tier).
-
-        The trace body travels as a checksummed string inside the
-        envelope, so *any* byte damage — not just damage that breaks
-        the JSON — reads back as a miss.
-        """
-        body = json.dumps(trace_to_dict(trace), separators=(",", ":"))
+        """Persist ``trace`` under ``key`` (atomic publish, every tier)."""
         envelope = json.dumps(
             {
                 "kind": PROFILE_KIND,
                 "cache_version": PROFILE_CACHE_VERSION,
-                "sha256": hashlib.sha256(body.encode("utf-8")).hexdigest(),
-                "trace": body,
+                "trace": trace_to_dict(trace),
             },
             separators=(",", ":"),
         )
@@ -231,7 +222,9 @@ def describe(cache: ProfileCache) -> str:
         lines.append(
             f"this session:  {session['hits']} hits, "
             f"{session['misses']} misses, {session['stores']} stores, "
-            f"{cache.rejected} rejected"
+            # Byte damage is rejected by the file tier's checksum,
+            # a stale or foreign version by this cache.
+            f"{cache.rejected + stats['disk']['errors']} rejected"
         )
     return "\n".join(lines)
 

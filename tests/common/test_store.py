@@ -149,6 +149,19 @@ class TestFileStore:
         assert store.get("key1") is None
         assert store.stats.errors == 1
 
+    def test_changed_digit_in_value_is_rejected(self, tmp_path):
+        """Damage that leaves the JSON valid must still read as a miss."""
+        store = FileStore(tmp_path)
+        store.put("key1", '{"total_ns":123456.0}')
+        path = store.path_for("key1")
+        raw = path.read_text()
+        assert raw.count("123456.0") == 1
+        path.write_text(raw.replace("123456.0", "923456.0"))
+        assert store.get("key1") is None
+        assert store.stats.errors == 1
+        assert store.stats.misses == 1
+        assert not path.exists()
+
 
 # ----------------------------------------------------------------------
 # TieredStore

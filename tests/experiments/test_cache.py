@@ -1,16 +1,17 @@
 """Persistent result cache: warm-run behaviour and fault injection.
 
 The contract under test: a second runner over the same store performs
-zero new simulations; any on-disk damage (truncation, bit flips, missing
-sidecars, schema bumps) silently degrades to a recompute — the cache may
-lose work, it must never corrupt results or crash the suite.
+zero new simulations; any on-disk damage (truncation, bit flips, a
+changed digit, schema bumps) silently degrades to a recompute — the
+cache may lose work, it must never corrupt results or crash the suite.
 """
 
-import gzip
 import json
+import re
 
 import pytest
 
+from repro.common.store import FileStore
 from repro.experiments import cache as cache_mod
 from repro.experiments.cache import ResultCache
 from repro.experiments.runner import ExperimentRunner
@@ -31,7 +32,7 @@ def store(tmp_path):
 
 def _populate(store) -> ExperimentRunner:
     runner = ExperimentRunner(CONFIG, cache=store)
-    runner.fixed_run("pmd_scale", 1.0)   # base freq: trace sidecar on disk
+    runner.fixed_run("pmd_scale", 1.0)   # base freq: trace stored inline
     runner.fixed_run("pmd_scale", 2.0)   # summary only
     runner.managed_run("pmd_scale", 0.10)
     return runner
@@ -63,7 +64,12 @@ def test_warm_cache_performs_zero_simulations(store):
 
 
 def _summaries(store, kind):
-    return sorted(store.root.rglob(f"{kind}-*.json"))
+    """The entry files of one run kind, told apart by content."""
+    return sorted(
+        path
+        for path in store.root.rglob("*.json")
+        if ("threshold" in path.read_text()) == (kind == "managed")
+    )
 
 
 def test_truncated_summary_recomputes(store):
@@ -78,30 +84,44 @@ def test_truncated_summary_recomputes(store):
     assert not victim.exists() or json.loads(victim.read_text())  # rebuilt
 
 
-def test_bitflipped_trace_sidecar_recomputes(store):
+def test_bitflipped_trace_entry_recomputes(store):
     _populate(store)
-    (sidecar,) = sorted(store.root.rglob("*.trace.gz"))
-    blob = bytearray(sidecar.read_bytes())
+    # The base-frequency entry carries the trace, so it is the big one.
+    victim = max(_summaries(store, "fixed"), key=lambda p: p.stat().st_size)
+    blob = bytearray(victim.read_bytes())
     blob[len(blob) // 2] ^= 0xFF
-    sidecar.write_bytes(bytes(blob))
+    victim.write_bytes(bytes(blob))
 
     warm_store = ResultCache(store.root)
     warm = _rerun(warm_store)
     assert warm.simulations == 1
     assert warm_store.stats.errors == 1
-    # The rebuilt sidecar decompresses cleanly again.
-    rebuilt = sorted(store.root.rglob("*.trace.gz"))
-    assert rebuilt and gzip.decompress(rebuilt[0].read_bytes())
-
-
-def test_missing_trace_sidecar_recomputes(store):
-    _populate(store)
-    (sidecar,) = sorted(store.root.rglob("*.trace.gz"))
-    sidecar.unlink()
-
-    warm = _rerun(ResultCache(store.root))
-    assert warm.simulations == 1
     assert warm.fixed_run("pmd_scale", 1.0).trace is not None
+    # The rebuilt entry reads back cleanly again.
+    again = _rerun(ResultCache(store.root))
+    assert again.simulations == 0
+
+
+def test_changed_digit_in_managed_entry_recomputes(store):
+    cold = _populate(store)
+    (victim,) = _summaries(store, "managed")
+    text, changed = re.subn(
+        r'(total_ns\\?":)(\d)',
+        lambda m: m.group(1) + ("1" if m.group(2) == "9" else "9"),
+        victim.read_text(),
+        count=1,
+    )
+    assert changed == 1
+    json.loads(text)  # still valid JSON: only the checksum can tell
+    victim.write_text(text)
+
+    warm_store = ResultCache(store.root)
+    warm = _rerun(warm_store)
+    assert warm.simulations == 1
+    assert warm_store.stats.errors == 1
+    assert warm.managed_run("pmd_scale", 0.10) == cold.managed_run(
+        "pmd_scale", 0.10
+    )
 
 
 def test_garbage_json_and_wrong_key_recompute(store):
@@ -118,12 +138,26 @@ def test_garbage_json_and_wrong_key_recompute(store):
     assert warm_store.stats.errors == 2
 
 
+def test_undecodable_entry_recomputes(store):
+    """Intact, checksummed bytes the codec cannot read are rejected too."""
+    _populate(store)
+    (victim,) = _summaries(store, "managed")
+    key = json.loads(victim.read_text())["key"]
+    FileStore(victim.parent, prefix="run").put(key, '{"benchmark":"pmd_scale"}')
+
+    warm_store = ResultCache(store.root)
+    warm = _rerun(warm_store)
+    assert warm.simulations == 1
+    assert warm_store.stats.errors == 1
+    assert (warm_store.stats.hits, warm_store.stats.misses) == (2, 1)
+
+
 def test_schema_version_bump_invalidates(store, monkeypatch):
     _populate(store)
     monkeypatch.setattr(cache_mod, "CACHE_SCHEMA_VERSION", 999)
     warm_store = ResultCache(store.root)
     warm = _rerun(warm_store)
-    assert warm.simulations == 3  # nothing from v1 is reachable
+    assert warm.simulations == 3  # nothing from the old version is reachable
     assert warm_store.stats.errors == 0  # stale, not corrupt
     # Old entries survive on disk (reported as stale) until `clear`.
     assert warm_store.disk_stats()["stale_entries"] == 3
@@ -141,7 +175,7 @@ def test_cli_cache_stats_and_clear(store, capsys):
     assert str(store.root) in out
 
     assert cache_main(["clear", "--cache-dir", str(store.root)]) == 0
-    assert "removed 4 cached file(s)" in capsys.readouterr().out
+    assert "removed 3 cached file(s)" in capsys.readouterr().out
     warm = _rerun(ResultCache(store.root))
     assert warm.simulations == 3
 

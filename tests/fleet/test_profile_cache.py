@@ -1,5 +1,6 @@
 """The persistent profile store: round-trip, keys, rejection, management."""
 
+import hashlib
 import json
 
 import pytest
@@ -95,6 +96,10 @@ def test_stale_version_is_a_miss(tmp_path, tenant_and_trace):
     inner = json.loads(envelope["value"])
     inner["cache_version"] = PROFILE_CACHE_VERSION + 1
     envelope["value"] = json.dumps(inner)
+    # Re-seal the file tier's checksum so the edit reaches the version check.
+    envelope["sha256"] = hashlib.sha256(
+        envelope["value"].encode("utf-8")
+    ).hexdigest()
     path.write_text(json.dumps(envelope))
 
     fresh = ProfileCache(tmp_path)

@@ -6,6 +6,7 @@ defective entry (truncation, byte flips, a stale envelope version) must
 read as a miss, never as data.
 """
 
+import hashlib
 import json
 import tempfile
 
@@ -116,6 +117,11 @@ def test_stale_envelope_version_is_rejected(config, version_bump):
         inner = json.loads(outer["value"])
         inner["cache_version"] = PROFILE_CACHE_VERSION + version_bump
         outer["value"] = json.dumps(inner, separators=(",", ":"))
+        # Re-seal the file tier's checksum so the forgery reaches the
+        # envelope's version check.
+        outer["sha256"] = hashlib.sha256(
+            outer["value"].encode("utf-8")
+        ).hexdigest()
         path.write_text(json.dumps(outer, separators=(",", ":")))
         fresh = ProfileCache(tmp)
         assert fresh.get(key) is None

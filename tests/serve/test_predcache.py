@@ -88,6 +88,18 @@ class TestFragments:
         cache.store.put("worse", "{truncat")
         assert cache.lookup("worse") is None
 
+    def test_changed_digit_in_file_tier_fragment_is_a_miss(self, tmp_path):
+        cache = PredictionCache(
+            haswell_i7_4770k(), shared_dir=str(tmp_path), max_memory_entries=0
+        )
+        key = cache.key_for(_frame())
+        cache.record(key, {"predicted_ns": [123456.0]})
+        (path,) = tmp_path.glob("predict-*.json")
+        raw = path.read_text()
+        assert raw.count("123456.0") == 1
+        path.write_text(raw.replace("123456.0", "923456.0"))
+        assert cache.lookup(key) is None
+
     def test_file_tier_is_shared_across_cache_instances(self, tmp_path):
         spec = haswell_i7_4770k()
         worker_a = PredictionCache(spec, shared_dir=str(tmp_path))
