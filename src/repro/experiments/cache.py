@@ -17,8 +17,8 @@ scratch. This module gives those results a durable home:
 * **One entry per run.** :class:`ResultCache` is a thin codec over
   :class:`~repro.common.store.FileStore`: a fixed or managed run becomes
   one JSON value, and a retained base-frequency trace rides inline as
-  :func:`~repro.sim.serialize.trace_to_dict` output — there is no
-  sidecar file.
+  the columnar :func:`~repro.sim.serialize.encode_trace` document —
+  there is no sidecar file.
 * **Crash/corruption safety** comes from the store's checksummed
   envelope and atomic publish: *any* damaged entry — truncated,
   bit-flipped, one digit changed — reads as a miss (recompute, never
@@ -37,7 +37,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Union
 
 from repro.common.store import FileStore, default_cache_dir, stable_hash
-from repro.sim.serialize import FORMAT_VERSION, trace_from_dict, trace_to_dict
+from repro.sim.serialize import FORMAT_VERSION, decode_trace, encode_trace
 
 if TYPE_CHECKING:  # runner imports this module; keep the cycle import-time free
     from repro.experiments.runner import FixedRun, ManagedRun
@@ -128,7 +128,7 @@ def _decode_fixed(text: str) -> "FixedRun":
     value = json.loads(text)
     trace = value.pop("trace")
     return FixedRun(
-        trace=None if trace is None else trace_from_dict(trace), **value
+        trace=None if trace is None else decode_trace(trace), **value
     )
 
 
@@ -198,7 +198,7 @@ class ResultCache:
                     "energy_j": run.energy_j,
                     "trace": None
                     if run.trace is None
-                    else trace_to_dict(run.trace),
+                    else encode_trace(run.trace),
                 }
             ),
         )

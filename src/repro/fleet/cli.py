@@ -17,10 +17,12 @@ tenant profiles persist in a content-addressed store
 (``~/.cache/repro/fleet-profiles``, override with ``REPRO_CACHE_DIR``
 or ``--cache-dir``; ``--no-cache`` opts out) keyed by everything that
 determines the trace, so repeat runs — and every cell of a ``grid`` or
-``compare`` — skip the simulation. ``compare`` runs several policies
-over the *same* drawn fleet (profiles built once and shared) and
-reports each against the per-tenant static oracle. ``--profile`` wraps
-any run in cProfile and dumps pstats.
+``compare`` — skip the simulation. ``run`` ends with the store's
+``cache stats`` summary, whose session line counts that run's hits,
+misses, stores and rejected (damaged or stale) entries. ``compare``
+runs several policies over the *same* drawn fleet (profiles built once
+and shared) and reports each against the per-tenant static oracle.
+``--profile`` wraps any run in cProfile and dumps pstats.
 """
 
 from __future__ import annotations
@@ -67,11 +69,15 @@ def _fleet_config(args: argparse.Namespace, policy: str) -> FleetConfig:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    report = run_fleet(_fleet_config(args, args.policy), store=_store(args))
+    store = _store(args)
+    report = run_fleet(_fleet_config(args, args.policy), store=store)
     print(render_report(report))
     if args.out:
         path = save_report(report, args.out)
         print(f"\nreport written to {path}")
+    if store.cache is not None:
+        # Which stored profiles served this run, and which were rejected.
+        print(f"\n{describe(store.cache)}")
     return 0
 
 

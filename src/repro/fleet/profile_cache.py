@@ -23,8 +23,8 @@ home so the work is done once per shape *ever*, not once per run:
   and concurrent writers (two ``repro-fleet`` runs sharing a directory)
   publish atomically with identical bytes.
 * **Distrust by default.** The stored value is a versioned
-  ``{"kind", "cache_version", "trace"}`` document around
-  :func:`~repro.sim.serialize.trace_to_dict` output; the file tier's
+  ``{"kind", "cache_version", "trace"}`` document around the columnar
+  :func:`~repro.sim.serialize.encode_trace` document; the file tier's
   checksum catches any byte damage, this module the stale or foreign
   versions. A corrupt, truncated, bit-flipped or stale-version entry is
   treated as a miss and recomputed, never trusted
@@ -51,11 +51,7 @@ from repro.common.store import (
     default_cache_dir,
     stable_hash,
 )
-from repro.sim.serialize import (
-    FORMAT_VERSION,
-    trace_from_dict,
-    trace_to_dict,
-)
+from repro.sim.serialize import FORMAT_VERSION, decode_trace, encode_trace
 from repro.sim.trace import SimulationTrace
 
 #: Bump when the profile envelope or its semantics change: every
@@ -153,7 +149,7 @@ class ProfileCache:
                 or envelope.get("cache_version") != PROFILE_CACHE_VERSION
             ):
                 raise ValueError("stale or foreign profile envelope")
-            return trace_from_dict(envelope["trace"])
+            return decode_trace(envelope["trace"])
         except Exception:
             # Never trust a defective entry: count it, drop it from
             # every tier best-effort, and let the caller recompute.
@@ -168,7 +164,7 @@ class ProfileCache:
             {
                 "kind": PROFILE_KIND,
                 "cache_version": PROFILE_CACHE_VERSION,
-                "trace": trace_to_dict(trace),
+                "trace": encode_trace(trace),
             },
             separators=(",", ":"),
         )
@@ -213,9 +209,12 @@ def describe(cache: ProfileCache) -> str:
         f"size on disk:  {disk['size_bytes'] / 1e6:.1f} MB",
     ]
     stats = cache.stats()
+    # A tier hit this cache rejected (stale version, undecodable trace)
+    # served nothing: it counts as a miss.
+    tier_hits = stats["memory"]["hits"] + stats["disk"]["hits"]
     session = {
-        "hits": stats["memory"]["hits"] + stats["disk"]["hits"],
-        "misses": stats["disk"]["misses"],
+        "hits": tier_hits - cache.rejected,
+        "misses": stats["disk"]["misses"] + cache.rejected,
         "stores": stats["disk"]["stores"],
     }
     if any(session.values()) or cache.rejected:

@@ -14,7 +14,8 @@ frequency and archives the trace; stats prints the analysis summary
 archived trace — no re-simulation needed; bench times the DES core on the
 pinned hot-path workload (see :mod:`repro.sim.bench`). ``--profile [PATH]``
 (or ``REPRO_PROFILE=1``) wraps any subcommand in cProfile and writes a
-``.pstats`` dump.
+``.pstats`` dump. A missing, unreadable, foreign-version or malformed
+archive prints ``error: ...`` and exits 2.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from typing import Optional, Sequence
 
 from repro.analysis.criticality import criticality_stack
 from repro.analysis.stats import trace_stats
+from repro.common.errors import ReproError
 from repro.common.profiling import UNSET, resolve_profile_path, run_maybe_profiled
 from repro.common.tables import format_table
 from repro.core.predictors import make_predictor, predictor_names
@@ -213,7 +215,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point."""
     args = build_parser().parse_args(argv)
     profile_path = resolve_profile_path(args.profile, "repro-sim.pstats")
-    return run_maybe_profiled(lambda: args.func(args), profile_path)
+
+    def invoke() -> int:
+        try:
+            return args.func(args)
+        except ReproError as exc:
+            print(f"error: {exc}")
+            return 2
+
+    return run_maybe_profiled(invoke, profile_path)
 
 
 if __name__ == "__main__":

@@ -6,6 +6,7 @@ changed digit, schema bumps) silently degrades to a recompute — the
 cache may lose work, it must never corrupt results or crash the suite.
 """
 
+import base64
 import json
 import re
 
@@ -150,6 +151,26 @@ def test_undecodable_entry_recomputes(store):
     assert warm.simulations == 1
     assert warm_store.stats.errors == 1
     assert (warm_store.stats.hits, warm_store.stats.misses) == (2, 1)
+
+
+def test_undecodable_trace_in_a_checksummed_entry_recomputes(store):
+    """A trace column cut short under a correct checksum is rejected."""
+    cold = _populate(store)
+    victim = max(_summaries(store, "fixed"), key=lambda p: p.stat().st_size)
+    entry = json.loads(victim.read_text())
+    value = json.loads(entry["value"])
+    column = base64.b64decode(value["trace"]["events"]["time_ns"])
+    value["trace"]["events"]["time_ns"] = base64.b64encode(column[:-8]).decode()
+    FileStore(victim.parent, prefix="run").put(entry["key"], json.dumps(value))
+
+    warm_store = ResultCache(store.root)
+    warm = _rerun(warm_store)
+    assert warm.simulations == 1
+    assert warm_store.stats.errors == 1
+    assert (warm_store.stats.hits, warm_store.stats.misses) == (2, 1)
+    assert warm.fixed_run("pmd_scale", 1.0) == cold.fixed_run("pmd_scale", 1.0)
+    again = _rerun(ResultCache(store.root))
+    assert again.simulations == 0
 
 
 def test_schema_version_bump_invalidates(store, monkeypatch):

@@ -1,6 +1,7 @@
 """The repro-fleet CLI: run/report/compare/grid/cache, determinism, errors."""
 
 import json
+import re
 
 import pytest
 
@@ -107,3 +108,44 @@ def test_profile_flag_dumps_pstats(tmp_path, capsys):
     assert main(["--profile", str(pstats), "run", *ARGS]) == 0
     assert pstats.exists()
     assert "profile written to" in capsys.readouterr().out
+
+
+def _damage_one_profile(cache_dir, how):
+    """Change a digit (stale checksum) or cut a column (resealed)."""
+    import base64
+
+    from repro.common.store import FileStore
+    from repro.fleet.profile_cache import PROFILE_PREFIX
+
+    root = cache_dir / "fleet-profiles"
+    path = sorted(root.glob(f"{PROFILE_PREFIX}-*.json"))[0]
+    if how == "digit":
+        text, changed = re.subn(
+            r'(total_ns\\":)(\d)',
+            lambda m: m.group(1) + ("1" if m.group(2) == "9" else "9"),
+            path.read_text(),
+            count=1,
+        )
+        assert changed == 1
+        path.write_text(text)
+        return
+    entry = json.loads(path.read_text())
+    inner = json.loads(entry["value"])
+    column = base64.b64decode(inner["trace"]["events"]["time_ns"])
+    inner["trace"]["events"]["time_ns"] = base64.b64encode(column[:-8]).decode()
+    FileStore(root, prefix=PROFILE_PREFIX).put(entry["key"], json.dumps(inner))
+
+
+@pytest.mark.parametrize("how", ["digit", "column"])
+def test_damaged_profile_is_rejected_and_the_report_is_unchanged(
+    tmp_path, isolated_cache, capsys, how
+):
+    clean = tmp_path / "clean.json"
+    damaged = tmp_path / "damaged.json"
+    assert main(["run", *ARGS, "--out", str(clean)]) == 0
+    assert "0 rejected" in capsys.readouterr().out
+    _damage_one_profile(isolated_cache, how)
+    assert main(["run", *ARGS, "--out", str(damaged)]) == 0
+    text = capsys.readouterr().out
+    assert re.search(r"this session: +\d+ hits, 1 misses, 1 stores, 1 rejected", text)
+    assert damaged.read_bytes() == clean.read_bytes()

@@ -1,13 +1,16 @@
 """The persistent profile store: round-trip, keys, rejection, management."""
 
+import base64
 import hashlib
 import json
 
 import pytest
 
 from repro.arch.specs import haswell_i7_4770k
+from repro.common.store import FileStore
 from repro.fleet.profile_cache import (
     PROFILE_CACHE_VERSION,
+    PROFILE_PREFIX,
     ProfileCache,
     default_profile_cache_dir,
     describe,
@@ -105,6 +108,26 @@ def test_stale_version_is_a_miss(tmp_path, tenant_and_trace):
     fresh = ProfileCache(tmp_path)
     assert fresh.get(key) is None
     assert fresh.rejected == 1
+
+
+def test_checksummed_but_undecodable_trace_is_rejected_and_rebuilt(tmp_path):
+    tenant = tiny_tenant("undecodable", seed=4)
+    key = key_for_tenant(tenant, SPEC)
+    ProfileStore(SPEC, cache=ProfileCache(tmp_path)).build([tenant])
+    (path,) = [p for p in tmp_path.iterdir() if p.name.startswith("profile-")]
+    inner = json.loads(json.loads(path.read_text())["value"])
+    column = base64.b64decode(inner["trace"]["events"]["snap_tid"])
+    inner["trace"]["events"]["snap_tid"] = base64.b64encode(column[:-4]).decode()
+    # A correct checksum over the damaged value: only the codec can tell.
+    FileStore(tmp_path, prefix=PROFILE_PREFIX).put(key, json.dumps(inner))
+
+    fresh = ProfileCache(tmp_path)
+    rebuild = ProfileStore(SPEC, cache=fresh).build([tenant])
+    assert (rebuild["cache_hits"], rebuild["profiles_built"]) == (0, 1)
+    assert fresh.rejected == 1
+    assert fresh.stats()["disk"]["errors"] == 0
+    assert "1 rejected" in describe(fresh)
+    assert ProfileCache(tmp_path).get(key) is not None  # republished intact
 
 
 def test_clear_and_stats(tmp_path, tenant_and_trace):

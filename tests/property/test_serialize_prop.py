@@ -1,16 +1,23 @@
 """Property tests: serialization and the persistent result cache.
 
-Trace round-trips must preserve predictions exactly; cache keys must be
+Trace round-trips through the columnar codec must preserve predictions
+exactly, and any structural damage to one column must raise
+:class:`~repro.common.errors.TraceError`; cache keys must be
 order-invariant but sensitive to every config field; cache round-trips of
 run summaries (including a retained trace) must reproduce the original
 to exact equality.
 """
 
+import base64
 import dataclasses
+import functools
+import json
 import tempfile
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.common.errors import TraceError
 from repro.core.predictors import make_predictor
 from repro.experiments.cache import (
     ResultCache,
@@ -19,7 +26,7 @@ from repro.experiments.cache import (
     stable_hash,
 )
 from repro.sim.run import simulate
-from repro.sim.serialize import trace_from_dict, trace_to_dict
+from repro.sim.serialize import decode_trace, encode_trace, trace_to_dict
 from repro.workloads.synthetic import SyntheticWorkloadConfig, build_synthetic_program
 
 
@@ -44,7 +51,7 @@ def small_configs(draw):
 @settings(max_examples=15, deadline=None)
 def test_roundtrip_preserves_predictions(config, freq):
     trace = simulate(build_synthetic_program(config), freq).trace
-    rebuilt = trace_from_dict(trace_to_dict(trace))
+    rebuilt = decode_trace(json.loads(json.dumps(encode_trace(trace))))
     rebuilt.validate()
     assert rebuilt.total_ns == trace.total_ns
     assert len(rebuilt.events) == len(trace.events)
@@ -53,6 +60,48 @@ def test_roundtrip_preserves_predictions(config, freq):
         assert predictor.predict_total_ns(
             rebuilt, 2.0
         ) == predictor.predict_total_ns(trace, 2.0)
+
+
+@functools.lru_cache(maxsize=None)
+def _encoded_text() -> str:
+    config = SyntheticWorkloadConfig(
+        name="ser-prop", seed=5, n_threads=3, n_units=12, unit_insns=15_000,
+        clusters_per_kinsn=1.0, alloc_bytes_per_unit=262_144, alloc_every=2,
+        cs_probability=0.3, nursery_mb=2, heap_mb=32,
+    )
+    trace = simulate(build_synthetic_program(config), 2.0).trace
+    return json.dumps(encode_trace(trace))
+
+
+def _column_names(payload):
+    return sorted(
+        (block, name)
+        for block in ("events", "intervals")
+        for name, value in payload[block].items()
+        if isinstance(value, str)
+    )
+
+
+@given(data=st.data(), how=st.sampled_from(["truncate", "extend", "garble"]))
+@settings(max_examples=80, deadline=None)
+def test_corrupting_one_column_raises_trace_error(data, how):
+    payload = json.loads(_encoded_text())
+    block, name = data.draw(st.sampled_from(_column_names(payload)))
+    text = payload[block][name]
+    raw = base64.b64decode(text)
+    assert raw, (block, name)
+    if how == "truncate":
+        cut = data.draw(st.integers(min_value=1, max_value=len(raw)))
+        text = base64.b64encode(raw[:-cut]).decode()
+    elif how == "extend":
+        extra = data.draw(st.binary(min_size=1, max_size=24))
+        text = base64.b64encode(raw + extra).decode()
+    else:
+        at = data.draw(st.integers(min_value=0, max_value=len(text)))
+        text = text[:at] + data.draw(st.sampled_from("*!-_.~ \u00e9")) + text[at:]
+    payload[block][name] = text
+    with pytest.raises(TraceError):
+        decode_trace(payload)
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """The repro-trace CLI."""
 
+import json
+
 import pytest
 
 from repro.sim.cli import main
@@ -48,3 +50,36 @@ def test_predict_all_models(archived_trace, capsys):
 def test_unknown_benchmark_rejected():
     with pytest.raises(SystemExit):
         main(["simulate", "h2", "--out", "x.json"])
+
+
+@pytest.mark.parametrize("command", ["stats", "predict", "verify"])
+def test_missing_archive_exits_2(tmp_path, capsys, command):
+    extra = ["--target", "2.0"] if command == "predict" else []
+    assert main([command, str(tmp_path / "absent.json.gz"), *extra]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("error: cannot read trace archive")
+
+
+def test_malformed_archive_exits_2(tmp_path, capsys):
+    from repro.sim.serialize import FORMAT_VERSION
+
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps({"format_version": FORMAT_VERSION}))
+    assert main(["stats", str(path)]) == 2
+    assert "error: malformed trace document" in capsys.readouterr().out
+
+
+def test_v1_archive_exits_2_with_the_version(archived_trace, tmp_path, capsys):
+    import gzip
+
+    from repro.sim.serialize import load_trace, trace_to_dict
+
+    # A version-1 archive was the row-per-event dict, version field 1.
+    payload = trace_to_dict(load_trace(archived_trace))
+    payload["format_version"] = 1
+    path = tmp_path / "v1.json.gz"
+    with gzip.open(path, "wt", encoding="utf-8") as handle:
+        json.dump(payload, handle)
+    assert main(["verify", str(path)]) == 2
+    out = capsys.readouterr().out
+    assert "error: trace format version 1 not supported (expected 2)" in out
