@@ -673,6 +673,11 @@ def sweep_predict_epochs(
 # ----------------------------------------------------------------------
 
 
+#: Predictor types whose whole-trace sweep is fully determined by
+#: (type, estimator key, CTP policy, base): the lane memo's domain.
+_MEMOIZED = (DepPredictor, MCritPredictor, CoopPredictor)
+
+
 class TraceSweep:
     """One trace's decomposition, shared across predictors and targets.
 
@@ -694,6 +699,8 @@ class TraceSweep:
         self._coop_gathered: Optional[
             Tuple[List[Tuple[float, int, int]], np.ndarray, List[CounterSet]]
         ] = None
+        #: Lane memo: predictor identity -> {(freq, uncore): prediction}.
+        self._lanes: Dict[tuple, Dict[Tuple[float, float], float]] = {}
 
     @property
     def arrays(self) -> EpochArrays:
@@ -715,13 +722,49 @@ class TraceSweep:
         base_freq_ghz: Optional[float] = None,
     ) -> List[float]:
         """``[predictor.predict_total_ns(trace, t, base) for t in targets]``
-        from one shared decomposition (bit-identical)."""
+        from one shared decomposition (bit-identical).
+
+        Each (predictor identity, target) lane is evaluated at most once
+        per sweep: lanes already answered come from the memo, the rest
+        are de-duplicated and evaluated in one kernel call. Every kernel
+        lane is independent of the others in its call, so a memoized
+        value equals a fresh evaluation bit for bit. Only the exact
+        registered predictor types with a columnar estimator are
+        memoized; anything else is evaluated on every call.
+        """
         base = (
             base_freq_ghz
             if base_freq_ghz is not None
             else self.trace.base_freq_ghz
         )
         targets = list(targets)
+        key = (
+            estimator_key(predictor.estimator)
+            if type(predictor) in _MEMOIZED
+            else None
+        )
+        if key is None or not targets:
+            return self._evaluate(predictor, base, targets)
+        identity = (
+            type(predictor),
+            key,
+            getattr(predictor, "across_epoch_ctp", None),
+            base,
+        )
+        lanes = self._lanes.setdefault(identity, {})
+        keys = [split_target(target) for target in targets]
+        pending: Dict[Tuple[float, float], Target] = {}
+        for lane, target in zip(keys, targets):
+            if lane not in lanes:
+                pending.setdefault(lane, target)
+        if pending:
+            values = self._evaluate(predictor, base, list(pending.values()))
+            lanes.update(zip(pending, values))
+        return [lanes[lane] for lane in keys]
+
+    def _evaluate(
+        self, predictor, base: float, targets: List[Target]
+    ) -> List[float]:
         if type(predictor) is DepPredictor and estimator_key(
             predictor.estimator
         ):

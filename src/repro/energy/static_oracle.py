@@ -78,7 +78,7 @@ def static_optimal(
 
 
 def predicted_static_optimal(
-    trace,
+    trace_or_sweep,
     power_model,
     frequencies: Sequence[float],
     tolerable_slowdown: float,
@@ -89,11 +89,13 @@ def predicted_static_optimal(
     """The oracle's answer from one base-frequency trace, no re-runs.
 
     Predicts the whole-run duration at every candidate frequency (plus
-    ``max_freq_ghz``) in a single sweep-kernel call over ``trace``'s
+    ``max_freq_ghz``) in a single sweep-kernel call over the trace's
     decomposition, prices each with ``power_model`` over the trace's
     aggregate counters, and applies :func:`static_optimal`'s selection
     rule to the predicted runs. The default predictor is the paper's
-    DEP+BURST.
+    DEP+BURST. ``trace_or_sweep`` is a trace or a prepared
+    :class:`~repro.core.sweep.TraceSweep`; passing a shared sweep reuses
+    its decomposition and already-answered prediction lanes.
     """
     from repro.core.predictors import make_predictor
     from repro.core.sweep import TraceSweep
@@ -103,13 +105,17 @@ def predicted_static_optimal(
     targets = list(frequencies)
     if max_freq_ghz not in targets:
         targets.append(max_freq_ghz)
-    sweep = TraceSweep(trace)
+    sweep = (
+        trace_or_sweep
+        if isinstance(trace_or_sweep, TraceSweep)
+        else TraceSweep(trace_or_sweep)
+    )
     predictions = sweep.predict(predictor, targets, base_freq_ghz=base_freq_ghz)
     # Aggregate chip-wide counters once; the power model re-times them to
     # each predicted duration (the same approximation the manager's
     # min-EDP objective uses per quantum).
     aggregate = None
-    for counters in trace.final_counters().values():
+    for counters in sweep.trace.final_counters().values():
         if aggregate is None:
             aggregate = counters.copy()
         else:

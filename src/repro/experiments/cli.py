@@ -176,7 +176,8 @@ def main(argv=None) -> int:
         default=True,
         help="evaluate prediction grids through the sweep kernels: one "
         "epoch decomposition per benchmark trace shared across all "
-        "(predictor, target) pairs (default)",
+        "(predictor, target) pairs, each (predictor, target) lane "
+        "evaluated once per process (default)",
     )
     sweep_group.add_argument(
         "--no-sweep",

@@ -70,9 +70,10 @@ def run(runner: ExperimentRunner) -> List[ExperimentResult]:
                 sweep, threshold, max_freq_ghz=spec.max_freq_ghz
             )
             # The simulate-once answer: one DEP+BURST sweep over the
-            # retained 4 GHz trace instead of one run per set point.
+            # retained 4 GHz trace instead of one run per set point,
+            # sharing the runner's decomposition and prediction lanes.
             predicted = predicted_static_optimal(
-                runner.base_trace(benchmark, 4.0),
+                runner.trace_sweep(benchmark, 4.0),
                 runner.power_model(benchmark),
                 config.static_freqs_ghz,
                 threshold,

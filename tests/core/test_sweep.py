@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.common.errors import PredictionError
+from repro.core.crit import crit_nonscaling
 from repro.core.epochs import extract_epochs
 from repro.core.predictors import get_predictor, make_predictor, predictor_names
 from repro.core.sweep import (
@@ -121,13 +122,16 @@ def test_ctp_policy_respected(benchmark_traces):
 
 def test_each_target_independent_of_sweep_shape(all_traces):
     # Sweeping [a, b, c] must equal three one-target sweeps: Algorithm 1
-    # state is per target, never shared across targets.
+    # state is per target, never shared across targets. Each single runs
+    # on a fresh sweep so the kernel (not the lane memo) answers it.
     trace = all_traces["xalan"]
     sweep = TraceSweep(trace)
     for pname in predictor_names():
         predictor = get_predictor(pname)
         batched = sweep.predict(predictor, list(TARGETS))
-        singles = [sweep.predict(predictor, [t])[0] for t in TARGETS]
+        singles = [
+            TraceSweep(trace).predict(predictor, [t])[0] for t in TARGETS
+        ]
         assert batched == singles, pname
 
 
@@ -292,3 +296,193 @@ def test_epoch_sweep_accepts_tuples(benchmark_traces):
         for t in TARGETS
     ]
     assert tupled == scalar
+
+
+# ----------------------------------------------------------------------
+# Lane memo: each (predictor identity, target) is evaluated once
+# ----------------------------------------------------------------------
+
+#: Floats and (freq, uncore) tuples; (2.0, 1.0) is the same lane as 2.0.
+LANE_TARGETS = (0.8, (1.3, 2.0), 2.0, (2.0, 1.0), (2.7, 0.5), 4.0)
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Targets handed to each sweep kernel, per kernel, in call order."""
+    import repro.core.sweep as sweep_mod
+
+    calls = {"dep": [], "mcrit": [], "coop": []}
+    dep = sweep_mod.dep_window_sweep
+    mcrit = TraceSweep._mcrit_sweep
+    coop = TraceSweep._coop_sweep
+
+    def counting_dep(predictor, arrays, base, targets):
+        calls["dep"].append(list(targets))
+        return dep(predictor, arrays, base, targets)
+
+    def counting_mcrit(self, predictor, base, targets):
+        calls["mcrit"].append(list(targets))
+        return mcrit(self, predictor, base, targets)
+
+    def counting_coop(self, predictor, base, targets):
+        calls["coop"].append(list(targets))
+        return coop(self, predictor, base, targets)
+
+    monkeypatch.setattr(sweep_mod, "dep_window_sweep", counting_dep)
+    monkeypatch.setattr(TraceSweep, "_mcrit_sweep", counting_mcrit)
+    monkeypatch.setattr(TraceSweep, "_coop_sweep", counting_coop)
+    return calls
+
+
+def _n_kernel_calls(calls):
+    return sum(len(made) for made in calls.values())
+
+
+def _scalar(predictor, trace, target, base=None):
+    freq, uncore = target if isinstance(target, tuple) else (target, 1.0)
+    return predictor.predict_total_ns(
+        trace, freq, base_freq_ghz=base, uncore_scale=uncore
+    )
+
+
+def test_lane_memo_any_call_shape_matches_fresh_and_scalar(benchmark_traces):
+    trace = benchmark_traces["xalan"]
+    targets = list(LANE_TARGETS)
+    shapes = (
+        targets[:2],
+        targets[4:2:-1],  # reordered
+        targets[:2],  # exact repeat
+        [targets[5], targets[0], targets[5], targets[2], targets[3]],
+        targets[::-1] + targets,  # whole list, duplicated in-call
+    )
+    sweep = TraceSweep(trace)
+    for pname in predictor_names():
+        predictor = make_predictor(pname)
+        fresh = dict(
+            zip(targets, TraceSweep(trace).predict(predictor, targets))
+        )
+        scalar = {t: _scalar(predictor, trace, t) for t in targets}
+        assert fresh == scalar, pname
+        for shape in shapes:
+            got = sweep.predict(predictor, shape)
+            assert got == [fresh[t] for t in shape], (pname, shape)
+
+
+def test_lane_memo_evaluates_each_lane_once(benchmark_traces, kernel_calls):
+    sweep = TraceSweep(benchmark_traces["xalan"])
+    for pname in predictor_names():
+        predictor = make_predictor(pname)
+        sweep.predict(predictor, [2.0, 3.0, 2.0, (2.0, 1.0), (3.0, 0.5)])
+        sweep.predict(predictor, [(3.0, 0.5), 4.0, 3.0, 4.0])
+        sweep.predict(predictor, [4.0, 2.0, (3.0, 0.5)])
+    # Per predictor: one call with the de-duplicated first-seen lanes,
+    # one call for the single new lane, none for the pure repeat.
+    assert kernel_calls["dep"] == [[2.0, 3.0, (3.0, 0.5)], [4.0]] * 2
+    assert kernel_calls["mcrit"] == [[2.0, 3.0, (3.0, 0.5)], [4.0]] * 2
+    assert kernel_calls["coop"] == [[2.0, 3.0, (3.0, 0.5)], [4.0]] * 2
+
+
+def test_ctp_policy_and_burst_never_share_lanes(
+    benchmark_traces, kernel_calls
+):
+    trace = benchmark_traces["xalan"]
+    targets = list(LANE_TARGETS)
+    sweep = TraceSweep(trace)
+    variants = [
+        make_predictor("DEP", across_epoch_ctp=True),
+        make_predictor("DEP", across_epoch_ctp=False),
+        make_predictor("DEP+BURST", across_epoch_ctp=True),
+        make_predictor("DEP+BURST", across_epoch_ctp=False),
+        make_predictor("M+CRIT"),
+        make_predictor("M+CRIT+BURST"),
+        make_predictor("COOP"),
+        make_predictor("COOP+BURST"),
+    ]
+    for predictor in variants:
+        before = _n_kernel_calls(kernel_calls)
+        got = sweep.predict(predictor, targets)
+        # A lane shared with an earlier variant would skip the kernel.
+        assert _n_kernel_calls(kernel_calls) == before + 1, predictor.name
+        assert got == TraceSweep(trace).predict(predictor, targets)
+    # The variants really differ, so sharing would have been visible.
+    dep_across = sweep.predict(variants[0], targets)
+    assert dep_across != sweep.predict(variants[1], targets)
+    assert dep_across != sweep.predict(variants[2], targets)
+
+
+def test_default_base_shares_lanes_other_base_does_not(
+    program_traces, kernel_calls
+):
+    trace = program_traces["lock_pair"]
+    sweep = TraceSweep(trace)
+    for pname in predictor_names():
+        predictor = make_predictor(pname)
+        default = sweep.predict(predictor, list(LANE_TARGETS))
+        before = _n_kernel_calls(kernel_calls)
+        own = sweep.predict(
+            predictor, list(LANE_TARGETS), base_freq_ghz=trace.base_freq_ghz
+        )
+        assert own == default, pname
+        assert _n_kernel_calls(kernel_calls) == before, pname
+        other = sweep.predict(predictor, list(LANE_TARGETS), base_freq_ghz=1.5)
+        assert _n_kernel_calls(kernel_calls) == before + 1, pname
+        assert other == [
+            _scalar(predictor, trace, t, base=1.5) for t in LANE_TARGETS
+        ], pname
+
+
+def test_unrecognized_predictors_are_evaluated_every_call(program_traces):
+    from repro.core.dep import DepPredictor
+    from repro.core.mcrit import MCritPredictor
+
+    trace = program_traces["lock_pair"]
+    sweep = TraceSweep(trace)
+
+    class CountingPredictor:
+        calls = 0
+
+        def predict_total_ns(self, trace, target, base_freq_ghz=None):
+            CountingPredictor.calls += 1
+            return 1000.0 * target
+
+    class CountingDep(DepPredictor):
+        calls = 0
+
+        def predict_total_ns(self, *args, **kwargs):
+            CountingDep.calls += 1
+            return super().predict_total_ns(*args, **kwargs)
+
+    estimator_calls = []
+
+    def half_active(counters):
+        estimator_calls.append(1)
+        return counters.active_ns * 0.5
+
+    for predictor, count in (
+        (CountingPredictor(), lambda: CountingPredictor.calls),
+        (CountingDep(estimator=crit_nonscaling), lambda: CountingDep.calls),
+        (DepPredictor(estimator=half_active), lambda: len(estimator_calls)),
+        (MCritPredictor(estimator=half_active), lambda: len(estimator_calls)),
+    ):
+        first = sweep.predict(predictor, [2.0, 3.0])
+        seen = count()
+        assert seen > 0
+        assert sweep.predict(predictor, [2.0, 3.0]) == first
+        assert count() > seen, type(predictor).__name__
+        assert first == [
+            predictor.predict_total_ns(trace, t) for t in (2.0, 3.0)
+        ]
+
+
+def test_invalid_target_raises_after_lanes_are_cached(program_traces):
+    trace = program_traces["lock_pair"]
+    sweep = TraceSweep(trace)
+    for pname in predictor_names():
+        predictor = make_predictor(pname)
+        cached = sweep.predict(predictor, [2.0, (3.0, 0.5)])
+        for bad in ([2.0, -1.0], [(3.0, 0.5), (2.0, 0.0)], [2.0, (2.0,)]):
+            with pytest.raises(PredictionError):
+                sweep.predict(predictor, bad)
+        with pytest.raises(PredictionError):
+            sweep.predict(predictor, [2.0], base_freq_ghz=0.0)
+        assert sweep.predict(predictor, [2.0, (3.0, 0.5)]) == cached, pname

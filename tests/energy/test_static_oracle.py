@@ -129,3 +129,35 @@ def test_predicted_oracle_rejects_counterless_trace():
     empty = SimulationTrace(program_name="empty", base_freq_ghz=4.0)
     with pytest.raises(ConfigError):
         predicted_static_optimal(empty, power, (1.0,), 0.5, max_freq_ghz=4.0)
+
+
+
+def test_predicted_oracle_accepts_a_shared_sweep(monkeypatch):
+    from repro.core import sweep as sweep_mod
+    from repro.energy.static_oracle import predicted_static_optimal
+
+    trace, power = _predicted_fixture()
+    freqs = (1.0, 2.0, 3.0)
+    thresholds = (0.5, 0.1, 0.5)
+    expected = [
+        predicted_static_optimal(trace, power, freqs, t, max_freq_ghz=4.0)
+        for t in thresholds
+    ]
+    shared = sweep_mod.TraceSweep(trace)
+    shared.arrays  # decomposed up front, as a runner's shared sweep is
+    decompositions = []
+    from_trace = sweep_mod.EpochArrays.from_trace
+
+    def counting_from_trace(trace):
+        decompositions.append(trace)
+        return from_trace(trace)
+
+    monkeypatch.setattr(
+        sweep_mod.EpochArrays, "from_trace", staticmethod(counting_from_trace)
+    )
+    got = [
+        predicted_static_optimal(shared, power, freqs, t, max_freq_ghz=4.0)
+        for t in thresholds
+    ]
+    assert got == expected
+    assert decompositions == []
