@@ -201,9 +201,9 @@ class ServeClient:
             "kind": kind,
         }
         frame.update(payload)
-        # The correlation id goes last on the wire: the server's raw-line
-        # memo keys repeat requests by their id-stripped byte prefix, and
-        # only a trailing id splits off without re-encoding the frame.
+        # The correlation id goes last on the wire: the server's
+        # prediction cache keys a request by its bytes with a trailing
+        # integer id cut off, so only this layout is ever cached.
         frame["id"] = self._next_id
         data = protocol.encode_frame(frame)
         try:

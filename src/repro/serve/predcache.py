@@ -6,30 +6,38 @@ revision. That makes replies cacheable across *processes* — a governor
 fleet asking the same question twice (or two workers asked the same
 question once each) should pay the vectorized evaluation exactly once.
 
-Keys follow the repo's content-addressing discipline
-(:func:`repro.common.store.stable_hash`): a SHA-256 over the wire-form
-payload fields plus the spec fingerprint, the sweep-kernel
-``KERNEL_VERSION`` (the PR 5 prediction fingerprint — a kernel revision
-must never replay another revision's results) and this module's schema
-version.
+**One key, from the request bytes.** A key is SHA-256 over an identity
+block (this module's schema version, the sweep-kernel
+``KERNEL_VERSION`` and the spec fingerprint — a kernel revision must
+never replay another revision's results) followed by the request line
+with its trailing id cut off by :func:`split_raw_line`. Two requests
+share an entry exactly when their bytes are equal apart from that id,
+so the lookup runs before any JSON decode and can only miss, never
+mis-hit: ``1`` vs ``1.0``, field order or whitespace key differently.
 
-Values are the **pre-encoded JSON result fragments** the server would
-have written, not re-parsed objects: a cache hit splices the cold
-compute's exact bytes into the reply envelope, so hits are repr-exact
-equal to cold computes by construction — byte-identical, not just
-value-equal. The fast path also skips epoch revalidation: a stored
-fragment proves the payload it is keyed by already parsed cleanly once.
+**Uncached frames.** A predict frame whose last member is not an
+unsigned-integer ``"id"``, or that does not open with the client layout
+``{"v":N,"kind":"predict",`` (:meth:`PredictionCache.split_key`), is
+answered by an ordinary cold compute and never stored. Every in-repo sender uses
+that layout; other senders get correct answers, just slower.
 
-The backing store is a :class:`repro.common.store.TieredStore` — a
-per-worker in-process LRU over an optional file-backed shared directory
-all pool workers point at.
+**Values** are the **pre-encoded JSON result fragments** the server
+would have written, not re-parsed objects: a hit splices the cold
+compute's exact bytes into the reply envelope, so hits are
+byte-identical to cold computes by construction. A fragment is only
+stored after its request decoded, validated and evaluated cleanly.
+
+**Tiers.** The backing store is a :class:`repro.common.store.TieredStore`
+probed fastest first: a per-worker in-process LRU, then an optional
+file-backed directory all pool workers share, whose checksummed
+envelopes turn a damaged file into a miss. A file-tier hit is promoted
+into the LRU.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from collections import OrderedDict
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.common.store import (
@@ -38,12 +46,17 @@ from repro.common.store import (
     TieredStore,
     stable_hash,
 )
+from repro.serve.protocol import PROTOCOL_VERSION
 
-#: Bump when the predict reply schema or the keyed fields change: every
+#: Bump when the predict reply schema or the key rule changes: every
 #: existing entry becomes unreachable instead of replaying a stale shape.
-PREDICT_CACHE_SCHEMA = 1
+#: (2: keys hash the id-stripped request bytes.)
+PREDICT_CACHE_SCHEMA = 2
 
 _ID_TOKEN = b',"id":'
+#: How every in-repo sender opens a predict frame; other layouts are
+#: answered uncached.
+_PREDICT_HEAD = b'{"v":%d,"kind":"predict",' % PROTOCOL_VERSION
 
 
 def split_raw_line(line: bytes) -> Optional[Tuple[bytes, bytes]]:
@@ -56,11 +69,11 @@ def split_raw_line(line: bytes) -> Optional[Tuple[bytes, bytes]]:
     merely ending in ``id`` breaks the ``,"`` anchor, and a string
     value cannot end in bare digits before the final brace. So two
     lines with equal prefixes are the *same request* (modulo id), which
-    is what makes the prefix safe to key a byte-exact reply memo by.
+    is what makes the prefix safe to key a byte-exact reply cache by.
 
     Anything else (id elsewhere, non-integer id, leading zeros — not
-    valid JSON — or unusual whitespace) returns None and takes the
-    ordinary parse path; the memo can only miss, never mis-hit.
+    valid JSON — or unusual whitespace) returns None and the frame is
+    answered uncached; the cache can only miss, never mis-hit.
     """
     if not line.endswith(b"}\n"):
         return None
@@ -73,51 +86,6 @@ def split_raw_line(line: bytes) -> Optional[Tuple[bytes, bytes]]:
     if digits[:1] == b"0" and len(digits) > 1:
         return None
     return line[:i] + b"}", digits
-
-
-class RawLineMemo:
-    """LRU of id-stripped request lines -> pre-encoded result fragments.
-
-    The L0 tier of the prediction cache: a repeat of a byte-identical
-    predict request is answered without touching ``json`` at all — no
-    decode of the frame, no canonical dump for the semantic key. Entries
-    are only ever populated from a reply that went through the semantic
-    cache, so a memo hit replays exactly the bytes a cold compute wrote.
-    Keys and values are bytes; per-process only (never shared on disk).
-    """
-
-    def __init__(self, max_entries: int) -> None:
-        if max_entries < 1:
-            raise ValueError("raw memo needs max_entries >= 1")
-        self.max_entries = max_entries
-        self.hits = 0
-        self.misses = 0
-        self._entries: "OrderedDict[bytes, bytes]" = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, prefix: bytes) -> Optional[bytes]:
-        fragment = self._entries.get(prefix)
-        if fragment is None:
-            self.misses += 1
-            return None
-        self._entries.move_to_end(prefix)
-        self.hits += 1
-        return fragment
-
-    def put(self, prefix: bytes, fragment: bytes) -> None:
-        self._entries[prefix] = fragment
-        self._entries.move_to_end(prefix)
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-
-    def stats(self) -> Dict[str, int]:
-        return {
-            "entries": len(self._entries),
-            "hits": self.hits,
-            "misses": self.misses,
-        }
 
 
 def kernel_fingerprint() -> Dict[str, Any]:
@@ -151,55 +119,38 @@ class PredictionCache:
                 "prediction cache needs a memory tier and/or a shared_dir"
             )
         self.store = TieredStore(tiers)
-        # The raw-line memo rides on the memory budget: a file-tier-only
-        # cache (max_memory_entries=0) keeps nothing in process, memo
-        # included.
-        self.raw: Optional[RawLineMemo] = (
-            RawLineMemo(max_memory_entries) if max_memory_entries > 0 else None
+        identity = json.dumps(
+            {
+                "schema": PREDICT_CACHE_SCHEMA,
+                "kernel": kernel_fingerprint(),
+                "spec": spec_fingerprint(spec),
+            },
+            sort_keys=True,
+            separators=(",", ":"),
         )
-        self._identity = {
-            "schema": PREDICT_CACHE_SCHEMA,
-            "kernel": kernel_fingerprint(),
-            "spec": spec_fingerprint(spec),
-        }
+        # Each key hashes on from a copy of the identity block's state.
+        self._identity_hash = hashlib.sha256(identity.encode("utf-8") + b"\n")
 
     # ------------------------------------------------------------------
 
-    def key_for(self, frame: Mapping[str, Any]) -> Optional[str]:
-        """Content key of one predict request frame (None = uncacheable).
+    def split_key(self, line: bytes) -> Optional[Tuple[str, bytes]]:
+        """``(cache key, id digits)`` of one request line (None = uncached).
 
-        Hashes the raw wire values — *before* validation — so the lookup
-        can run ahead of epoch parsing on the hot path. Conservative by
-        construction: two frames that differ at all (``1`` vs ``1.0``,
-        field order aside) key differently, which can only cause a miss,
-        never a wrong hit. Frames whose payload fields are not plain JSON
-        data (and would fail validation anyway) return ``None``.
-
-        The hash is ``json.dumps(..., sort_keys=True)`` fed to SHA-256
-        directly rather than :func:`repro.common.store.stable_hash`:
-        frame values just came out of ``json.loads``, so the recursive
-        ``canonical()`` pass would be a (surprisingly expensive) identity
-        transform — the C encoder computes the same canonical text in a
-        fraction of the time, and non-JSON values raise the same
-        ``TypeError``.
+        Only client-layout predict frames are keyed: the line opens with
+        ``{"v":N,"kind":"predict",`` and ends with a trailing integer id
+        (:func:`split_raw_line`). The key hashes the id-stripped bytes
+        as they are, so any byte difference keys differently — a miss,
+        never a wrong hit — and client-layout govern, health and stats
+        frames never touch the store.
         """
-        try:
-            payload = json.dumps(
-                {
-                    "identity": self._identity,
-                    "predictor": frame.get("predictor", "DEP+BURST"),
-                    "across_epoch_ctp": frame.get("across_epoch_ctp", True),
-                    "base_freq_ghz": frame.get("base_freq_ghz"),
-                    "target_freqs_ghz": frame.get("target_freqs_ghz"),
-                    "epochs": frame.get("epochs"),
-                },
-                sort_keys=True,
-                separators=(",", ":"),
-                allow_nan=True,
-            )
-        except (TypeError, ValueError):
+        if not line.startswith(_PREDICT_HEAD):
             return None
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        split = split_raw_line(line)
+        if split is None:
+            return None
+        digest = self._identity_hash.copy()
+        digest.update(split[0])
+        return digest.hexdigest(), split[1]
 
     def lookup(self, key: str) -> Optional[str]:
         """The stored result fragment for ``key``, or None.
@@ -226,6 +177,4 @@ class PredictionCache:
         """Hit/miss/store counters: overall plus per tier."""
         overall = self.store.stats.as_dict()
         overall["tiers"] = self.store.tier_stats()
-        if self.raw is not None:
-            overall["raw_memo"] = self.raw.stats()
         return overall

@@ -24,7 +24,6 @@ Failure containment, per the subsystem contract:
 from __future__ import annotations
 
 import asyncio
-import json
 import logging
 import time
 from dataclasses import dataclass, field
@@ -43,18 +42,24 @@ from repro.serve.metrics import (
     merge_snapshots,
     worker_summary,
 )
-from repro.serve.predcache import PredictionCache, split_raw_line
+from repro.serve.predcache import PredictionCache
 from repro.serve.protocol import ProtocolError
 from repro.serve.sessions import SessionStore, decision_to_wire
 
 log = logging.getLogger("repro.serve")
 
-#: Reply-envelope bytes of the raw-memo fast path. Concatenation must
-#: reproduce ``encode_frame(ok_reply(...))`` exactly — same key order
-#: (v, id, ok, result), same separators — so memo replies stay
-#: byte-identical to cold computes; test_server pins this.
+#: Reply-envelope bytes around a keyed predict's result fragment.
+#: Concatenation must reproduce ``encode_frame(ok_reply(...))`` exactly —
+#: same key order (v, id, ok, result), same separators — so cached
+#: replies stay byte-identical to uncached ones; test_server pins this.
 _REPLY_HEAD = ('{"v":%d,"id":' % protocol.PROTOCOL_VERSION).encode("ascii")
 _REPLY_MID = b',"ok":true,"result":'
+
+
+def _splice(id_digits: bytes, fragment: str) -> bytes:
+    """The ok reply to a keyed predict, from its id and result fragment."""
+    return (_REPLY_HEAD + id_digits + _REPLY_MID
+            + fragment.encode("utf-8") + b"}\n")
 
 
 @dataclass
@@ -128,6 +133,8 @@ class Server:
 
     def __init__(self, config: ServeConfig) -> None:
         self.config = config
+        #: The spec's DVFS set points; MachineSpec is frozen.
+        self.frequencies = config.spec.frequencies()
         self.metrics = MetricsRegistry(max_batch=config.max_batch)
         self.batcher = PredictBatcher(
             max_batch=config.max_batch,
@@ -335,27 +342,22 @@ class Server:
     ) -> None:
         started = time.perf_counter()
         cache = self.prediction_cache
-        raw_split = None
-        if cache is not None and cache.raw is not None:
-            # L0: a byte-identical repeat of an answered predict (modulo
-            # its trailing correlation id) replays the stored reply bytes
-            # without any JSON decode or encode. Prefix equality implies
-            # the frames are the same JSON text, so this can never serve
-            # a wrong answer — only miss into the ordinary path.
-            raw_split = split_raw_line(line)
-            if raw_split is not None:
-                fragment = cache.raw.get(raw_split[0])
-                if fragment is not None:
-                    self.metrics.predict_cache_hits += 1
-                    self.metrics.endpoint("predict").observe(
-                        time.perf_counter() - started
-                    )
-                    await self._send_bytes(
-                        writer, write_lock,
-                        _REPLY_HEAD + raw_split[1] + _REPLY_MID
-                        + fragment + b"}\n",
-                    )
-                    return
+        keyed = cache.split_key(line) if cache is not None else None
+        if keyed is not None:
+            # A repeat of an answered predict (equal bytes apart from its
+            # trailing id) replays the stored result without any JSON
+            # decode, whichever tier holds it.
+            fragment = cache.lookup(keyed[0])
+            if fragment is not None:
+                self.metrics.predict_cache_hits += 1
+                self.metrics.endpoint("predict").observe(
+                    time.perf_counter() - started
+                )
+                await self._send_bytes(
+                    writer, write_lock, _splice(keyed[1], fragment)
+                )
+                return
+            self.metrics.predict_cache_misses += 1
         frame: Optional[Dict[str, Any]] = None
         try:
             frame = protocol.decode_frame(line)
@@ -373,7 +375,7 @@ class Server:
         if kind == "predict":
             await self._dispatch_predict(
                 frame, writer, write_lock, inflight, request_tasks, started,
-                raw_prefix=raw_split[0] if raw_split is not None else None,
+                keyed,
             )
             return
 
@@ -407,48 +409,10 @@ class Server:
     # predict
     # ------------------------------------------------------------------
 
-    def _splice_reply(self, frame: Mapping[str, Any], fragment: str) -> bytes:
-        """Assemble a reply around a pre-encoded result fragment.
-
-        The fragment is the cold compute's exact ``result`` bytes, so a
-        cache hit's reply is byte-identical to the original (modulo the
-        correlation id) — repr-exact float equality for free.
-        """
-        envelope = json.dumps(
-            {"v": protocol.PROTOCOL_VERSION, "id": frame.get("id"), "ok": True},
-            separators=(",", ":"),
-            allow_nan=False,
-        )
-        return (envelope[:-1] + ',"result":' + fragment + "}\n").encode("utf-8")
-
     async def _dispatch_predict(
         self, frame, writer, write_lock, inflight, request_tasks, started,
-        raw_prefix: Optional[bytes] = None,
+        keyed: Optional[Tuple[str, bytes]],
     ) -> None:
-        cache = self.prediction_cache
-        cache_key: Optional[str] = None
-        if cache is not None:
-            cache_key = cache.key_for(frame)
-            if cache_key is not None:
-                fragment = cache.lookup(cache_key)
-                if fragment is not None:
-                    # Warm hit: skip parsing, batching and evaluation. The
-                    # payload validated when the entry was computed cold —
-                    # the key proves the bytes are the same question. Seed
-                    # the raw memo so the next repeat skips JSON entirely.
-                    if raw_prefix is not None and cache.raw is not None:
-                        cache.raw.put(
-                            raw_prefix, fragment.encode("utf-8")
-                        )
-                    self.metrics.predict_cache_hits += 1
-                    self.metrics.endpoint("predict").observe(
-                        time.perf_counter() - started
-                    )
-                    await self._send_bytes(
-                        writer, write_lock, self._splice_reply(frame, fragment)
-                    )
-                    return
-                self.metrics.predict_cache_misses += 1
         try:
             job = self._parse_predict(frame)
         except ProtocolError as exc:
@@ -477,8 +441,7 @@ class Server:
         inflight[0] += 1
         task = asyncio.get_running_loop().create_task(
             self._predict_task(
-                frame, job, writer, write_lock, inflight, started, cache_key,
-                raw_prefix,
+                frame, job, writer, write_lock, inflight, started, keyed
             )
         )
         request_tasks.add(task)
@@ -486,7 +449,7 @@ class Server:
 
     async def _predict_task(
         self, frame, job: PredictJob, writer, write_lock, inflight, started,
-        cache_key: Optional[str] = None, raw_prefix: Optional[bytes] = None,
+        keyed: Optional[Tuple[str, bytes]],
     ) -> None:
         try:
             data: Optional[bytes] = None
@@ -498,16 +461,13 @@ class Server:
                     "target_freqs_ghz": list(job.target_freqs_ghz),
                     "predicted_ns": predicted,
                 }
-                cache = self.prediction_cache
-                if cache_key is not None and cache is not None:
+                if keyed is not None:
                     # Serialize the result once; the stored fragment is the
                     # exact bytes of this reply, so future hits replay them
                     # byte-identically.
-                    fragment = cache.record(cache_key, result)
-                    if raw_prefix is not None and cache.raw is not None:
-                        cache.raw.put(raw_prefix, fragment.encode("utf-8"))
+                    fragment = self.prediction_cache.record(keyed[0], result)
                     self.metrics.predict_cache_stores += 1
-                    data = self._splice_reply(frame, fragment)
+                    data = _splice(keyed[1], fragment)
                 else:
                     reply = protocol.ok_reply(frame, result)
                 code = None
@@ -543,7 +503,7 @@ class Server:
             frame.get("base_freq_ghz"), "base_freq_ghz", minimum=1e-9
         )
         targets = protocol.target_freqs_from_wire(
-            frame.get("target_freqs_ghz"), self.config.spec.frequencies()
+            frame.get("target_freqs_ghz"), self.frequencies
         )
         epochs = protocol.epochs_from_wire(frame.get("epochs"))
         return PredictJob(
@@ -576,7 +536,7 @@ class Server:
             self.metrics.sessions_active = len(self.sessions)
             return {
                 "session": session_id,
-                "frequencies_ghz": list(self.config.spec.frequencies()),
+                "frequencies_ghz": list(self.frequencies),
             }
         if op == "step":
             record = protocol.record_from_wire(frame.get("record"))
@@ -607,7 +567,7 @@ class Server:
             "version": __version__,
             "protocol": protocol.PROTOCOL_VERSION,
             "uptime_s": time.time() - self.metrics.started_at,
-            "frequencies_ghz": list(self.config.spec.frequencies()),
+            "frequencies_ghz": list(self.frequencies),
             "predictors": predictor_names(),
             "sessions_active": len(self.sessions),
             "batch": {
@@ -623,10 +583,9 @@ class Server:
     def _stats_result(self) -> Dict[str, Any]:
         snapshot = self.metrics.snapshot()
         if self.prediction_cache is not None:
-            cache_stats = self.prediction_cache.stats()
-            snapshot["predict_cache"]["tiers"] = cache_stats["tiers"]
-            if "raw_memo" in cache_stats:
-                snapshot["predict_cache"]["raw_memo"] = cache_stats["raw_memo"]
+            snapshot["predict_cache"]["tiers"] = (
+                self.prediction_cache.stats()["tiers"]
+            )
         if self.fleet is None:
             return snapshot
         # Publish first so peers (and the fleet view below) see this

@@ -1,4 +1,4 @@
-"""The shared prediction cache: keys, fragments, and the raw-line memo."""
+"""The shared prediction cache: byte keys, fragments, and the id splitter."""
 
 import dataclasses
 import json
@@ -6,11 +6,9 @@ import json
 import pytest
 
 from repro.arch.specs import haswell_i7_4770k
-from repro.serve.predcache import (
-    PredictionCache,
-    RawLineMemo,
-    split_raw_line,
-)
+from repro.common.store import FileStore
+from repro.serve import protocol
+from repro.serve.predcache import PredictionCache, split_raw_line
 
 
 @pytest.fixture()
@@ -18,44 +16,66 @@ def cache():
     return PredictionCache(haswell_i7_4770k())
 
 
-def _frame(**overrides):
+def _line(request_id=7, **overrides):
+    """One predict frame's wire bytes in the client layout (id last)."""
     frame = {
-        "v": 1,
+        "v": protocol.PROTOCOL_VERSION,
         "kind": "predict",
         "predictor": "DEP+BURST",
         "base_freq_ghz": 2.0,
         "target_freqs_ghz": [1.0, 3.0],
         "epochs": [{"kind": "global", "t0": 0.0, "t1": 1.0}],
-        "id": 7,
     }
     frame.update(overrides)
-    return frame
+    frame["id"] = request_id
+    return protocol.encode_frame(frame)
+
+
+def _key(cache, line):
+    split = cache.split_key(line)
+    assert split is not None
+    return split[0]
 
 
 # ----------------------------------------------------------------------
-# Semantic keys
+# Byte keys
 # ----------------------------------------------------------------------
 
 
 class TestKeyFor:
     def test_equal_payloads_key_equal_regardless_of_id(self, cache):
-        assert cache.key_for(_frame(id=1)) == cache.key_for(_frame(id=999))
+        one, many = cache.split_key(_line(1)), cache.split_key(_line(999))
+        assert one[0] == many[0]
+        assert (one[1], many[1]) == (b"1", b"999")
 
     def test_any_payload_difference_changes_the_key(self, cache):
-        base = cache.key_for(_frame())
-        assert cache.key_for(_frame(base_freq_ghz=2.5)) != base
-        assert cache.key_for(_frame(predictor="DEP")) != base
-        assert cache.key_for(_frame(target_freqs_ghz=[1.0])) != base
-        # 1 vs 1.0 are value-equal but not wire-equal: conservative miss.
-        assert cache.key_for(_frame(base_freq_ghz=2)) != base
+        base = _key(cache, _line())
+        assert _key(cache, _line(base_freq_ghz=2.5)) != base
+        assert _key(cache, _line(predictor="DEP")) != base
+        assert _key(cache, _line(target_freqs_ghz=[1.0])) != base
+        # 1 vs 1.0 are value-equal but not byte-equal: conservative miss.
+        assert _key(cache, _line(base_freq_ghz=2)) != base
+
+    def test_field_order_and_whitespace_change_the_key(self, cache):
+        line = _line()
+        base = _key(cache, line)
+        reordered = line.replace(
+            b'"base_freq_ghz":2.0,"target_freqs_ghz":[1.0,3.0]',
+            b'"target_freqs_ghz":[1.0,3.0],"base_freq_ghz":2.0',
+        )
+        spaced = line.replace(b'"base_freq_ghz":2.0', b'"base_freq_ghz": 2.0')
+        assert reordered != line and spaced != line
+        assert json.loads(reordered) == json.loads(line) == json.loads(spaced)
+        assert _key(cache, reordered) != base
+        assert _key(cache, spaced) != base
 
     def test_machine_spec_participates_in_the_key(self):
-        frame = _frame()
+        line = _line()
         haswell = PredictionCache(haswell_i7_4770k())
         wider = PredictionCache(
             dataclasses.replace(haswell_i7_4770k(), n_cores=8)
         )
-        assert haswell.key_for(frame) != wider.key_for(frame)
+        assert _key(haswell, line) != _key(wider, line)
 
     def test_kernel_version_participates_in_the_key(self, cache, monkeypatch):
         """A kernel revision must never replay another revision's result."""
@@ -63,10 +83,34 @@ class TestKeyFor:
 
         monkeypatch.setattr(sweep, "KERNEL_VERSION", "test-bumped")
         bumped = PredictionCache(haswell_i7_4770k())
-        assert bumped.key_for(_frame()) != cache.key_for(_frame())
+        assert _key(bumped, _line()) != _key(cache, _line())
 
-    def test_non_json_payload_is_uncacheable(self, cache):
-        assert cache.key_for(_frame(epochs=object())) is None
+    def test_schema_participates_in_the_key(self, cache, monkeypatch):
+        import repro.serve.predcache as predcache
+
+        monkeypatch.setattr(predcache, "PREDICT_CACHE_SCHEMA", 99)
+        bumped = PredictionCache(haswell_i7_4770k())
+        assert _key(bumped, _line()) != _key(cache, _line())
+
+    def test_frame_without_trailing_id_is_uncacheable(self, cache):
+        line = _line()
+        id_first = b'{"id":7,' + line[1:].replace(b',"id":7}', b"}")
+        assert json.loads(id_first) == json.loads(line)
+        assert cache.split_key(id_first) is None
+        assert cache.split_key(_line(request_id="7")) is None
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            b'{"v":1,"kind":"health","id":1}\n',
+            b'{"v":1,"kind":"stats","id":2}\n',
+            b'{"v":1,"kind":"govern","op":"step","session":"s1","id":3}\n',
+            # A predict in another member order is answered uncached.
+            b'{"kind":"predict","v":1,"base_freq_ghz":1.0,"id":4}\n',
+        ],
+    )
+    def test_only_client_layout_predicts_are_keyed(self, cache, line):
+        assert cache.split_key(line) is None
 
 
 # ----------------------------------------------------------------------
@@ -76,7 +120,7 @@ class TestKeyFor:
 
 class TestFragments:
     def test_record_then_lookup_returns_the_exact_fragment(self, cache):
-        key = cache.key_for(_frame())
+        key = _key(cache, _line())
         result = {"predicted_ns": [1.0, 2.5], "base_freq_ghz": 2.0}
         fragment = cache.record(key, result)
         assert fragment == json.dumps(result, separators=(",", ":"))
@@ -92,7 +136,7 @@ class TestFragments:
         cache = PredictionCache(
             haswell_i7_4770k(), shared_dir=str(tmp_path), max_memory_entries=0
         )
-        key = cache.key_for(_frame())
+        key = _key(cache, _line())
         cache.record(key, {"predicted_ns": [123456.0]})
         (path,) = tmp_path.glob("predict-*.json")
         raw = path.read_text()
@@ -104,7 +148,7 @@ class TestFragments:
         spec = haswell_i7_4770k()
         worker_a = PredictionCache(spec, shared_dir=str(tmp_path))
         worker_b = PredictionCache(spec, shared_dir=str(tmp_path))
-        key = worker_a.key_for(_frame())
+        key = _key(worker_a, _line())
         fragment = worker_a.record(key, {"predicted_ns": [4.2]})
         # The other worker never computed it, but hits via the file tier.
         assert worker_b.lookup(key) == fragment
@@ -113,15 +157,18 @@ class TestFragments:
         with pytest.raises(ValueError):
             PredictionCache(haswell_i7_4770k(), max_memory_entries=0)
 
-    def test_file_only_cache_has_no_raw_memo(self, tmp_path):
+    def test_file_only_cache_keeps_nothing_in_memory(self, tmp_path):
         cache = PredictionCache(
             haswell_i7_4770k(), shared_dir=str(tmp_path), max_memory_entries=0
         )
-        assert cache.raw is None
-        assert "raw_memo" not in cache.stats()
+        key = _key(cache, _line())
+        cache.record(key, {"predicted_ns": [1.0]})
+        (tier,) = cache.store.tiers
+        assert isinstance(tier, FileStore)
+        assert len(list(tmp_path.glob("predict-*.json"))) == 1
 
     def test_stats_shape(self, cache):
-        key = cache.key_for(_frame())
+        key = _key(cache, _line())
         cache.record(key, {"predicted_ns": []})
         cache.lookup(key)
         cache.lookup("absent")
@@ -130,7 +177,7 @@ class TestFragments:
         assert stats["misses"] == 1
         assert stats["stores"] == 1
         assert isinstance(stats["tiers"], list)
-        assert stats["raw_memo"] == {"entries": 0, "hits": 0, "misses": 0}
+        assert "raw_memo" not in stats
 
 
 # ----------------------------------------------------------------------
@@ -185,31 +232,3 @@ class TestSplitRawLine:
         assert split[1] == b"4"
         # And when such a frame has no trailing id, it declines.
         assert split_raw_line(b'{"v":1,"note":",\\"id\\":9"}\n') is None
-
-
-# ----------------------------------------------------------------------
-# RawLineMemo
-# ----------------------------------------------------------------------
-
-
-class TestRawLineMemo:
-    def test_rejects_non_positive_capacity(self):
-        with pytest.raises(ValueError):
-            RawLineMemo(0)
-
-    def test_hit_miss_counters(self):
-        memo = RawLineMemo(4)
-        assert memo.get(b"prefix") is None
-        memo.put(b"prefix", b'{"predicted_ns":[1.0]}')
-        assert memo.get(b"prefix") == b'{"predicted_ns":[1.0]}'
-        assert memo.stats() == {"entries": 1, "hits": 1, "misses": 1}
-
-    def test_lru_eviction_order(self):
-        memo = RawLineMemo(2)
-        memo.put(b"a", b"1")
-        memo.put(b"b", b"2")
-        assert memo.get(b"a") == b"1"  # touch a -> b becomes LRU
-        memo.put(b"c", b"3")
-        assert memo.get(b"b") is None
-        assert memo.get(b"a") == b"1"
-        assert len(memo) == 2

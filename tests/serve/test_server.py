@@ -91,6 +91,18 @@ def test_predict_matches_in_process(server, epochs):
             assert reply["predicted_ns"] == expected, name
 
 
+def test_predict_without_targets_uses_every_set_point(server, epochs):
+    with connect(server) as client:
+        reply = client.predict(epochs, 1.0)
+    frequencies = server.config.spec.frequencies()
+    assert len(frequencies) == 25
+    assert reply["target_freqs_ghz"] == list(frequencies)
+    predictor = get_predictor("DEP+BURST")
+    assert reply["predicted_ns"] == [
+        predictor.predict_epochs(epochs, 1.0, f) for f in frequencies
+    ]
+
+
 def test_predict_over_tcp(server, epochs):
     client = ServeClient.connect(host="127.0.0.1", port=server.tcp_port)
     with client:
@@ -388,8 +400,8 @@ def _predict_frame(wire_epochs, request_id, id_last=True):
     """One predict frame's wire bytes, controlling the id's position.
 
     A trailing id is the layout :class:`ServeClient` sends and the only
-    one the raw-line memo can key; an id-first frame forces the semantic
-    (parsed-key) cache path instead.
+    one the prediction cache keys; an id-first frame is answered
+    uncached.
     """
     frame = {
         "v": protocol.PROTOCOL_VERSION,
@@ -416,18 +428,17 @@ def _raw_replies(socket_path, frames):
 
 @requires_af_unix
 def test_cache_hit_replies_are_byte_identical(tmp_path, epochs):
-    """Cold compute, semantic hit and raw-memo hit write the same bytes.
+    """Cold compute, cache hit and uncached compute write the same bytes.
 
-    The server splices cached result fragments (and, on the raw path,
-    the request's own id digits) into a hand-built reply envelope; this
-    pins that envelope against the ordinary ``encode_frame`` encoding an
-    uncached server produces.
+    The server splices result fragments and the request's own id digits
+    into a hand-built reply envelope; this pins that envelope against
+    the ordinary ``encode_frame`` encoding an uncached server produces.
     """
     wire_epochs = [protocol.epoch_to_wire(e) for e in epochs]
     frames = [
-        _predict_frame(wire_epochs, 1),  # cold compute (seeds both caches)
-        _predict_frame(wire_epochs, 2),  # raw-memo hit (trailing id)
-        _predict_frame(wire_epochs, 3, id_last=False),  # semantic hit
+        _predict_frame(wire_epochs, 1),  # cold compute, stored
+        _predict_frame(wire_epochs, 2),  # hit (trailing id)
+        _predict_frame(wire_epochs, 3, id_last=False),  # uncached compute
     ]
     cached = ServeConfig(
         socket_path=str(tmp_path / "cached.sock"),
@@ -444,9 +455,10 @@ def test_cache_hit_replies_are_byte_identical(tmp_path, epochs):
     with BackgroundServer(plain):
         expected = _raw_replies(plain.socket_path, frames)
     assert replies == expected
-    # And the hits really took the cached paths.
-    assert cache_stats["hits"] == 2
-    assert cache_stats["raw_memo"]["hits"] == 1
+    # And only the trailing-id repeat took the cached path.
+    assert cache_stats["hits"] == 1
+    assert cache_stats["misses"] == 1
+    assert cache_stats["stores"] == 1
 
 
 @requires_af_unix
@@ -465,4 +477,91 @@ def test_stats_reports_cache_tiers_and_raw_memo(tmp_path, epochs):
     assert cache["misses"] == 1
     assert cache["stores"] == 1
     assert len(cache["tiers"]) == 2  # memory LRU + shared file tier
-    assert cache["raw_memo"]["entries"] == 1
+
+
+@requires_af_unix
+def test_file_tier_hit_is_served_without_decoding(
+    tmp_path, epochs, monkeypatch
+):
+    """A worker that never computed a request answers it from the shared
+    file tier straight from the request bytes."""
+    wire_epochs = [protocol.epoch_to_wire(e) for e in epochs]
+    shared = str(tmp_path / "shared")
+    configs = [
+        ServeConfig(
+            socket_path=str(tmp_path / f"w{i}.sock"),
+            max_delay_s=0.001,
+            predict_cache_mem=64,
+            predict_cache_dir=shared,
+        )
+        for i in range(2)
+    ]
+    with BackgroundServer(configs[0]):
+        (cold,) = _raw_replies(
+            configs[0].socket_path, [_predict_frame(wire_epochs, 1)]
+        )
+    decoded = []
+    real_decode = protocol.decode_frame
+
+    def counting_decode(line):
+        decoded.append(line)
+        return real_decode(line)
+
+    monkeypatch.setattr(protocol, "decode_frame", counting_decode)
+    with BackgroundServer(configs[1]) as worker:
+        (hit,) = _raw_replies(
+            configs[1].socket_path, [_predict_frame(wire_epochs, 9)]
+        )
+        assert decoded == []
+        tiers = worker.server.prediction_cache.store.tier_stats()
+    assert hit == cold.replace(b'"id":1,', b'"id":9,', 1)
+    assert tiers[0]["misses"] == 1 and tiers[1]["hits"] == 1
+
+
+@requires_af_unix
+def test_invalid_predict_is_never_stored(tmp_path, epochs):
+    wire_epochs = [protocol.epoch_to_wire(e) for e in epochs]
+    frame = _predict_frame(wire_epochs, 1).replace(
+        b'"base_freq_ghz":1.0', b'"base_freq_ghz":-1.0'
+    )
+    config = ServeConfig(
+        socket_path=str(tmp_path / "bad.sock"),
+        max_delay_s=0.001,
+        predict_cache_mem=64,
+    )
+    with BackgroundServer(config):
+        replies = _raw_replies(config.socket_path, [frame, frame])
+        with ServeClient.connect(socket_path=config.socket_path) as client:
+            cache = client.stats()["predict_cache"]
+    assert [json.loads(r)["error"]["code"] for r in replies] == [
+        "bad-request", "bad-request",
+    ]
+    assert (cache["hits"], cache["misses"], cache["stores"]) == (0, 2, 0)
+
+
+@requires_af_unix
+def test_non_predict_frames_never_touch_the_cache(tmp_path, epochs):
+    from repro.arch.counters import CounterSet
+    from repro.sim.intervals import IntervalRecord
+
+    config = ServeConfig(
+        socket_path=str(tmp_path / "govern.sock"),
+        max_delay_s=0.001,
+        predict_cache_mem=64,
+        predict_cache_dir=str(tmp_path / "shared"),
+    )
+    record = IntervalRecord(
+        index=0, start_ns=0.0, end_ns=5e6, freq_ghz=4.0,
+        per_thread={0: CounterSet(active_ns=5e6, insns=1000)},
+    )
+    with BackgroundServer(config) as background:
+        with ServeClient.connect(socket_path=config.socket_path) as client:
+            client.health()
+            session = client.open_session()
+            session.step(record, epochs)
+            session.close()
+            cache = client.stats()["predict_cache"]
+        tiers = background.server.prediction_cache.store.tier_stats()
+    assert (cache["hits"], cache["misses"], cache["stores"]) == (0, 0, 0)
+    for tier in tiers:
+        assert (tier["hits"], tier["misses"], tier["stores"]) == (0, 0, 0)
