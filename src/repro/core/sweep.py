@@ -264,7 +264,7 @@ class EpochArrays:
     __slots__ = (
         "wall", "crit", "leading", "stall", "sqfull", "insns", "stores",
         "tids", "durations", "stall_tids", "during_gc", "starts", "ends",
-        "_decomposed",
+        "openers", "_decomposed",
     )
 
     def __init__(self) -> None:
@@ -281,6 +281,9 @@ class EpochArrays:
         self.during_gc: List[bool] = []
         self.starts: List[float] = []
         self.ends: List[float] = []
+        #: Trace event index opening each epoch (its closer is the next
+        #: event); ``None`` unless decomposed from trace columns.
+        self.openers: Optional[np.ndarray] = None
         #: estimator key -> (scaling, nonscaling) arrays, computed once.
         self._decomposed: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
 
@@ -359,6 +362,7 @@ class EpochArrays:
         if depth.size and int(depth.min()) < 0:
             raise _Irregular
         arrays = cls()
+        arrays.openers = openers
         arrays.starts = time[openers].tolist()
         arrays.ends = time[closers].tolist()
         arrays.durations = (time[closers] - time[openers]).tolist()
@@ -462,6 +466,26 @@ class EpochArrays:
             )
         return epochs
 
+    def epoch_ranges(
+        self, event_lo: Sequence[int], event_hi: Sequence[int]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Epoch ranges ``[first, last)`` of the event slices
+        ``[event_lo[i], event_hi[i])``.
+
+        An epoch belongs to a slice when both its opening and closing
+        events fall inside it, which makes the range exactly the epochs
+        ``extract_epochs(events[lo:hi])`` emits — except ``during_gc``,
+        which the slice walk starts at depth zero even inside a
+        collection. Needs a columnar decomposition (:attr:`openers`).
+        """
+        if self.openers is None:
+            raise PredictionError("epoch ranges need a columnar decomposition")
+        first = np.searchsorted(self.openers, np.asarray(event_lo, dtype=np.int64))
+        last = np.searchsorted(
+            self.openers, np.asarray(event_hi, dtype=np.int64) - 1
+        )
+        return first, np.maximum(first, last)
+
     def decomposed(
         self, estimator: NonScalingEstimator
     ) -> Tuple[np.ndarray, np.ndarray]:
@@ -530,6 +554,69 @@ def dep_window_sweep(
         arrays.epoch_meta(), predicted, predictor.across_epoch_ctp
     )
     return [float(value) for value in totals]
+
+
+def dep_ranges_sweep(
+    predictor: DepPredictor,
+    arrays: EpochArrays,
+    first: np.ndarray,
+    last: np.ndarray,
+    bases: Sequence[float],
+    targets: Sequence[float],
+) -> np.ndarray:
+    """DEP over many epoch ranges of one decomposition, each at its own
+    base frequency: the ``(ranges, targets)`` matrix whose row ``i`` is
+    :func:`dep_window_sweep` over epochs ``first[i]:last[i]`` at
+    ``bases[i]``, bit for bit (homogeneous targets only).
+
+    One clamp pass and one prediction matrix cover every range; only
+    the sequential CTP fold runs per range. An empty range gives a row
+    of zeros, as the window kernel does.
+    """
+    freqs = np.asarray(targets, dtype=np.float64)
+    first = np.asarray(first, dtype=np.int64)
+    last = np.asarray(last, dtype=np.int64)
+    bases = np.asarray(bases, dtype=np.float64)
+    nonempty = last > first
+    if nonempty.any():
+        _check_freqs(float(bases[nonempty].min()), freqs.tolist())
+    scaling, nonscaling = arrays.decomposed(predictor.estimator)
+    # Entry offsets per epoch, then one gather of every range's entries
+    # (ranges laid end to end, each with its own base frequency).
+    offsets = np.zeros(arrays.n_epochs + 1, dtype=np.int64)
+    np.cumsum(
+        np.fromiter(
+            (len(t) for t in arrays.tids), dtype=np.int64,
+            count=arrays.n_epochs,
+        ),
+        out=offsets[1:],
+    )
+    entry_lo = offsets[first]
+    sizes = offsets[last] - entry_lo
+    bounds = np.zeros(first.size + 1, dtype=np.int64)
+    np.cumsum(sizes, out=bounds[1:])
+    gather = np.arange(bounds[-1], dtype=np.int64) - np.repeat(
+        bounds[:-1] - entry_lo, sizes
+    )
+    # Per lane exactly dep_window_sweep's ``scaling * base / target +
+    # nonscaling``, left-to-right.
+    predicted = (scaling[gather] * np.repeat(bases, sizes))[:, None] / freqs[
+        None, :
+    ] + nonscaling[gather][:, None]
+    across = predictor.across_epoch_ctp
+    totals = np.zeros((first.size, freqs.size), dtype=np.float64)
+    for i, (lo, hi) in enumerate(zip(first.tolist(), last.tolist())):
+        if hi > lo:
+            totals[i] = ctp_total_multi(
+                zip(
+                    arrays.tids[lo:hi],
+                    arrays.durations[lo:hi],
+                    arrays.stall_tids[lo:hi],
+                ),
+                predicted[bounds[i] : bounds[i + 1]],
+                across,
+            )
+    return totals
 
 
 def _window_decompose(

@@ -22,6 +22,9 @@ and the static/uncore floor.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Sequence
+
+import numpy as np
 
 from repro.common.errors import ConfigError
 from repro.arch.counters import CounterSet
@@ -91,6 +94,11 @@ def node_power_config(
         ),
         uncore_w=base.uncore_w * node.power_scale,
     )
+
+
+def _column(values: Sequence[float]) -> np.ndarray:
+    """A per-interval scalar as a float64 column vector."""
+    return np.array(values, dtype=np.float64)[:, None]
 
 
 class PowerModel:
@@ -185,4 +193,65 @@ class PowerModel:
         )
         energy = power * seconds
         energy += self.dram_accesses(counters) * self.config.dram_nj_per_access * 1e-9
+        return energy
+
+    def interval_energies_j(
+        self,
+        counters: Sequence[CounterSet],
+        durations: np.ndarray,
+        freqs_ghz: Sequence[float],
+    ) -> np.ndarray:
+        """:meth:`interval_energy_j` over an ``(intervals × set points)``
+        grid: ``durations[i, j]`` is interval ``i`` (``counters[i]``) at
+        ``freqs_ghz[j]``.
+
+        Every cell performs the scalar method's operations in the same
+        order, so it equals ``interval_energy_j(counters[i],
+        durations[i, j], freqs_ghz[j])`` bit for bit. ``min(x, 1.0)`` is
+        spelled ``where(1.0 < x, 1.0, x)``, which keeps ``min``'s
+        choice for every input.
+        """
+        durations = np.asarray(durations, dtype=np.float64)
+        if bool((durations < 0).any()):
+            raise ConfigError(
+                f"negative interval duration {float(durations.min())}"
+            )
+        config = self.config
+        n_cores = self.spec.n_cores
+        active = _column([c.active_ns for c in counters])
+        insns = _column([c.insns for c in counters])
+        dram = _column([self.dram_accesses(c) for c in counters])
+        freqs = np.asarray(freqs_ghz, dtype=np.float64)[None, :]
+        voltages = [self.vf.voltage(freq) for freq in freqs_ghz]
+        # Per set point: the dynamic-power factor up to ``activity`` and
+        # the static power, in core_dynamic_power_w's operation order.
+        dynamic = np.array(
+            [
+                config.core_ceff_w_per_v2_ghz * v * v * freq
+                for v, freq in zip(voltages, freqs_ghz)
+            ]
+        )[None, :]
+        static = np.array([self.static_power_w(freq) for freq in freqs_ghz])[
+            None, :
+        ]
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            busy = active / (n_cores * durations)
+            busy = np.where(1.0 < busy, 1.0, busy)
+            issue_slots = durations * freqs * self.spec.core.width
+            commit = insns / (issue_slots * n_cores)
+            commit = np.where(1.0 < commit, 1.0, commit)
+            activity = (
+                config.idle_activity * busy
+                + (1.0 - config.idle_activity) * commit
+            )
+        activity = np.where(1.0 < activity, 1.0, activity)
+        activity = np.where(durations <= 0, 0.0, activity)
+        power = (
+            dynamic * activity * n_cores
+            + static
+            + config.uncore_w
+            + config.dram_background_w
+        )
+        energy = power * (durations * 1e-9)
+        energy += dram * config.dram_nj_per_access * 1e-9
         return energy

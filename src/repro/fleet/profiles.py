@@ -10,11 +10,19 @@ multi-frequency columnar pass) and builds a :class:`TenantProfile` from
 the trace.
 
 A profile holds per-interval **sweep matrices**: ``D[i, j]`` is the
-predicted duration of interval ``i`` at set point ``j`` (one
-:func:`~repro.core.sweep.sweep_predict_epochs` kernel call per
-interval over the interval's epoch slice), and ``E[i, j]`` prices that
-duration with the chip power model. Every fleet policy is then pure
-arithmetic over these matrices:
+predicted duration of interval ``i`` at set point ``j``, and ``E[i, j]``
+prices that duration with the chip power model
+(:meth:`~repro.energy.power.PowerModel.interval_energies_j`, one array
+expression). For the DEP family ``D`` comes from one columnar
+decomposition of the whole trace: each interval owns the contiguous
+epochs whose opening and closing events both lie in its
+:func:`~repro.energy.manager.interval_epochs` slice, and
+:func:`~repro.core.sweep.dep_ranges_sweep` evaluates every interval at
+its own base frequency. M+CRIT, COOP, custom predictors and traces
+without regular columns run one
+:func:`~repro.core.sweep.sweep_predict_epochs` call per interval slice.
+Both ways give the same bits as sweeping each slice on its own. Every
+fleet policy is then pure arithmetic over these matrices:
 
 * static frequencies: column sums,
 * the paper governor: an :class:`~repro.energy.manager.EnergyManagerSession`
@@ -35,9 +43,15 @@ import numpy as np
 
 from repro.arch.specs import MachineSpec, haswell_i7_4770k
 from repro.common.errors import ConfigError
+from repro.core.dep import DepPredictor
 from repro.core.epochs import Epoch
 from repro.core.predictors import make_predictor
-from repro.core.sweep import EpochArrays, sweep_predict_epochs
+from repro.core.sweep import (
+    EpochArrays,
+    dep_ranges_sweep,
+    estimator_key,
+    sweep_predict_epochs,
+)
 from repro.energy.manager import (
     EnergyManagerSession,
     ManagerConfig,
@@ -114,44 +128,76 @@ class TenantProfile:
     def durations(self) -> np.ndarray:
         """``D[i, j]``: predicted ns of interval ``i`` at set point ``j``."""
         if self._durations is None:
-            rows = []
-            for i, record in enumerate(self.records):
-                epochs = self.epochs_for(i)
-                if epochs:
-                    row = sweep_predict_epochs(
-                        self.predictor,
-                        EpochArrays.from_epochs(epochs),
-                        record.freq_ghz,
-                        self.targets,
-                    )
-                    row = [max(value, 0.0) for value in row]
-                else:
-                    row = [record.duration_ns] * len(self.targets)
-                # A degenerate decomposition (no predictable work) falls
-                # back to the measured duration at every set point.
-                if row[self.fmax_index] <= 0.0:
-                    row = [record.duration_ns] * len(self.targets)
-                rows.append(row)
-            self._durations = np.asarray(rows, dtype=np.float64)
+            predicted, empty = self._dep_matrix() or self._window_matrix()
+            predicted = np.where(predicted < 0.0, 0.0, predicted)
+            # An interval without epochs, or a degenerate decomposition
+            # (no predictable work), keeps the measured duration at
+            # every set point.
+            fallback = empty | (predicted[:, self.fmax_index] <= 0.0)
+            measured = np.array([record.duration_ns for record in self.records])
+            predicted[fallback] = measured[fallback, None]
+            self._durations = predicted
         return self._durations
+
+    def _dep_matrix(self) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """Raw ``D`` and the empty-interval mask from one columnar
+        decomposition of the whole trace (DEP family only; ``None``
+        where the per-interval path must run).
+
+        Each interval maps to the contiguous epochs whose opening and
+        closing events both lie in its :func:`interval_epochs` slice.
+        Those are the slice's own epochs except for ``during_gc``, which
+        DEP never reads.
+        """
+        predictor = self.predictor
+        if type(predictor) is not DepPredictor or not estimator_key(
+            predictor.estimator
+        ):
+            return None
+        arrays = EpochArrays.from_trace(self.trace)
+        if arrays.openers is None:
+            return None  # no regular columns: decomposed by the scalar walk
+        n_events = len(self.trace.events)
+        first, last = arrays.epoch_ranges(
+            [max(0, record.event_lo - 1) for record in self.records],
+            [min(n_events, record.event_hi + 1) for record in self.records],
+        )
+        predicted = dep_ranges_sweep(
+            predictor,
+            arrays,
+            first,
+            last,
+            [record.freq_ghz for record in self.records],
+            self.targets,
+        )
+        return predicted, first == last
+
+    def _window_matrix(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Raw ``D`` and the empty-interval mask, one window sweep per
+        interval (M+CRIT, COOP, custom predictors, irregular traces)."""
+        rows = []
+        empty = []
+        for i, record in enumerate(self.records):
+            epochs = self.epochs_for(i)
+            empty.append(not epochs)
+            rows.append(
+                sweep_predict_epochs(
+                    self.predictor, epochs, record.freq_ghz, self.targets
+                )
+                if epochs
+                else [0.0] * len(self.targets)
+            )
+        return np.asarray(rows, dtype=np.float64), np.array(empty, dtype=bool)
 
     @property
     def energies(self) -> np.ndarray:
         """``E[i, j]``: power-model joules of interval ``i`` at point ``j``."""
         if self._energies is None:
-            durations = self.durations
-            rows = []
-            for i, record in enumerate(self.records):
-                counters = record.aggregate()
-                rows.append(
-                    [
-                        self.power_model.interval_energy_j(
-                            counters, float(durations[i, j]), freq
-                        )
-                        for j, freq in enumerate(self.targets)
-                    ]
-                )
-            self._energies = np.asarray(rows, dtype=np.float64)
+            self._energies = self.power_model.interval_energies_j(
+                [record.aggregate() for record in self.records],
+                self.durations,
+                self.targets,
+            )
         return self._energies
 
     # ------------------------------------------------------------------

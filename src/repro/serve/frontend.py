@@ -227,7 +227,7 @@ class Frontend:
             return sticky
         try:
             frame = json.loads(line)
-        except ValueError:
+        except (ValueError, RecursionError):
             return sticky  # the worker produces the authoritative error
         if not isinstance(frame, dict) or frame.get("kind") != "govern":
             return sticky

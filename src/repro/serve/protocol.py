@@ -22,7 +22,11 @@ Counter sets travel as 7-element arrays in
     {"start_ns": f, "end_ns": f, "stall_tid": int | null,
      "during_gc": bool, "threads": {"<tid>": [7 numbers]}}
 
-All numbers must be finite; counters non-negative. JSON's ``repr``-based
+All numbers must be finite doubles (an integer beyond the double range
+is rejected like ``NaN``); counters non-negative. ``during_gc`` is a
+JSON boolean (absent means false), ``stall_tid`` a non-boolean integer
+or null, and thread keys canonical decimal — exactly what
+:func:`epoch_to_wire` sends. JSON's ``repr``-based
 float round-trip is exact for finite doubles, which is what makes the
 serve replay driver's byte-identical decision parity possible.
 """
@@ -31,6 +35,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.common.errors import ReproError
@@ -80,7 +85,10 @@ def decode_frame(line: bytes) -> Dict[str, Any]:
     """Parse one received line into a frame dict (``bad-frame`` on junk)."""
     try:
         payload = json.loads(line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # Besides JSONDecodeError and UnicodeDecodeError: an integer
+        # literal past the interpreter's digit limit, or nesting deeper
+        # than the recursion limit. All junk on the wire.
         raise ProtocolError("bad-frame", f"undecodable frame: {exc}") from exc
     if not isinstance(payload, dict):
         raise ProtocolError(
@@ -130,9 +138,19 @@ def error_reply(
 # ----------------------------------------------------------------------
 
 
+#: Largest finite double, as an integer: a wire integer above it has no
+#: float value (an int-to-int comparison keeps the hot path cheap).
+_FLOAT_MAX = int(sys.float_info.max)
+
+
 def require_number(value: Any, what: str, minimum: Optional[float] = None) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ProtocolError("bad-request", f"{what} must be a number, got {value!r}")
+    if isinstance(value, int) and abs(value) > _FLOAT_MAX:
+        raise ProtocolError(
+            "bad-request", f"{what} must be a finite double, got an integer "
+            "beyond the double range",
+        )
     number = float(value)
     if not math.isfinite(number):
         raise ProtocolError("bad-request", f"{what} must be finite, got {value!r}")
@@ -163,7 +181,7 @@ def counters_from_wire(values: Any, what: str = "counters") -> CounterSet:
                     valid = False
                     break
             elif t is int:
-                if v < 0:
+                if v < 0 or v > _FLOAT_MAX:
                     valid = False
                     break
             else:
@@ -214,6 +232,11 @@ def epoch_to_wire(epoch: Epoch) -> Dict[str, Any]:
     }
 
 
+#: Canonical keys of the common thread ids: one dict probe replaces the
+#: parse and the round trip back to text that prove a key canonical.
+_TID_OF_KEY = {str(tid): tid for tid in range(256)}
+
+
 def epoch_from_wire(payload: Any, index: int) -> Epoch:
     """Wire dict -> Epoch, validating every field."""
     if not isinstance(payload, dict):
@@ -225,9 +248,14 @@ def epoch_from_wire(payload: Any, index: int) -> Epoch:
             "bad-request", f"epochs[{index}] ends before it starts"
         )
     stall_tid = payload.get("stall_tid")
-    if stall_tid is not None and not isinstance(stall_tid, int):
+    if stall_tid is not None and type(stall_tid) is not int:  # rejects bool
         raise ProtocolError(
             "bad-request", f"epochs[{index}].stall_tid must be an int or null"
+        )
+    during_gc = payload.get("during_gc", False)
+    if type(during_gc) is not bool:
+        raise ProtocolError(
+            "bad-request", f"epochs[{index}].during_gc must be a boolean"
         )
     threads_raw = payload.get("threads", {})
     if not isinstance(threads_raw, dict):
@@ -236,13 +264,18 @@ def epoch_from_wire(payload: Any, index: int) -> Epoch:
         )
     deltas: Dict[int, CounterSet] = {}
     for key, values in threads_raw.items():
-        try:
-            tid = int(key)
-        except (TypeError, ValueError):
-            raise ProtocolError(
-                "bad-request",
-                f"epochs[{index}].threads key {key!r} is not a thread id",
-            ) from None
+        tid = _TID_OF_KEY.get(key)
+        if tid is None:
+            try:
+                tid = int(key)
+            except (TypeError, ValueError):
+                tid = None
+            if tid is None or str(tid) != key:
+                raise ProtocolError(
+                    "bad-request",
+                    f"epochs[{index}].threads key {key!r} is not a thread id "
+                    "in canonical decimal",
+                )
         deltas[tid] = counters_from_wire(
             values, what=f"epochs[{index}].threads[{key}]"
         )
@@ -252,7 +285,7 @@ def epoch_from_wire(payload: Any, index: int) -> Epoch:
         end_ns=end,
         thread_deltas=deltas,
         stall_tid=stall_tid,
-        during_gc=bool(payload.get("during_gc", False)),
+        during_gc=during_gc,
     )
 
 

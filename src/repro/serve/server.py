@@ -14,6 +14,8 @@ Failure containment, per the subsystem contract:
   reply, then the connection is closed (the byte stream cannot be
   resynchronized reliably);
 * predictor exceptions -> ``predict-error`` replies, connection lives on;
+* any other failure while parsing or answering a frame -> ``internal``
+  reply, connection lives on;
 * per-connection in-flight ``predict`` requests are capped
   (``queue_depth``); excess requests are shed immediately with
   ``overloaded`` replies — the server never buffers without bound. Reply
@@ -415,14 +417,16 @@ class Server:
     ) -> None:
         try:
             job = self._parse_predict(frame)
-        except ProtocolError as exc:
+        except Exception as exc:  # noqa: BLE001 — connection must survive
+            if isinstance(exc, ProtocolError):
+                reply = protocol.error_reply(frame, exc.code, exc.message)
+            else:
+                log.exception("internal error parsing predict")
+                reply = protocol.error_reply(frame, "internal", repr(exc))
             self.metrics.endpoint("predict").observe(
-                time.perf_counter() - started, error_code=exc.code
+                time.perf_counter() - started, error_code=reply["error"]["code"]
             )
-            await self._send(
-                writer, write_lock,
-                protocol.error_reply(frame, exc.code, exc.message),
-            )
+            await self._send(writer, write_lock, reply)
             return
         if inflight[0] >= self.config.queue_depth:
             self.metrics.overloaded += 1

@@ -20,7 +20,7 @@ from repro.energy.manager import (
     ManagerConfig,
     ManagerDecision,
 )
-from repro.serve.protocol import ProtocolError
+from repro.serve.protocol import ProtocolError, require_number
 from repro.serve.sharding import tag_session_id
 from repro.sim.intervals import IntervalRecord
 
@@ -46,6 +46,9 @@ def manager_config_from_wire(payload: Any) -> Tuple[ManagerConfig, str, bool]:
             "bad-request", f"unknown config field(s): {sorted(unknown)}"
         )
     kwargs = {key: payload[key] for key in _CONFIG_FIELDS if key in payload}
+    for key, value in kwargs.items():
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            require_number(value, f"config.{key}")
     predictor = payload.get("predictor", "DEP+BURST")
     if not isinstance(predictor, str):
         raise ProtocolError("bad-request", "config.predictor must be a string")

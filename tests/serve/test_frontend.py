@@ -74,6 +74,8 @@ class TestRoute:
         """The worker owns the authoritative bad-frame reply."""
         frontend = _frontend()
         assert frontend._route(b'{"govern" broken\n', sticky=1) == 1
+        nested = b'{"kind":"govern","x":' + b"[" * 5000 + b"]" * 5000 + b"}\n"
+        assert frontend._route(nested, sticky=1) == 1
 
 
 # ----------------------------------------------------------------------

@@ -35,6 +35,15 @@ def test_decode_rejects_junk():
     with pytest.raises(ProtocolError) as err:
         protocol.decode_frame(b"\xff\xfe\n")
     assert err.value.code == "bad-frame"
+    # An integer past the digit limit, and nesting past the recursion
+    # limit, are junk too (not an exception that drops the connection).
+    for junk in (
+        b'{"v":1,"x":' + b"9" * 5000 + b"}\n",
+        b"[" * 100_000 + b"]" * 100_000 + b"\n",
+    ):
+        with pytest.raises(ProtocolError) as err:
+            protocol.decode_frame(junk)
+        assert err.value.code == "bad-frame"
 
 
 def test_encode_rejects_non_finite():
@@ -88,6 +97,9 @@ def test_counters_roundtrip():
         [1.0, 2.0, -3.0, 4.0, 5.0, 6, 7],
         [1.0, 2.0, float("nan"), 4.0, 5.0, 6, 7],
         [1.0, 2.0, float("inf"), 4.0, 5.0, 6, 7],
+        [10**400, 2.0, 3.0, 4.0, 5.0, 6, 7],
+        [1.0, 2.0, 3.0, 4.0, 5.0, 10**400, 7],
+        [1.0, 2.0, 3.0, 4.0, 5.0, 6, 10**400],
     ],
 )
 def test_counters_from_wire_rejects(bad):
@@ -122,6 +134,17 @@ def test_epoch_roundtrip_is_exact():
         lambda e: e.update(stall_tid="zero"),
         lambda e: e.update(threads=[1, 2]),
         lambda e: e.update(threads={"not-a-tid": [0.0] * 7}),
+        lambda e: e.update(start_ns=10**400),
+        lambda e: e.update(during_gc="no"),
+        lambda e: e.update(during_gc=None),
+        lambda e: e.update(during_gc=0),
+        lambda e: e.update(stall_tid=True),
+        lambda e: e.update(threads={" 1": [0.0] * 7}),
+        lambda e: e.update(threads={"1": [0.0] * 7, " 1": [0.0] * 7}),
+        lambda e: e.update(threads={"1_0": [0.0] * 7}),
+        lambda e: e.update(threads={"01": [0.0] * 7}),
+        lambda e: e.update(threads={"+1": [0.0] * 7}),
+        lambda e: e.update(threads={"1": [0.0] * 6 + [10**400]}),
     ],
 )
 def test_epoch_from_wire_rejects(mutate):
@@ -130,6 +153,22 @@ def test_epoch_from_wire_rejects(mutate):
     with pytest.raises(ProtocolError) as err:
         protocol.epoch_from_wire(wire, 0)
     assert err.value.code == "bad-request"
+    assert "epochs[0]" in err.value.message
+
+
+def test_epoch_from_wire_defaults_during_gc_to_false():
+    wire = protocol.epoch_to_wire(_epochs()[0])
+    del wire["during_gc"]
+    assert protocol.epoch_from_wire(wire, 0).during_gc is False
+
+
+def test_require_number_rejects_integers_beyond_double_range():
+    assert protocol.require_number(2**1023, "x") == float(2**1023)
+    for bad in (10**400, -(10**400), 2**1024):
+        with pytest.raises(ProtocolError) as err:
+            protocol.require_number(bad, "base_freq_ghz")
+        assert err.value.code == "bad-request"
+        assert "base_freq_ghz" in err.value.message
 
 
 def test_record_roundtrip_preserves_step_inputs():
@@ -161,6 +200,8 @@ def test_record_from_wire_rejects():
     for key, value in [
         ("index", "zero"), ("index", True), ("freq_ghz", 0.0),
         ("end_ns", -5.0), ("counters", [0.0] * 3),
+        ("start_ns", 10**400), ("freq_ghz", 10**400),
+        ("counters", [0.0] * 6 + [10**400]),
     ]:
         bad = dict(wire)
         bad[key] = value
@@ -173,6 +214,6 @@ def test_record_from_wire_rejects():
 def test_target_freqs_validation():
     assert protocol.target_freqs_from_wire(None, (1.0, 2.0)) == [1.0, 2.0]
     assert protocol.target_freqs_from_wire([3.0], (1.0,)) == [3.0]
-    for bad in ([], "all", [0.0], [-1.0], [float("nan")]):
+    for bad in ([], "all", [0.0], [-1.0], [float("nan")], [10**400]):
         with pytest.raises(ProtocolError):
             protocol.target_freqs_from_wire(bad, (1.0,))

@@ -176,10 +176,15 @@ def test_govern_unknown_op(server):
 
 def test_junk_json_gets_bad_frame_and_connection_survives(server):
     with connect(server) as client:
-        client.send_raw(b"{this is not json\n")
-        reply = client.read_reply()
-        assert reply["ok"] is False
-        assert reply["error"]["code"] == "bad-frame"
+        for junk in (
+            b"{this is not json\n",
+            b'{"v":1,"kind":"predict","x":' + b"9" * 5000 + b"}\n",
+            b"[" * 5000 + b"]" * 5000 + b"\n",
+        ):
+            client.send_raw(junk)
+            reply = client.read_reply()
+            assert reply["ok"] is False
+            assert reply["error"]["code"] == "bad-frame"
         assert client.health()["status"] == "ok"
 
 
@@ -206,6 +211,60 @@ def test_unknown_kind(server):
             {"v": 1, "kind": "shutdown", "id": 2}
         ))
         assert client.read_reply()["error"]["code"] == "bad-request"
+
+
+def test_malformed_fields_get_bad_request_and_connection_lives(server, epochs):
+    """Oversized integers and coerced epoch fields are each a
+    ``bad-request`` naming the field; the next frame is still answered."""
+    good = protocol.epoch_to_wire(epochs[0])
+    bad_epochs = [
+        {**good, "during_gc": "no"},
+        {**good, "stall_tid": True},
+        {**good, "threads": {" 1": [0.0] * 7}},
+        {**good, "threads": {"1_0": [0.0] * 7}},
+        {**good, "threads": {"1": [0.0] * 5 + [10**400, 0]}},
+    ]
+    record = {"index": 0, "start_ns": 0.0, "end_ns": 5e6, "freq_ghz": 4.0,
+              "counters": [5e6, 0.0, 0.0, 0.0, 0.0, 1000, 0]}
+    with connect(server) as client:
+        session = client.open_session().session_id
+        frames = [
+            ({"kind": "predict", "base_freq_ghz": 10**400, "epochs": []},
+             "base_freq_ghz"),
+            ({"kind": "govern", "op": "step", "session": session,
+              "record": {**record, "start_ns": 10**400}, "epochs": []},
+             "record.start_ns"),
+        ]
+        for bad in bad_epochs:
+            frames.append(({"kind": "predict", "base_freq_ghz": 1.0,
+                            "epochs": [bad]}, "epochs[0]"))
+            frames.append(({"kind": "govern", "op": "step", "session": session,
+                            "record": record, "epochs": [bad]}, "epochs[0]"))
+        for request_id, (frame, field) in enumerate(frames):
+            client.send_raw(protocol.encode_frame(
+                {"v": 1, **frame, "id": request_id}
+            ))
+            reply = client.read_reply()
+            assert reply["id"] == request_id
+            assert reply["error"]["code"] == "bad-request", reply
+            assert field in reply["error"]["message"]
+        assert client.health()["status"] == "ok"
+
+
+def test_unexpected_predict_parse_failure_is_internal(
+    server, epochs, monkeypatch
+):
+    from repro.serve.server import Server
+
+    def broken(self, frame):
+        raise RuntimeError("parser bug")
+
+    monkeypatch.setattr(Server, "_parse_predict", broken)
+    with connect(server) as client:
+        with pytest.raises(ServeRequestError) as err:
+            client.predict(epochs, 1.0)
+        assert err.value.code == "internal"
+        assert client.health()["status"] == "ok"
 
 
 def test_truncated_frame_replies_then_closes(server):

@@ -61,6 +61,10 @@ def test_config_from_wire_explicit_fields():
         {"predictor": 7},
         {"across_epoch_ctp": "yes"},
         {"tolerable_slowdown": -0.5},
+        {"tolerable_slowdown": 10**400},
+        {"tolerable_slowdown": float("nan")},
+        {"hold_off": 10**400},
+        {"min_busy_ns": float("inf")},
     ],
 )
 def test_config_from_wire_rejects_bad_payloads(payload):
