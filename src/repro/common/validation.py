@@ -35,15 +35,15 @@ def require(condition: bool, message: str) -> None:
 
 
 def check_positive(name: str, value: float) -> float:
-    """Validate that ``value`` is strictly positive; return it."""
-    if value <= 0:
+    """Validate that ``value`` is strictly positive (NaN is not); return it."""
+    if not value > 0:
         raise ConfigError(f"{name} must be > 0, got {value!r}")
     return value
 
 
 def check_non_negative(name: str, value: float) -> float:
-    """Validate that ``value`` is >= 0; return it."""
-    if value < 0:
+    """Validate that ``value`` is >= 0 (NaN is not); return it."""
+    if not value >= 0:
         raise ConfigError(f"{name} must be >= 0, got {value!r}")
     return value
 

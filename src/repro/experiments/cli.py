@@ -44,6 +44,7 @@ from repro.experiments.cache import ResultCache, default_cache_dir, describe
 from repro.experiments.parallel import WorkItem, execute, resolve_jobs
 from repro.experiments.report import ExperimentResult
 from repro.experiments.runner import ExperimentRunner, get_runner
+from repro.experiments.setup import default_config
 
 #: Experiment name -> driver module (each exposes ``run`` and ``work``).
 _EXPERIMENTS = {
@@ -209,14 +210,15 @@ def main(argv=None) -> int:
 
 
 def _run_suite(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    cache = None
-    if not args.no_cache:
-        cache = ResultCache(args.cache_dir or default_cache_dir())
-    runner = get_runner(cache=cache, sweep=args.sweep)
     try:
+        config = default_config()
         jobs = resolve_jobs(args.jobs)
     except ConfigError as exc:
         parser.error(str(exc))
+    cache = None
+    if not args.no_cache:
+        cache = ResultCache(args.cache_dir or default_cache_dir())
+    runner = get_runner(config=config, cache=cache, sweep=args.sweep)
     print(
         f"# DEP+BURST reproduction — scale={runner.config.scale}, "
         f"benchmarks={', '.join(runner.config.benchmarks)}"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Tuple
@@ -17,8 +18,10 @@ def _scale_from_env() -> float:
         scale = float(raw)
     except ValueError as exc:
         raise ConfigError(f"REPRO_SCALE must be a number, got {raw!r}") from exc
-    if scale <= 0:
-        raise ConfigError(f"REPRO_SCALE must be positive, got {scale}")
+    if not (math.isfinite(scale) and scale > 0):
+        raise ConfigError(
+            f"REPRO_SCALE must be a finite number > 0, got {raw!r}"
+        )
     return scale
 
 

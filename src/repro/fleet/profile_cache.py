@@ -2,11 +2,12 @@
 
 Profile *building* — simulating every distinct (workload, base
 frequency, quantum, predictor) shape a fleet needs — dominates the cost
-of a cold ``repro-fleet`` run (BENCH_fleet.json). But a profile is a
-pure function of its shape: the same tenant shape simulated tomorrow,
-in another process, or in another cell of a policy × cap grid yields
-the byte-identical trace. This module gives those traces a durable
-home so the work is done once per shape *ever*, not once per run:
+of a cold ``repro-fleet`` run (perfbench's ``fleet.build_s`` layer).
+But a profile is a pure function of its shape: the same tenant shape
+simulated tomorrow, in another process, or in another cell of a
+policy × cap grid yields the byte-identical trace. This module gives
+those traces a durable home so the work is done once per shape *ever*,
+not once per run:
 
 * **Content-addressed keys** (:func:`profile_cache_key`): a SHA-256
   over everything that determines the simulated trace — the workload

@@ -381,7 +381,8 @@ class ProfileStore:
         share one program object, so each family's static segments are
         pre-timed once across its base frequencies — and every tenant
         attaches to its group's profile. Unbatched is the naive
-        baseline the fleet bench measures against: **every tenant** is
+        baseline the fleet cold speedup floor measures against
+        (``tools/speedup_floors.py``): **every tenant** is
         simulated independently, fresh program, no cross-tenant sharing
         of any kind (and no cache). The modes produce byte-identical
         profiles (simulation is a pure function of the tenant shape);

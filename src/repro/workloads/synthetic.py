@@ -18,6 +18,7 @@ then executes at any frequency.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Tuple
 
@@ -28,6 +29,7 @@ from repro.common.validation import (
     check_fraction,
     check_non_negative,
     check_positive,
+    require,
 )
 from repro.arch.dram import DramConfig, DramModel
 from repro.arch.segments import ComputeSegment, MemorySegment
@@ -132,7 +134,10 @@ class SyntheticWorkloadConfig:
         allocation density), so GC frequency and predictor error structure
         survive; only the run gets shorter.
         """
-        check_positive("scale", scale)
+        require(
+            math.isfinite(scale) and scale > 0,
+            f"scale must be a finite number > 0, got {scale!r}",
+        )
         return replace(self, n_units=max(8, int(round(self.n_units * scale))))
 
 

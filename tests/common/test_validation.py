@@ -22,15 +22,16 @@ def test_require_passes_and_fails():
 
 def test_check_positive():
     assert check_positive("x", 3) == 3
-    for bad in (0, -1, -0.5):
+    for bad in (0, -1, -0.5, float("nan")):
         with pytest.raises(ConfigError):
             check_positive("x", bad)
 
 
 def test_check_non_negative():
     assert check_non_negative("x", 0) == 0
-    with pytest.raises(ConfigError):
-        check_non_negative("x", -1e-9)
+    for bad in (-1e-9, float("nan")):
+        with pytest.raises(ConfigError):
+            check_non_negative("x", bad)
 
 
 def test_check_fraction():

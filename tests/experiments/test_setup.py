@@ -3,6 +3,7 @@
 import pytest
 
 from repro.common.errors import ConfigError
+from repro.experiments.cli import main
 from repro.experiments.setup import ExperimentConfig
 
 
@@ -18,6 +19,17 @@ def test_bad_env_rejected(monkeypatch):
     monkeypatch.setenv("REPRO_SCALE", "-1")
     with pytest.raises(ConfigError):
         ExperimentConfig()
+
+
+@pytest.mark.parametrize("raw", ["nan", "inf", "0", "-1", "abc"])
+def test_bad_env_is_a_usage_error(monkeypatch, capsys, raw):
+    monkeypatch.setenv("REPRO_SCALE", raw)
+    with pytest.raises(SystemExit) as exc:
+        main(["table1", "--no-cache"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "error: REPRO_SCALE must be" in captured.err
+    assert "Traceback" not in captured.out + captured.err
 
 
 def test_benchmark_partitions():

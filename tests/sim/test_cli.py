@@ -52,6 +52,25 @@ def test_unknown_benchmark_rejected():
         main(["simulate", "h2", "--out", "x.json"])
 
 
+@pytest.mark.parametrize("scale", ["nan", "inf"])
+def test_non_finite_scale_exits_2(tmp_path, capsys, scale):
+    out_path = tmp_path / "x.json"
+    assert main([
+        "simulate", "xalan", "--freq", "2", "--scale", scale,
+        "--out", str(out_path),
+    ]) == 2
+    assert capsys.readouterr().out.startswith("error: scale must be")
+    assert not out_path.exists()
+
+
+def test_bad_repro_scale_does_not_break_verify(
+    archived_trace, monkeypatch, capsys
+):
+    monkeypatch.setenv("REPRO_SCALE", "abc")
+    assert main(["verify", str(archived_trace)]) == 0
+    assert capsys.readouterr().out.startswith("ok: ")
+
+
 @pytest.mark.parametrize("command", ["stats", "predict", "verify"])
 def test_missing_archive_exits_2(tmp_path, capsys, command):
     extra = ["--target", "2.0"] if command == "predict" else []

@@ -3,9 +3,9 @@
 The merged-plan engine (``engine="fast"``) must be indistinguishable from
 the per-segment engine (``engine="classic"``, the pre-optimization
 semantics) in everything observable: serialized traces compare byte for
-byte on two benchmarks at two frequencies, and an energy-manager run
-reproduces the identical decision sequence, frequency trajectory, and
-serialized trace.
+byte on two benchmarks and one GC-free, lock-free program at two
+frequencies, and an energy-manager run reproduces the identical decision
+sequence, frequency trajectory, and serialized trace.
 """
 
 import json
@@ -18,9 +18,32 @@ from repro.sim.run import simulate, simulate_managed
 from repro.sim.serialize import trace_to_dict
 from repro.sim.trace import EventKind
 from repro.workloads.dacapo import build_dacapo, dacapo_jvm_config
+from repro.workloads.synthetic import (
+    SyntheticWorkloadConfig,
+    build_synthetic_program,
+)
 
 _SCALE = 0.02
 _QUANTUM = 2.0e5
+
+#: No allocation (no GC), no critical sections, and three application
+#: threads plus the JIT thread exactly fill the four cores, so the
+#: scheduler never oversubscribes and plans run at the full merge limit.
+_FILL_CORES = SyntheticWorkloadConfig(
+    name="hotpath_stress", seed=212, n_threads=3, n_units=40,
+    unit_insns=200_000, unit_insns_cv=0.3, cpi=0.55,
+    clusters_per_kinsn=0.02, chain_depth_mean=1.6, chain_locality=0.5,
+    alloc_bytes_per_unit=0, cs_probability=0.0, barrier_period=2000,
+    phase_amplitude=0.4, phase_periods=6.0, memory_skew=0.2,
+    heap_mb=64, nursery_mb=16, survival_rate=0.1,
+)
+
+
+def _workload(name):
+    """(program, JVM config) of a DaCapo model or the fill-cores program."""
+    if name == _FILL_CORES.name:
+        return build_synthetic_program(_FILL_CORES), None
+    return build_dacapo(name, scale=_SCALE), dacapo_jvm_config(name)
 
 
 def _serialized(trace) -> bytes:
@@ -29,20 +52,21 @@ def _serialized(trace) -> bytes:
     ).encode()
 
 
-@pytest.mark.parametrize("bench_name", ["xalan", "lusearch"])
+@pytest.mark.parametrize(
+    "bench_name", ["xalan", "lusearch", _FILL_CORES.name]
+)
 @pytest.mark.parametrize("freq_ghz", [1.0, 3.5])
 def test_serialized_traces_byte_identical(bench_name, freq_ghz):
-    jvm_config = dacapo_jvm_config(bench_name)
-    runs = {
-        engine: simulate(
-            build_dacapo(bench_name, scale=_SCALE),
+    runs = {}
+    for engine in ("fast", "classic"):
+        program, jvm_config = _workload(bench_name)
+        runs[engine] = simulate(
+            program,
             freq_ghz,
             jvm_config=jvm_config,
             quantum_ns=_QUANTUM,
             engine=engine,
         )
-        for engine in ("fast", "classic")
-    }
     assert runs["fast"].total_ns == runs["classic"].total_ns
     assert _serialized(runs["fast"].trace) == _serialized(runs["classic"].trace)
 

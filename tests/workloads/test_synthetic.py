@@ -132,6 +132,12 @@ def test_scaled_shrinks_units_only():
         config.scaled(0.0)
 
 
+def test_scaled_floors_units_at_eight():
+    config = tiny_config(n_units=100)
+    assert config.scaled(0.02).n_units < config.n_units
+    assert config.scaled(1e-9).n_units == 8  # floor, never empty
+
+
 def test_validation_errors():
     with pytest.raises(Exception):
         tiny_config(cs_probability=1.5)

@@ -4,7 +4,7 @@ Usage::
 
     PYTHONPATH=src python tools/bench_serve.py                    # defaults
     PYTHONPATH=src python tools/bench_serve.py --workers 4 --clients 80
-    PYTHONPATH=src python tools/bench_serve.py --check BENCH_serve.json
+    PYTHONPATH=src python tools/bench_serve.py --duration 3 --min-rps 15572.65
     PYTHONPATH=src python tools/bench_serve.py --workers 4 \
         --compare-single --min-ratio 2.5
 
@@ -29,12 +29,9 @@ governor-fleet pattern the shared prediction cache exists for; the
 report carries the cache hit rate and the per-worker load skew so the
 numbers can't be misread as cold-compute throughput.
 
-With ``--check BASELINE``, compares the closed-loop requests/sec
-against the committed baseline and exits non-zero on a >50% regression
-— the CI serve-smoke gate. ``--min-rps``, ``--max-p99-ms`` and
-``--max-miss-rate`` are absolute gates; ``--compare-single`` reruns the
-whole load at ``--workers 1`` and gates the multi/single throughput
-ratio on ``--min-ratio``.
+``--min-rps``, ``--max-p99-ms`` and ``--max-miss-rate`` are absolute
+gates; ``--compare-single`` reruns the whole load at ``--workers 1`` and
+gates the multi/single throughput ratio on ``--min-ratio``.
 """
 
 from __future__ import annotations
@@ -59,9 +56,6 @@ from repro.serve.client import ServeClient  # noqa: E402
 from repro.serve.frontend import BackgroundFrontend, Frontend  # noqa: E402
 from repro.serve.pool import WorkerPool  # noqa: E402
 from repro.serve.server import ServeConfig  # noqa: E402
-
-#: CI fails when requests/sec drops below this fraction of the baseline.
-REGRESSION_FLOOR = 0.50
 
 
 # ----------------------------------------------------------------------
@@ -534,27 +528,10 @@ def run_bench(args) -> dict:
 
 def check_gates(payload, args) -> int:
     failures = []
-    min_rps = args.min_rps
-    if args.check is not None:
-        baseline = json.loads(Path(args.check).read_text())
-        floor = REGRESSION_FLOOR * baseline["req_per_s"]
-        if min_rps is None:
-            min_rps = 1000.0
-        if payload["req_per_s"] < floor:
-            failures.append(
-                f"REGRESSION: {payload['req_per_s']} req/s is below "
-                f"{REGRESSION_FLOOR:.0%} of baseline "
-                f"{baseline['req_per_s']} req/s"
-            )
-        else:
-            print(
-                f"baseline check ok: {payload['req_per_s']} req/s vs "
-                f"baseline {baseline['req_per_s']} (floor {floor:.0f})"
-            )
-    if min_rps is not None and payload["req_per_s"] < min_rps:
+    if args.min_rps is not None and payload["req_per_s"] < args.min_rps:
         failures.append(
             f"FAIL: {payload['req_per_s']} req/s is below the "
-            f"{min_rps:.0f} req/s floor"
+            f"{args.min_rps} req/s floor"
         )
     if args.max_p99_ms is not None and \
             payload["latency_ms"]["p99"] > args.max_p99_ms:
@@ -642,11 +619,6 @@ def main(argv=None) -> int:
     parser.add_argument("--min-ratio", type=float, default=None,
                         help="fail if multi/single throughput ratio is "
                         "below this (needs --compare-single)")
-    parser.add_argument(
-        "--check", metavar="BASELINE", default=None,
-        help="compare against a committed BENCH_serve.json; exit non-zero "
-        "on a >50%% regression (implies --min-rps 1000)",
-    )
     args = parser.parse_args(argv)
     if args.topology == "frontend" and args.workers < 1:
         parser.error("--topology frontend needs --workers >= 1")
