@@ -13,7 +13,7 @@ maintaining the performance counters the predictors read:
 * the paper's proposed store-queue-full counter (Section III.E).
 """
 
-from repro.arch.cache import Cache, CacheConfig
+from repro.arch.cache import CacheConfig
 from repro.arch.clusters import (
     ClusterDvfs,
     ClusterSpec,
@@ -25,14 +25,11 @@ from repro.arch.core import CoreModel, SegmentTiming
 from repro.arch.counters import CounterSet
 from repro.arch.dram import DramConfig, DramModel
 from repro.arch.frequency import DvfsDomain
-from repro.arch.hierarchy import CacheHierarchy, MissProfile
 from repro.arch.specs import MachineSpec, haswell_i7_4770k
 from repro.arch.storequeue import StoreQueueConfig, StoreQueueModel, StoreBurstTiming
 
 __all__ = [
-    "Cache",
     "CacheConfig",
-    "CacheHierarchy",
     "ClusterDvfs",
     "ClusterSpec",
     "ClusterTopology",
@@ -42,7 +39,6 @@ __all__ = [
     "DramModel",
     "DvfsDomain",
     "MachineSpec",
-    "MissProfile",
     "SegmentTiming",
     "StoreBurstTiming",
     "StoreQueueConfig",

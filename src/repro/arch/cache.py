@@ -1,17 +1,14 @@
-"""Set-associative cache with true-LRU replacement.
+"""Cache geometry and hit latency of one level of the memory hierarchy.
 
-The caches are used by the workload builders to turn synthetic access
-patterns into per-level miss profiles (the segment-level core model then
-only needs the resulting LLC-miss cluster structure). They are faithful
-set-associative LRU caches so the derived miss rates respond correctly to
-working-set size, stride, and sharing.
+The segment-level core model does not simulate cache contents: workloads
+describe their memory phases directly as LLC-miss cluster structure.
+:class:`CacheConfig` records each level's geometry for Table II and
+supplies the L3 hit latency (``MachineSpec.l3_latency_ns``).
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict
 
 from repro.common.validation import check_positive, check_power_of_two
 
@@ -49,62 +46,3 @@ class CacheConfig:
         """Total number of cache lines."""
         return self.size_bytes // self.line_bytes
 
-
-class Cache:
-    """One level of set-associative, true-LRU, write-allocate cache."""
-
-    def __init__(self, config: CacheConfig) -> None:
-        self.config = config
-        # One ordered dict per set: keys are tags, order is LRU -> MRU.
-        self._sets: Dict[int, "OrderedDict[int, None]"] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def reset(self) -> None:
-        """Invalidate all lines and zero the statistics."""
-        self._sets.clear()
-        self.hits = 0
-        self.misses = 0
-
-    def _index_and_tag(self, addr: int) -> tuple:
-        line = addr // self.config.line_bytes
-        return line % self.config.n_sets, line // self.config.n_sets
-
-    def access(self, addr: int) -> bool:
-        """Access byte address ``addr``; return True on hit.
-
-        On a miss the line is installed, evicting the LRU line of the set if
-        the set is full (write-allocate for stores is the caller's policy:
-        both loads and stores go through this method).
-        """
-        index, tag = self._index_and_tag(addr)
-        lru_set = self._sets.get(index)
-        if lru_set is None:
-            lru_set = OrderedDict()
-            self._sets[index] = lru_set
-        if tag in lru_set:
-            lru_set.move_to_end(tag)
-            self.hits += 1
-            return True
-        self.misses += 1
-        lru_set[tag] = None
-        if len(lru_set) > self.config.assoc:
-            lru_set.popitem(last=False)
-        return False
-
-    def contains(self, addr: int) -> bool:
-        """Return True if the line holding ``addr`` is resident (no update)."""
-        index, tag = self._index_and_tag(addr)
-        lru_set = self._sets.get(index)
-        return bool(lru_set) and tag in lru_set
-
-    @property
-    def accesses(self) -> int:
-        """Total accesses observed."""
-        return self.hits + self.misses
-
-    @property
-    def miss_rate(self) -> float:
-        """Miss rate over all accesses so far (0 if no accesses)."""
-        total = self.accesses
-        return self.misses / total if total else 0.0

@@ -32,7 +32,8 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.common.errors import ConfigError
-from repro.common.validation import check_positive, require
+from repro.common.units import check_frequency
+from repro.common.validation import require
 from repro.arch.specs import MachineSpec, haswell_i7_4770k
 
 
@@ -62,9 +63,10 @@ class ClusterSpec:
             len(set(self.cores)) == len(self.cores),
             f"cluster {self.name!r} lists a core twice",
         )
-        check_positive("min_freq_ghz", self.min_freq_ghz)
-        check_positive("freq_step_ghz", self.freq_step_ghz)
-        check_positive("uncore_freq_ghz", self.uncore_freq_ghz)
+        check_frequency("min_freq_ghz", self.min_freq_ghz)
+        check_frequency("max_freq_ghz", self.max_freq_ghz)
+        check_frequency("freq_step_ghz", self.freq_step_ghz)
+        check_frequency("uncore_freq_ghz", self.uncore_freq_ghz)
         require(
             self.max_freq_ghz >= self.min_freq_ghz,
             "max_freq_ghz must be >= min_freq_ghz",

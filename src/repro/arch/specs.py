@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Tuple
 
+from repro.common.units import check_frequency
 from repro.common.validation import check_positive, require
 from repro.arch.cache import CacheConfig
 from repro.arch.dram import DramConfig
@@ -89,13 +90,14 @@ class MachineSpec:
 
     def __post_init__(self) -> None:
         check_positive("n_cores", self.n_cores)
-        check_positive("min_freq_ghz", self.min_freq_ghz)
-        check_positive("freq_step_ghz", self.freq_step_ghz)
+        check_frequency("min_freq_ghz", self.min_freq_ghz)
+        check_frequency("max_freq_ghz", self.max_freq_ghz)
+        check_frequency("freq_step_ghz", self.freq_step_ghz)
         require(
             self.max_freq_ghz >= self.min_freq_ghz,
             "max_freq_ghz must be >= min_freq_ghz",
         )
-        check_positive("uncore_freq_ghz", self.uncore_freq_ghz)
+        check_frequency("uncore_freq_ghz", self.uncore_freq_ghz)
 
     @property
     def l3_latency_ns(self) -> float:

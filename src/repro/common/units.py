@@ -13,6 +13,8 @@ Choosing GHz and nanoseconds makes the most frequent conversion trivial:
 
 from __future__ import annotations
 
+import math
+
 from repro.common.errors import ConfigError
 
 #: One GHz expressed in GHz (identity anchor; useful for readability).
@@ -28,14 +30,12 @@ _NS_PER_S = 1.0e9
 
 def ns_to_cycles(time_ns: float, freq_ghz: float) -> float:
     """Convert a duration in nanoseconds to clock cycles at ``freq_ghz``."""
-    _check_frequency(freq_ghz)
-    return time_ns * freq_ghz
+    return time_ns * check_frequency("freq_ghz", freq_ghz)
 
 
 def cycles_to_ns(cycles: float, freq_ghz: float) -> float:
     """Convert a cycle count at ``freq_ghz`` to a duration in nanoseconds."""
-    _check_frequency(freq_ghz)
-    return cycles / freq_ghz
+    return cycles / check_frequency("freq_ghz", freq_ghz)
 
 
 def ns_to_ms(time_ns: float) -> float:
@@ -63,6 +63,9 @@ def s_to_ns(time_s: float) -> float:
     return time_s * _NS_PER_S
 
 
-def _check_frequency(freq_ghz: float) -> None:
-    if freq_ghz <= 0.0:
-        raise ConfigError(f"frequency must be positive, got {freq_ghz} GHz")
+def check_frequency(name: str, value: float, error: type = ConfigError) -> float:
+    """The one GHz/uncore-scale check: ``value`` if finite and > 0 (NaN is
+    not), else raise ``error``."""
+    if not 0.0 < value < math.inf:
+        raise error(f"{name} must be finite and > 0, got {value!r}")
+    return value

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.common.errors import PredictionError
+from repro.common.units import check_frequency
 from repro.arch.counters import CounterSet
 
 #: Signature of a non-scaling estimator: counters -> non-scaling ns.
@@ -56,14 +57,11 @@ class TimeDecomposition:
         homogeneous machine ever produces — evaluates the paper's exact
         expression.
         """
-        if base_freq_ghz <= 0 or target_freq_ghz <= 0:
-            raise PredictionError(
-                f"frequencies must be positive ({base_freq_ghz} -> {target_freq_ghz})"
-            )
+        check_frequency("base frequency", base_freq_ghz, PredictionError)
+        check_frequency("target frequency", target_freq_ghz, PredictionError)
         if uncore_scale == 1.0:
             return self.scaling_ns * base_freq_ghz / target_freq_ghz + self.nonscaling_ns
-        if uncore_scale <= 0:
-            raise PredictionError(f"uncore_scale must be positive ({uncore_scale})")
+        check_frequency("uncore_scale", uncore_scale, PredictionError)
         return (
             self.scaling_ns * base_freq_ghz / target_freq_ghz
             + self.nonscaling_ns * uncore_scale

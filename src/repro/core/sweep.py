@@ -55,6 +55,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.common.errors import PredictionError
+from repro.common.units import check_frequency
 from repro.arch.counters import CounterSet
 from repro.core.coop import CoopPredictor, split_phases
 from repro.core.crit import crit_nonscaling
@@ -199,20 +200,13 @@ class _Irregular(Exception):
     prove equivalent; fall back to the scalar walk."""
 
 
-def _check_freqs(base: float, targets: Sequence[float]) -> None:
-    if base <= 0 or any(t <= 0 for t in targets):
-        raise PredictionError(
-            f"frequencies must be positive ({base} -> {tuple(targets)})"
-        )
-
-
 #: A sweep target: a core frequency in GHz, or ``(core_freq_ghz,
 #: uncore_scale)`` with the scale multiplying non-scaling time.
 Target = Union[float, Tuple[float, float]]
 
 
 def split_target(target: Target) -> Tuple[float, float]:
-    """``(core_freq_ghz, uncore_scale)`` of one sweep target.
+    """``(core_freq_ghz, uncore_scale)`` of one sweep target, validated.
 
     Plain numbers are homogeneous targets (scale exactly 1.0); pairs
     carry an explicit uncore scale.
@@ -224,11 +218,10 @@ def split_target(target: Target) -> Tuple[float, float]:
                 f"got {target!r}"
             )
         freq, uncore = float(target[0]), float(target[1])
+        check_frequency("uncore_scale", uncore, PredictionError)
     else:
         freq, uncore = float(target), 1.0
-    if uncore <= 0:
-        raise PredictionError(f"uncore_scale must be positive ({uncore})")
-    return freq, uncore
+    return check_frequency("target frequency", freq, PredictionError), uncore
 
 
 def split_targets(
@@ -533,7 +526,7 @@ def dep_window_sweep(
 ) -> List[float]:
     """DEP over an epoch window at every target, one clamp pass total."""
     freqs, uncore = split_targets(targets)
-    _check_freqs(base_freq_ghz, freqs)
+    check_frequency("base frequency", base_freq_ghz, PredictionError)
     scaling, nonscaling = arrays.decomposed(predictor.estimator)
     if uncore is None:
         # (entries, targets): per lane this is exactly the scalar expression
@@ -579,7 +572,9 @@ def dep_ranges_sweep(
     bases = np.asarray(bases, dtype=np.float64)
     nonempty = last > first
     if nonempty.any():
-        _check_freqs(float(bases[nonempty].min()), freqs.tolist())
+        used = bases[nonempty]  # NaN propagates through min and max
+        for freq in (used.min(), used.max(), *freqs.tolist()):
+            check_frequency("frequency", float(freq), PredictionError)
     scaling, nonscaling = arrays.decomposed(predictor.estimator)
     # Entry offsets per epoch, then one gather of every range's entries
     # (ranges laid end to end, each with its own base frequency).
@@ -644,7 +639,7 @@ def mcrit_window_sweep(
 ) -> List[float]:
     """M+CRIT window semantics at every target from one summation."""
     pairs = [split_target(target) for target in targets]
-    _check_freqs(base_freq_ghz, [freq for freq, _ in pairs])
+    check_frequency("base frequency", base_freq_ghz, PredictionError)
     if not epochs:
         return [0.0 for _ in targets]
     span = epochs[-1].end_ns - epochs[0].start_ns
@@ -670,7 +665,7 @@ def coop_window_sweep(
 ) -> List[float]:
     """COOP window semantics (GC-run phase groups) at every target."""
     pairs = [split_target(target) for target in targets]
-    _check_freqs(base_freq_ghz, [freq for freq, _ in pairs])
+    check_frequency("base frequency", base_freq_ghz, PredictionError)
     groups: List[List[Epoch]] = []
     group: List[Epoch] = []
     for epoch in epochs:
@@ -899,7 +894,7 @@ class TraceSweep:
         self, predictor: MCritPredictor, base: float, targets: List[float]
     ) -> List[float]:
         pairs = [split_target(target) for target in targets]
-        _check_freqs(base, [freq for freq, _ in pairs])
+        check_frequency("base frequency", base, PredictionError)
         walls, counter_list = self._mcrit_gather()
         if walls.size and float(walls.min()) < 0:
             raise PredictionError(f"negative wall time {float(walls.min())}")
@@ -967,7 +962,7 @@ class TraceSweep:
         self, predictor: CoopPredictor, base: float, targets: List[float]
     ) -> List[float]:
         pairs = [split_target(target) for target in targets]
-        _check_freqs(base, [freq for freq, _ in pairs])
+        check_frequency("base frequency", base, PredictionError)
         metas, walls, counter_list = self._coop_gather()
         if walls.size and float(walls.min()) < 0:
             raise PredictionError(f"negative wall time {float(walls.min())}")
@@ -993,19 +988,3 @@ class TraceSweep:
             results.append(total)
         return results
 
-
-def sweep_total_ns(
-    trace_or_sweep: Union[SimulationTrace, TraceSweep],
-    predictor,
-    targets: Sequence[float],
-    base_freq_ghz: Optional[float] = None,
-) -> List[float]:
-    """Whole-trace sweep convenience: accepts a trace or a prepared
-    :class:`TraceSweep` (reuse one across predictors to share the
-    decomposition)."""
-    sweep = (
-        trace_or_sweep
-        if isinstance(trace_or_sweep, TraceSweep)
-        else TraceSweep(trace_or_sweep)
-    )
-    return sweep.predict(predictor, targets, base_freq_ghz=base_freq_ghz)

@@ -39,6 +39,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.common.errors import PredictionError
+from repro.common.units import check_frequency
 from repro.core.dep import DepPredictor
 from repro.core.epochs import Epoch
 from repro.core.sweep import (
@@ -79,11 +80,6 @@ class _Columns:
             self.sqfull[i] = c.sqfull_ns
 
 
-#: Columnar identity of an estimator (None if not vectorizable) — the
-#: sweep engine's registry, re-exported under the historical name.
-vector_estimator_key = estimator_key
-
-
 def _vector_estimate(estimator, cols) -> np.ndarray:
     """Columnar non-scaling estimate matching ``estimator`` exactly.
 
@@ -114,7 +110,7 @@ def evaluate_predict_jobs(jobs: Sequence[PredictJob]) -> List[List[float]]:
     for i, job in enumerate(jobs):
         key = None
         if isinstance(job.predictor, DepPredictor):
-            key = vector_estimator_key(job.predictor.estimator)
+            key = estimator_key(job.predictor.estimator)
         if key is None:
             results[i] = sweep_predict_epochs(
                 job.predictor,
@@ -154,11 +150,8 @@ def _evaluate_group(
     nonscaling = np.minimum(np.maximum(estimate, 0.0), cols.wall)
     scaling = cols.wall - nonscaling
     for job, (lo, epoch_meta), out_index in zip(group, layouts, indices):
-        if job.base_freq_ghz <= 0 or any(t <= 0 for t in job.target_freqs_ghz):
-            raise PredictionError(
-                f"frequencies must be positive ({job.base_freq_ghz} -> "
-                f"{job.target_freqs_ghz})"
-            )
+        for freq in (job.base_freq_ghz, *job.target_freqs_ghz):
+            check_frequency("frequency", freq, PredictionError)
         n = sum(len(tids) for tids, _, _ in epoch_meta)
         s = scaling[lo : lo + n]
         ns = nonscaling[lo : lo + n]
@@ -166,10 +159,5 @@ def _evaluate_group(
         job_results: List[float] = []
         for target in job.target_freqs_ghz:
             predicted = (s * job.base_freq_ghz / target + ns).tolist()
-            job_results.append(_ctp_total(epoch_meta, predicted, across))
+            job_results.append(ctp_total(epoch_meta, predicted, across))
         results[out_index] = job_results
-
-
-#: The CTP aggregation loop — shared with the sweep engine, which owns
-#: the reference implementation.
-_ctp_total = ctp_total

@@ -31,6 +31,7 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence
 
 from repro.common.errors import ConfigError
+from repro.common.units import check_frequency
 from repro.arch.specs import MachineSpec
 from repro.core.burst import with_burst
 from repro.core.crit import crit_nonscaling
@@ -141,7 +142,9 @@ class EnergyManagerSession:
             self._candidates = tuple(spec.frequencies())
             self._f_max = spec.max_freq_ghz
         else:
-            self._candidates = tuple(sorted(candidates))
+            self._candidates = tuple(
+                sorted(check_frequency("candidate", c) for c in candidates)
+            )
             if not self._candidates:
                 raise ConfigError("candidates must be non-empty")
             self._f_max = self._candidates[-1]
@@ -149,9 +152,7 @@ class EnergyManagerSession:
         #: prediction (reference_uncore / domain_uncore); 1.0 — the
         #: default and the homogeneous machine — leaves every prediction
         #: on the paper's exact expression.
-        if uncore_scale <= 0:
-            raise ConfigError(f"uncore_scale must be positive ({uncore_scale})")
-        self.uncore_scale = uncore_scale
+        self.uncore_scale = check_frequency("uncore_scale", uncore_scale)
         #: Evaluate the whole candidate V/f table per quantum in one
         #: sweep-kernel call instead of one ``predict_epochs`` per set
         #: point. Decisions are bit-identical either way (the kernels

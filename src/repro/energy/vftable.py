@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Tuple
 
 from repro.common.errors import ConfigError
+from repro.common.units import check_frequency
 from repro.arch.specs import MachineSpec
 
 
@@ -152,7 +153,9 @@ def get_tech_node(node_nm: int, scaling: str = "itrs") -> TechNode:
 
 def _grid(min_freq_ghz: float, max_freq_ghz: float, step_ghz: float):
     """The spec's integer-step frequency ladder for an arbitrary range."""
-    if min_freq_ghz <= 0 or step_ghz <= 0 or max_freq_ghz < min_freq_ghz:
+    check_frequency("min_freq_ghz", min_freq_ghz)
+    check_frequency("freq_step_ghz", step_ghz)
+    if check_frequency("max_freq_ghz", max_freq_ghz) < min_freq_ghz:
         raise ConfigError(
             f"invalid frequency range [{min_freq_ghz}, {max_freq_ghz}] "
             f"step {step_ghz}"

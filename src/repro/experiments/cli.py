@@ -26,6 +26,7 @@ from typing import Iterable, List
 
 from repro.common.errors import ConfigError
 from repro.common.profiling import UNSET, resolve_profile_path, run_maybe_profiled
+from repro.common.validation import resolve_jobs
 from repro.experiments import (
     fig1,
     fig3,
@@ -41,7 +42,7 @@ from repro.experiments import (
     table2,
 )
 from repro.experiments.cache import ResultCache, default_cache_dir, describe
-from repro.experiments.parallel import WorkItem, execute, resolve_jobs
+from repro.experiments.parallel import WorkItem, execute
 from repro.experiments.report import ExperimentResult
 from repro.experiments.runner import ExperimentRunner, get_runner
 from repro.experiments.setup import default_config

@@ -34,7 +34,7 @@ from functools import partial
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigError
-from repro.common.validation import resolve_jobs  # noqa: F401 — historical
+from repro.common.validation import resolve_jobs
 from repro.experiments.cache import ResultCache   # home of this module's API
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.setup import ExperimentConfig

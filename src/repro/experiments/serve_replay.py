@@ -38,9 +38,9 @@ from repro.energy.manager import EnergyManager, ManagerConfig
 from repro.experiments.report import ExperimentResult
 from repro.experiments.runner import ExperimentRunner
 from repro.serve import protocol
-from repro.serve.background import BackgroundServer
+from repro.serve.background import BackgroundServer, BackgroundService
 from repro.serve.client import ServeClient, replay_decisions
-from repro.serve.frontend import BackgroundFrontend, Frontend
+from repro.serve.frontend import Frontend
 from repro.serve.pool import WorkerPool
 from repro.serve.server import ServeConfig
 from repro.serve.sessions import decision_to_wire
@@ -102,7 +102,7 @@ def run(runner: ExperimentRunner) -> ExperimentResult:
         )
         with BackgroundServer(ServeConfig(socket_path=socket_path)):
             pool.start()
-            frontend = BackgroundFrontend(
+            frontend = BackgroundService(
                 Frontend(pool.worker_paths(), socket_path=pool_path)
             )
             frontend.start()

@@ -28,7 +28,8 @@ from repro.fleet.profiles import ProfileStore, TenantProfile
 from repro.fleet.tenants import TenantSpec, profile_key
 from repro.serve import protocol
 from repro.serve.client import ServeClient
-from repro.serve.frontend import BackgroundFrontend, Frontend
+from repro.serve.background import BackgroundService
+from repro.serve.frontend import Frontend
 from repro.serve.pool import WorkerPool
 from repro.serve.server import ServeConfig
 from repro.serve.sessions import decision_to_wire
@@ -111,7 +112,7 @@ def validate_decision_streams(
             shared_cache=True,
         )
         pool.start()
-        frontend = BackgroundFrontend(
+        frontend = BackgroundService(
             Frontend(pool.worker_paths(), socket_path=pool_path)
         )
         frontend.start()

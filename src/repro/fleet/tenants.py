@@ -26,6 +26,7 @@ from typing import Any, Dict, Optional
 
 from repro.arch.dram import DramConfig
 from repro.common.errors import ConfigError
+from repro.common.units import check_frequency
 from repro.energy.manager import ManagerConfig
 from repro.qa.fuzzer import FuzzCase
 from repro.workloads.program import Program
@@ -72,8 +73,7 @@ class TenantSpec:
     tags: Dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.base_freq_ghz <= 0:
-            raise ConfigError("base_freq_ghz must be positive")
+        check_frequency("base_freq_ghz", self.base_freq_ghz)
         if self.quantum_ns <= 0:
             raise ConfigError("quantum_ns must be positive")
         if self.sla_slowdown < 0:

@@ -31,7 +31,8 @@ import threading
 
 from repro.common.errors import ConfigError
 from repro.common.profiling import UNSET, resolve_profile_path, run_maybe_profiled
-from repro.serve.frontend import BackgroundFrontend, Frontend
+from repro.serve.background import BackgroundService
+from repro.serve.frontend import Frontend
 from repro.serve.pool import WorkerPool
 from repro.serve.server import ServeConfig, Server
 
@@ -130,14 +131,14 @@ async def _run(config: ServeConfig) -> int:
 def _run_pool(config: ServeConfig, n_workers: int, shared_cache: bool) -> int:
     """Drive a worker pool (and, in unix mode, its routing frontend)."""
     pool = WorkerPool(config, n_workers, shared_cache=shared_cache)
-    frontend: "BackgroundFrontend | None" = None
+    frontend: "BackgroundService | None" = None
     stop = threading.Event()
     for signum in (signal.SIGINT, signal.SIGTERM):
         signal.signal(signum, lambda *_: stop.set())
     pool.start()
     try:
         if pool.unix_mode:
-            frontend = BackgroundFrontend(Frontend(
+            frontend = BackgroundService(Frontend(
                 pool.worker_paths(),
                 socket_path=config.socket_path,
                 host=config.host,

@@ -38,7 +38,6 @@ import asyncio
 import contextlib
 import json
 import logging
-import threading
 from typing import Dict, List, Optional
 
 from repro.serve import protocol
@@ -274,74 +273,3 @@ class Frontend:
             except ConnectionError:
                 pass
 
-
-class BackgroundFrontend:
-    """A :class:`Frontend` running on its own event-loop thread.
-
-    Mirrors :class:`repro.serve.background.BackgroundServer` so the
-    synchronous pool driver can stand the routing tier up in-process.
-    """
-
-    def __init__(self, frontend: Frontend) -> None:
-        self.frontend = frontend
-        self.endpoints: List[str] = []
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
-
-    def start(self) -> List[str]:
-        if self._loop is not None:
-            raise RuntimeError("frontend already started")
-        loop = asyncio.new_event_loop()
-        thread = threading.Thread(
-            target=self._run_loop, args=(loop,),
-            name="repro-serve-frontend", daemon=True,
-        )
-        thread.start()
-        self._loop, self._thread = loop, thread
-        future = asyncio.run_coroutine_threadsafe(self.frontend.start(), loop)
-        try:
-            self.endpoints = future.result(timeout=30)
-        except Exception:
-            self.stop()
-            raise
-        return self.endpoints
-
-    def stop(self) -> None:
-        loop, thread = self._loop, self._thread
-        self._loop = self._thread = None
-        if loop is None:
-            return
-        try:
-            asyncio.run_coroutine_threadsafe(
-                self.frontend.stop(), loop
-            ).result(timeout=30)
-        finally:
-            loop.call_soon_threadsafe(loop.stop)
-            if thread is not None:
-                thread.join(timeout=30)
-            loop.close()
-
-    @property
-    def tcp_port(self) -> Optional[int]:
-        return self.frontend.tcp_port
-
-    def __enter__(self) -> "BackgroundFrontend":
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
-    @staticmethod
-    def _run_loop(loop: asyncio.AbstractEventLoop) -> None:
-        asyncio.set_event_loop(loop)
-        try:
-            loop.run_forever()
-        finally:
-            pending = asyncio.all_tasks(loop)
-            for task in pending:
-                task.cancel()
-            if pending:
-                loop.run_until_complete(
-                    asyncio.gather(*pending, return_exceptions=True)
-                )

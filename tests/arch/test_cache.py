@@ -1,17 +1,8 @@
-"""Set-associative LRU cache."""
+"""Cache geometry."""
 
 import pytest
 
-from repro.arch.cache import Cache, CacheConfig
-
-
-def small_cache(assoc=2, sets=4, line=64):
-    return Cache(
-        CacheConfig(
-            name="T", size_bytes=assoc * sets * line, assoc=assoc,
-            line_bytes=line, latency_cycles=2,
-        )
-    )
+from repro.arch.cache import CacheConfig
 
 
 def test_geometry():
@@ -26,60 +17,3 @@ def test_bad_geometry_rejected():
     with pytest.raises(ValueError):
         CacheConfig(name="X", size_bytes=1000, assoc=3, line_bytes=64,
                     latency_cycles=1)
-
-
-def test_miss_then_hit():
-    cache = small_cache()
-    assert cache.access(0) is False
-    assert cache.access(0) is True
-    assert cache.access(63) is True  # same line
-    assert cache.access(64 * 4) is False  # different set index? same set diff tag
-    assert cache.hits == 2 and cache.misses == 2
-
-
-def test_lru_eviction_order():
-    cache = small_cache(assoc=2, sets=1)
-    line = 64
-    a, b, c = 0, line, 2 * line  # all map to the single set
-    cache.access(a)
-    cache.access(b)
-    cache.access(a)  # a becomes MRU, b is LRU
-    cache.access(c)  # evicts b
-    assert cache.contains(a)
-    assert not cache.contains(b)
-    assert cache.contains(c)
-
-
-def test_working_set_within_capacity_all_hits_after_warmup():
-    cache = small_cache(assoc=4, sets=8)
-    lines = [i * 64 for i in range(32)]  # exactly capacity
-    for addr in lines:
-        cache.access(addr)
-    for addr in lines:
-        assert cache.access(addr) is True
-
-
-def test_working_set_exceeding_capacity_thrashes():
-    cache = small_cache(assoc=2, sets=2)
-    lines = [i * 64 for i in range(12)]  # 3x capacity, sequential sweep
-    for _ in range(3):
-        for addr in lines:
-            cache.access(addr)
-    # Sequential sweep over 3x capacity with true LRU never re-hits.
-    assert cache.hits == 0
-
-
-def test_reset_clears_state_and_stats():
-    cache = small_cache()
-    cache.access(0)
-    cache.reset()
-    assert cache.accesses == 0
-    assert not cache.contains(0)
-
-
-def test_miss_rate():
-    cache = small_cache()
-    assert cache.miss_rate == 0.0
-    cache.access(0)
-    cache.access(0)
-    assert cache.miss_rate == pytest.approx(0.5)

@@ -32,7 +32,9 @@ def test_time_scale_conversions():
     assert s_to_ns(1.5) == pytest.approx(1.5e9)
 
 
-@pytest.mark.parametrize("freq", [0.0, -1.0])
+@pytest.mark.parametrize(
+    "freq", [0.0, -1.0, float("nan"), float("inf"), float("-inf")]
+)
 def test_nonpositive_frequency_rejected(freq):
     with pytest.raises(ConfigError):
         ns_to_cycles(1.0, freq)

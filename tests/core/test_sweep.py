@@ -18,7 +18,6 @@ from repro.core.sweep import (
     TraceSweep,
     estimator_key,
     sweep_predict_epochs,
-    sweep_total_ns,
 )
 from repro.sim.run import simulate
 from repro.workloads.dacapo import build_dacapo
@@ -133,16 +132,6 @@ def test_each_target_independent_of_sweep_shape(all_traces):
             TraceSweep(trace).predict(predictor, [t])[0] for t in TARGETS
         ]
         assert batched == singles, pname
-
-
-def test_sweep_total_ns_convenience(program_traces):
-    trace = program_traces["barrier"]
-    predictor = get_predictor("M+CRIT")
-    want = [predictor.predict_total_ns(trace, t) for t in TARGETS]
-    assert sweep_total_ns(trace, predictor, list(TARGETS)) == want
-    assert (
-        sweep_total_ns(TraceSweep(trace), predictor, list(TARGETS)) == want
-    )
 
 
 def test_base_freq_override(program_traces):

@@ -5,12 +5,8 @@ import pytest
 from repro.common.errors import PredictionError
 from repro.core.epochs import Epoch, extract_epochs
 from repro.core.predictors import get_predictor, predictor_names
-from repro.core.vectorized import (
-    PredictJob,
-    evaluate_predict_jobs,
-    scalar_results,
-    vector_estimator_key,
-)
+from repro.core.sweep import estimator_key
+from repro.core.vectorized import PredictJob, evaluate_predict_jobs, scalar_results
 from repro.sim.run import simulate
 from tests.util import barrier_program, lock_pair_program
 
@@ -57,7 +53,7 @@ def test_single_job_batch_matches_scalar(epoch_sets):
 def test_dep_family_recognized_by_vectorizer():
     for name in ("DEP", "DEP+BURST"):
         predictor = get_predictor(name)
-        assert vector_estimator_key(predictor.estimator) is not None
+        assert estimator_key(predictor.estimator) is not None
 
 
 def test_empty_batch():

@@ -13,6 +13,7 @@ import os
 import pytest
 
 from repro.common.errors import ConfigError
+from repro.common.validation import resolve_jobs
 from repro.experiments import parallel
 from repro.experiments.cache import ResultCache
 from repro.experiments.parallel import (
@@ -22,7 +23,6 @@ from repro.experiments.parallel import (
     execute,
     fixed_items,
     managed_items,
-    resolve_jobs,
 )
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.setup import ExperimentConfig

@@ -11,7 +11,8 @@ import pytest
 from repro.core.epochs import extract_epochs
 from repro.serve import protocol
 from repro.serve.client import ServeClient, ServeProtocolViolation
-from repro.serve.frontend import BackgroundFrontend, Frontend
+from repro.serve.background import BackgroundService
+from repro.serve.frontend import Frontend
 from repro.serve.pool import WorkerPool
 from repro.serve.server import ServeConfig
 from repro.serve.sharding import shard_for_key, tag_session_id
@@ -99,7 +100,7 @@ def stack(tmp_path_factory):
         frontend = Frontend(
             pool.worker_paths(), socket_path=public, host="127.0.0.1"
         )
-        with BackgroundFrontend(frontend) as background:
+        with BackgroundService(frontend) as background:
             yield pool, background, public
 
 
@@ -178,7 +179,7 @@ def test_oversized_frame_is_rejected_by_the_frontend(stack, tmp_path):
     frontend = Frontend(
         pool.worker_paths(), socket_path=capped, max_frame_bytes=16 * 1024
     )
-    with BackgroundFrontend(frontend):
+    with BackgroundService(frontend):
         with ServeClient.connect(socket_path=capped) as client:
             pad = b"x" * (32 * 1024)
             client.send_raw(

@@ -47,6 +47,12 @@ def test_predict_all_models(archived_trace, capsys):
         assert model in out
 
 
+@pytest.mark.parametrize("target", ["nan", "inf", "-inf", "0", "-1"])
+def test_invalid_target_exits_2(archived_trace, capsys, target):
+    assert main(["predict", str(archived_trace), f"--target={target}"]) == 2
+    assert capsys.readouterr().out.startswith("error: target frequency")
+
+
 def test_unknown_benchmark_rejected():
     with pytest.raises(SystemExit):
         main(["simulate", "h2", "--out", "x.json"])

@@ -53,7 +53,10 @@ from repro.arch.counters import CounterSet  # noqa: E402
 from repro.core.epochs import Epoch  # noqa: E402
 from repro.serve import protocol  # noqa: E402
 from repro.serve.client import ServeClient  # noqa: E402
-from repro.serve.frontend import BackgroundFrontend, Frontend  # noqa: E402
+from repro.serve.background import (  # noqa: E402
+    BackgroundService as BackgroundFrontend,
+)
+from repro.serve.frontend import Frontend  # noqa: E402
 from repro.serve.pool import WorkerPool  # noqa: E402
 from repro.serve.server import ServeConfig  # noqa: E402
 
