@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence
 from repro.common.errors import PredictionError
 from repro.core.crit import crit_nonscaling
 from repro.core.epochs import Epoch
-from repro.core.model import NonScalingEstimator, decompose
+from repro.core.model import NonScalingEstimator, check_predicted_ns, decompose
 from repro.core.timeline import CounterTimeline
 from repro.sim.trace import EventKind, SimulationTrace
 
@@ -95,7 +95,7 @@ class CoopPredictor:
             total += self._predict_phase(
                 phase, tids, timeline, base, target_freq_ghz, uncore_scale
             )
-        return total
+        return check_predicted_ns(total)
 
     def predict_epochs(
         self,
@@ -129,7 +129,7 @@ class CoopPredictor:
                 group, base_freq_ghz, target_freq_ghz, _sum_thread_deltas,
                 uncore_scale,
             )
-        return total
+        return check_predicted_ns(total)
 
     def _predict_epoch_group(
         self, group, base, target, sum_deltas, uncore_scale=1.0

@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.core.crit import crit_nonscaling
 from repro.core.epochs import Epoch, extract_epochs
-from repro.core.model import NonScalingEstimator, decompose
+from repro.core.model import NonScalingEstimator, check_predicted_ns, decompose
 from repro.sim.trace import SimulationTrace
 
 
@@ -80,7 +80,7 @@ class DepPredictor:
                 epoch, base_freq_ghz, target_freq_ghz, deltas,
                 uncore_scale=uncore_scale,
             )
-        return total
+        return check_predicted_ns(total)
 
     def predict_epoch(
         self,

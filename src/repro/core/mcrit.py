@@ -19,7 +19,7 @@ from typing import Dict, Optional, Sequence
 from repro.common.errors import PredictionError
 from repro.arch.counters import CounterSet
 from repro.core.epochs import Epoch
-from repro.core.model import NonScalingEstimator, decompose
+from repro.core.model import NonScalingEstimator, check_predicted_ns, decompose
 from repro.core.crit import crit_nonscaling
 from repro.core.timeline import CounterTimeline
 from repro.sim.trace import SimulationTrace
@@ -55,7 +55,7 @@ class MCritPredictor:
                 predicted,
                 decomposition.predict_ns(base, target_freq_ghz, uncore_scale),
             )
-        return predicted
+        return check_predicted_ns(predicted)
 
     def predict_epochs(
         self,
@@ -88,7 +88,7 @@ class MCritPredictor:
                     base_freq_ghz, target_freq_ghz, uncore_scale
                 ),
             )
-        return predicted
+        return check_predicted_ns(predicted)
 
 
 def _sum_thread_deltas(epochs: Sequence[Epoch]) -> Dict[int, CounterSet]:

@@ -13,8 +13,9 @@ counters; given an estimate, everything else is this module's arithmetic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, List
 
 from repro.common.errors import PredictionError
 from repro.common.units import check_frequency
@@ -66,6 +67,26 @@ class TimeDecomposition:
             self.scaling_ns * base_freq_ghz / target_freq_ghz
             + self.nonscaling_ns * uncore_scale
         )
+
+
+def check_predicted_ns(value: float) -> float:
+    """``value`` if finite, else :class:`PredictionError`: the one check
+    every public prediction entry makes on what it returns. A valid but
+    extreme frequency ratio can overflow a double, and the scalar and
+    sweep folds then disagree (``inf`` against ``nan``)."""
+    if not -math.inf < value < math.inf:
+        raise PredictionError(
+            f"predicted time {value!r} is not finite: the frequency "
+            "ratio overflows a double"
+        )
+    return value
+
+
+def check_predicted_list(values: List[float]) -> List[float]:
+    """:func:`check_predicted_ns` over a sweep's results."""
+    for value in values:
+        check_predicted_ns(value)
+    return values
 
 
 def decompose(

@@ -63,7 +63,7 @@ from repro.core.dep import DepPredictor
 from repro.core.epochs import Epoch, extract_epochs
 from repro.core.leadingloads import leading_loads_nonscaling
 from repro.core.mcrit import MCritPredictor, _sum_thread_deltas
-from repro.core.model import NonScalingEstimator
+from repro.core.model import NonScalingEstimator, check_predicted_list
 from repro.core.stalltime import stall_time_nonscaling
 from repro.core.timeline import CounterTimeline
 from repro.sim.trace import EventKind, KIND_ORDER, SimulationTrace
@@ -718,7 +718,7 @@ def sweep_predict_epochs(
     Bit-identical to the scalar loop for the six registered predictors;
     anything unrecognized (custom predictor types, custom DEP
     estimators) runs the scalar loop itself, so results never depend on
-    dispatch.
+    dispatch. A result that is not finite raises, as on the scalar path.
     """
     targets = list(targets)
     if type(predictor) is DepPredictor and estimator_key(predictor.estimator):
@@ -727,13 +727,19 @@ def sweep_predict_epochs(
             if isinstance(epochs, EpochArrays)
             else EpochArrays.from_epochs(epochs)
         )
-        return dep_window_sweep(predictor, arrays, base_freq_ghz, targets)
+        return check_predicted_list(
+            dep_window_sweep(predictor, arrays, base_freq_ghz, targets)
+        )
     if isinstance(epochs, EpochArrays):
         epochs = epochs.to_epochs()
     if type(predictor) is MCritPredictor:
-        return mcrit_window_sweep(predictor, epochs, base_freq_ghz, targets)
+        return check_predicted_list(
+            mcrit_window_sweep(predictor, epochs, base_freq_ghz, targets)
+        )
     if type(predictor) is CoopPredictor:
-        return coop_window_sweep(predictor, epochs, base_freq_ghz, targets)
+        return check_predicted_list(
+            coop_window_sweep(predictor, epochs, base_freq_ghz, targets)
+        )
     results: List[float] = []
     for target in targets:
         freq, uncore = split_target(target)
@@ -747,7 +753,7 @@ def sweep_predict_epochs(
                     epochs, base_freq_ghz, freq, uncore_scale=uncore
                 )
             )
-    return results
+    return check_predicted_list(results)
 
 
 # ----------------------------------------------------------------------
@@ -812,7 +818,8 @@ class TraceSweep:
         lane is independent of the others in its call, so a memoized
         value equals a fresh evaluation bit for bit. Only the exact
         registered predictor types with a columnar estimator are
-        memoized; anything else is evaluated on every call.
+        memoized; anything else is evaluated on every call. A result
+        that is not finite raises, as on the scalar path.
         """
         base = (
             base_freq_ghz
@@ -826,7 +833,9 @@ class TraceSweep:
             else None
         )
         if key is None or not targets:
-            return self._evaluate(predictor, base, targets)
+            return check_predicted_list(
+                self._evaluate(predictor, base, targets)
+            )
         identity = (
             type(predictor),
             key,
@@ -842,7 +851,7 @@ class TraceSweep:
         if pending:
             values = self._evaluate(predictor, base, list(pending.values()))
             lanes.update(zip(pending, values))
-        return [lanes[lane] for lane in keys]
+        return check_predicted_list([lanes[lane] for lane in keys])
 
     def _evaluate(
         self, predictor, base: float, targets: List[Target]

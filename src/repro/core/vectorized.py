@@ -42,6 +42,7 @@ from repro.common.errors import PredictionError
 from repro.common.units import check_frequency
 from repro.core.dep import DepPredictor
 from repro.core.epochs import Epoch
+from repro.core.model import check_predicted_ns
 from repro.core.sweep import (
     ctp_total,
     estimator_key,
@@ -159,5 +160,7 @@ def _evaluate_group(
         job_results: List[float] = []
         for target in job.target_freqs_ghz:
             predicted = (s * job.base_freq_ghz / target + ns).tolist()
-            job_results.append(ctp_total(epoch_meta, predicted, across))
+            job_results.append(
+                check_predicted_ns(ctp_total(epoch_meta, predicted, across))
+            )
         results[out_index] = job_results

@@ -14,8 +14,10 @@ DVFS prediction what matters is the *shape* of collector work:
 :class:`GcModel` turns "collect N live bytes, copy M bytes" into per-worker
 action lists with exactly those ingredients. Cycle programs depend only on
 the collection index and byte counts, so a given program run produces
-identical GC work at every frequency; a per-instance cache lets callers
-share built cycles across the many simulations of one benchmark.
+identical GC work at every frequency. Each model caches the cycles it
+builds, so every simulation handed the same model shares them: the
+experiment runner passes one model per benchmark, and a batch group
+(:mod:`repro.sim.batch`) shares one per GC config.
 """
 
 from __future__ import annotations

@@ -102,8 +102,9 @@ class JvmRuntime:
             init_insns_per_chunk=self.config.init_insns_per_chunk,
             cpi=self.config.alloc_cpi,
         )
-        #: Share a GcModel across runs of the same program to reuse the
-        #: per-cycle program cache (cycles are frequency-independent).
+        #: Runs handed the same GcModel (a runner's bundle, a batch
+        #: group) share its per-cycle program cache: cycles are
+        #: frequency-independent. Without one, this run builds its own.
         self.gc_model = gc_model or GcModel(self.config.gc, dram, program.seed)
         self._pending_plan: Optional[GcPlan] = None
         self._gc_index = 0

@@ -16,7 +16,11 @@ what is computed:
   :meth:`~repro.arch.core.CoreModel.time_batch_multi`: all of a group's
   distinct lane frequencies are evaluated in one cache-blocked columnar
   pass over the concatenated cluster arrays, instead of streaming them
-  from memory once per frequency.
+  from memory once per frequency;
+* the group's lanes without their own ``gc_model`` share one
+  :class:`~repro.jvm.gc.GcModel` per GC config, so each GC cycle
+  program is built once for the group instead of once per lane. Cycle
+  *timings* stay lane-private: a System evicts them when the cycle ends.
 
 Lanes then execute their event loops against the warmed store. Divergence
 needs no special handling by construction: each lane owns its event
@@ -24,11 +28,14 @@ queue, scheduler, and runtime, so instances of different lengths, with
 different GC schedules, or under different governors simply run to
 completion and *park* (their lane state flips to ``"parked"``; see
 :class:`BatchReport.lane_states`). The shared state is exactly the part
-of the simulation that is a pure function of ``(segment, frequency)``.
+of the simulation that is a pure function of ``(segment, frequency)``,
+plus GC cycle programs, a pure function of (GC config, DRAM config,
+program seed, cycle arguments) on which a group's lanes agree except
+for the cycle arguments the model's cache keys on.
 
 ``engine="classic"`` lanes never share: the classic engine is the
-per-segment oracle and runs untouched, one plain :class:`System` per
-lane. A batch mixing engines is rejected with
+per-segment oracle and runs untouched, one plain :class:`System` (and
+one private GC model) per lane. A batch mixing engines is rejected with
 :class:`~repro.common.errors.ConfigError` — differential tests compare
 whole batches *across* engines, and a silently mixed batch would
 invalidate the comparison.
@@ -43,7 +50,7 @@ from repro.arch.core import CoreModel
 from repro.arch.segments import Segment, SegmentBatch
 from repro.arch.specs import MachineSpec, haswell_i7_4770k
 from repro.common.errors import ConfigError
-from repro.jvm.gc import GcModel
+from repro.jvm.gc import GcConfig, GcModel
 from repro.jvm.runtime import JvmConfig
 from repro.sim.run import SimulationResult
 from repro.sim.system import Governor, System
@@ -62,9 +69,10 @@ class BatchInstance:
     Mirrors the keyword surface of :func:`repro.sim.run.simulate` (fixed
     frequency) and :func:`~repro.sim.run.simulate_managed` (``governor``
     set, ``freq_ghz`` optionally overriding the initial frequency).
-    Lanes that pass the *same* ``program`` and ``spec`` objects share a
-    timing store; value-equal copies simulate identically but warm
-    separately.
+    Fast-engine lanes that pass the *same* ``program`` and ``spec``
+    objects share a timing store and, per GC config, one GC model (a
+    lane's own ``gc_model`` wins); value-equal copies simulate
+    identically but warm and build cycles separately.
     """
 
     program: Program
@@ -116,14 +124,19 @@ class SharedTimingStore:
     cannot perturb a bit.
 
     Lanes run one at a time, so no locking: a lane that warms a
-    frequency (or a GC cycle's segments) does so exactly as it would
-    privately, and later lanes hit. Values keep strong references to
-    their segments, pinning the ids they are keyed by.
+    frequency does so exactly as it would privately, and later lanes
+    hit. A GC cycle's timings are evicted when the cycle ends, so they
+    never outlive it here. Values keep strong references to their
+    segments, pinning the ids they are keyed by.
     """
 
     def __init__(self) -> None:
         self.caches: Dict[float, Dict[int, Tuple]] = {}
         self.prewarmed: List[float] = []
+        #: One collector model per GC config, so the group builds each
+        #: cycle once; cycles are a pure function of (config, DRAM, seed,
+        #: cycle arguments) and the group agrees on DRAM and seed.
+        self.gc_models: Dict[GcConfig, GcModel] = {}
 
     def prewarm(
         self,
@@ -189,6 +202,7 @@ def _build_lanes(
                 default_spec = haswell_i7_4770k()
             spec = default_spec
         store = None
+        gc_model = instance.gc_model
         if engine == "fast":
             # Timing is a pure function of (segment, frequency) given a
             # spec; identity (not equality) keys keep sharing exact.
@@ -196,6 +210,13 @@ def _build_lanes(
             store = stores.get(key)
             if store is None:
                 store = stores[key] = SharedTimingStore()
+            if gc_model is None:
+                gc = (instance.jvm_config or JvmConfig()).gc
+                gc_model = store.gc_models.get(gc)
+                if gc_model is None:
+                    gc_model = store.gc_models[gc] = GcModel(
+                        gc, spec.dram, instance.program.seed
+                    )
         system = System(
             instance.program,
             spec=spec,
@@ -203,7 +224,7 @@ def _build_lanes(
             governor=instance.governor,
             freq_ghz=instance.freq_ghz,
             quantum_ns=instance.quantum_ns,
-            gc_model=instance.gc_model,
+            gc_model=gc_model,
             engine=engine,
             timing_store=store,
         )

@@ -1,5 +1,7 @@
 """Tenant profiles: sweep matrices, sharing, plans, build modes."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from repro.common.errors import ConfigError
 from repro.energy.manager import EnergyManagerSession, ManagerConfig
 from repro.fleet.profiles import ProfileStore
 from repro.fleet.tenants import profile_key
+from repro.sim.serialize import encode_trace
 from tests.fleet.conftest import tiny_tenant
 
 
@@ -122,6 +125,29 @@ def test_batched_and_unbatched_builds_are_identical(tiny_fleet):
         b = naive.profile_for(tenant)
         assert np.array_equal(a.durations, b.durations)
         assert np.array_equal(a.energies, b.energies)
+
+
+def test_batched_and_naive_builds_store_identical_trace_bytes():
+    # One workload at two bases is one batch group with two lanes, and
+    # both collect garbage, so they meet the same GC cycles.
+    tenants = [
+        tiny_tenant("g3", seed=5, base=3.0, alloc_bytes_per_unit=200_000),
+        tiny_tenant("g2", seed=5, base=2.0, alloc_bytes_per_unit=200_000),
+        tiny_tenant("q", seed=6, base=3.0),
+    ]
+    batched = ProfileStore()
+    batched.build(tenants, batch=True)
+    naive = ProfileStore()
+    naive.build(tenants, batch=False)
+    for tenant in tenants:
+        a = batched.profile_for(tenant).trace
+        b = naive.profile_for(tenant).trace
+        if tenant.name != "q":
+            assert a.gc_cycles >= 2
+        same = json.dumps(encode_trace(a), sort_keys=True) == json.dumps(
+            encode_trace(b), sort_keys=True
+        )
+        assert same, tenant.name
 
 
 def test_injected_traces_skip_simulation(tiny_fleet, tiny_store):

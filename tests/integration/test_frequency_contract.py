@@ -101,6 +101,28 @@ def test_evaluate_predict_jobs(pname, value):
             evaluate_predict_jobs([job])
 
 
+@pytest.mark.parametrize("pname", predictor_names())
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflowing lanes
+def test_overflowing_ratio_raises_on_every_path(pname):
+    # Valid but extreme: scaled times overflow a double. Scalar DEP used
+    # to return inf here while the sweep returned nan.
+    target, base = 3.231502068779636e-163, 7.745665445784698e140
+    predictor = make_predictor(pname)
+    epochs = list(_epochs())
+    with pytest.raises(PredictionError):
+        predictor.predict_total_ns(_trace(), target, base)
+    with pytest.raises(PredictionError):
+        TraceSweep(_trace()).predict(predictor, [target], base)
+    with pytest.raises(PredictionError):
+        predictor.predict_epochs(epochs, base, target)
+    with pytest.raises(PredictionError):
+        sweep_predict_epochs(predictor, epochs, base, [target])
+    with pytest.raises(PredictionError):
+        evaluate_predict_jobs(
+            [PredictJob(predictor, _epochs(), base, (target,))]
+        )
+
+
 @bad
 def test_energy_manager_session(value):
     spec = haswell_i7_4770k()

@@ -3,10 +3,10 @@
 For any float target and base (NaN, ±inf, zero, negatives, subnormals
 included) and every registered predictor, either every path — scalar
 ``predict_total_ns`` and ``predict_epochs``, ``TraceSweep.predict`` and
-``sweep_predict_epochs`` — raises a ``ReproError``, or none does. Where
-scaling a time by ``base / target`` stays inside the double range, every
-path returns a finite, non-negative time equal, bit for bit, to its
-twin's on the other path.
+``sweep_predict_epochs`` — raises a ``ReproError``, or none does. For a
+valid pair, each scalar path and its sweep twin either both raise (the
+ratio overflows a double, so the predicted time is not finite) or both
+return the same finite, non-negative time, bit for bit.
 """
 
 import math
@@ -69,16 +69,15 @@ def test_every_path_raises_or_returns_the_same_time(pname, target, base):
     if not valid:
         assert outcomes == [ReproError] * 4
         return
-    assert ReproError not in outcomes
     # Every prediction is at most total * base / target + total, computed
-    # as (time * base) / target. When a step overflows, inf - inf in the
-    # CTP fold gives NaN on the sweep path but not on the scalar one, so
-    # values are compared only where no step overflows.
+    # as (time * base) / target. Where no step can overflow, no path may
+    # refuse a valid pair.
     bound = 2.0 * trace.total_ns * base
-    if not (math.isfinite(bound) and math.isfinite(bound / target)):
-        return
+    if math.isfinite(bound) and math.isfinite(bound / target):
+        assert ReproError not in outcomes
     # Whole-trace and epoch-window semantics differ for M+CRIT and COOP;
-    # each scalar path must match its sweep twin bit for bit.
+    # each scalar path must match its sweep twin bit for bit, including
+    # the verdict: a ratio that overflows a double raises on both.
     assert outcomes[0] == outcomes[1] and outcomes[2] == outcomes[3]
     for value in outcomes:
-        assert 0.0 <= value < math.inf
+        assert value is ReproError or 0.0 <= value < math.inf

@@ -4,18 +4,23 @@ import pytest
 
 from repro.arch.specs import haswell_i7_4770k
 from repro.common.errors import ConfigError
+from repro.jvm.gc import GcConfig, GcModel
+from repro.jvm.runtime import JvmConfig
 from repro.sim.batch import (
     LANE_PARKED,
     BatchInstance,
     SharedTimingStore,
+    _build_lanes,
     run_batch,
     simulate_batch,
 )
 from repro.sim.run import simulate
+from repro.sim.trace import EventKind
 from repro.workloads.synthetic import (
     SyntheticWorkloadConfig,
     build_synthetic_program,
 )
+from tests.util import allocating_program
 
 
 def _program(seed=3, n_units=10, **overrides):
@@ -253,3 +258,108 @@ def test_governor_lane_warms_new_frequencies_into_shared_store():
     # set point it visited later was warmed on demand by the lane itself.
     assert report.prewarmed_freqs == 1
     assert report.lane_states == [LANE_PARKED] * 2
+
+
+# ----------------------------------------------------------------------
+# One GC model per group
+# ----------------------------------------------------------------------
+
+
+def _gc_models(instances):
+    lanes, _ = _build_lanes(instances)
+    return [lane.system.runtime.gc_model for lane in lanes]
+
+
+def test_group_lanes_share_one_gc_model():
+    program = allocating_program()
+    spec = haswell_i7_4770k()
+    models = _gc_models(
+        [
+            BatchInstance(program=program, freq_ghz=1.0, spec=spec),
+            BatchInstance(
+                program=program, freq_ghz=2.0, spec=spec,
+                jvm_config=JvmConfig(),
+            ),
+            BatchInstance(program=program, freq_ghz=4.0, spec=spec),
+        ]
+    )
+    assert models[0] is models[1] is models[2]
+    assert models[0].seed == program.seed
+    assert models[0].config == GcConfig()
+
+
+def test_gc_models_are_keyed_by_gc_config_value():
+    program = allocating_program()
+    spec = haswell_i7_4770k()
+    other = JvmConfig(gc=GcConfig(n_gc_threads=2))
+    models = _gc_models(
+        [
+            BatchInstance(program=program, freq_ghz=1.0, spec=spec),
+            BatchInstance(
+                program=program, freq_ghz=2.0, spec=spec, jvm_config=other
+            ),
+            BatchInstance(program=program, freq_ghz=4.0, spec=spec),
+        ]
+    )
+    assert models[0] is models[2]
+    assert models[1] is not models[0]
+    assert models[1].config == other.gc
+
+
+def test_explicit_gc_model_is_kept():
+    program = allocating_program()
+    spec = haswell_i7_4770k()
+    mine = GcModel(GcConfig(), spec.dram, program.seed)
+    models = _gc_models(
+        [
+            BatchInstance(
+                program=program, freq_ghz=1.0, spec=spec, gc_model=mine
+            ),
+            BatchInstance(program=program, freq_ghz=2.0, spec=spec),
+        ]
+    )
+    assert models[0] is mine
+    assert models[1] is not mine
+
+
+def test_classic_lanes_keep_private_gc_models():
+    program = allocating_program()
+    spec = haswell_i7_4770k()
+    models = _gc_models(
+        [
+            BatchInstance(
+                program=program, freq_ghz=freq, spec=spec, engine="classic"
+            )
+            for freq in (1.0, 2.0)
+        ]
+    )
+    assert models[0] is not models[1]
+
+
+def test_group_builds_each_gc_cycle_once(monkeypatch):
+    calls = []
+    build_cycle = GcModel.build_cycle
+
+    def counting(self, gc_index, traced_bytes, copied_bytes):
+        key = (gc_index, traced_bytes, copied_bytes)
+        calls.append((id(self), key, key not in self._cycle_cache))
+        return build_cycle(self, gc_index, traced_bytes, copied_bytes)
+
+    monkeypatch.setattr(GcModel, "build_cycle", counting)
+    program = allocating_program()
+    spec = haswell_i7_4770k()
+    report = run_batch(
+        [
+            BatchInstance(program=program, freq_ghz=freq, spec=spec)
+            for freq in (1.0, 2.0, 4.0)
+        ]
+    )
+    for result in report.results:
+        assert any(
+            event.kind is EventKind.GC_START for event in result.trace.events
+        )
+    assert len({model for model, _, _ in calls}) == 1
+    built = [key for _, key, miss in calls if miss]
+    assert sorted(built) == sorted({key for _, key, _ in calls})
+    # Every lane collected; only the first to reach a cycle built it.
+    assert len(calls) >= 3 * len(built)

@@ -27,8 +27,13 @@ pair diverges, so every reading is pure mechanics.
 ``fleet cold`` / ``fleet warm``
     One drawn fleet's profile build: naive per-tenant vs deduplicated
     serial batch (cold), serial batch vs a rebuild from the store it
-    filled (warm). Every build then drives one ``run_fleet`` and the
-    reports must be byte-identical on the determinism view.
+    filled (warm). The naive side simulates each tenant with a fresh
+    program and a private GC model, so it builds every GC cycle once
+    per tenant; the batch shares one GC model per workload group and
+    builds each cycle once. A faster serial batch lifts the cold ratio
+    and lowers the warm one, whose numerator it is. Every build then
+    drives one ``run_fleet`` and the reports must be byte-identical on
+    the determinism view.
 """
 
 from __future__ import annotations
