@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, Optional
 
 from repro.arch.dram import DramConfig
@@ -89,30 +89,45 @@ class TenantSpec:
         # the instance __dict__, so the frozen spec accepts it, and it is
         # not a dataclass field: equality, asdict and the JSON form never
         # see it. dataclasses.replace builds a new spec, hence a new key.
-        return _digest(
-            {
-                "workload": self.workload,
-                "base_freq_ghz": self.base_freq_ghz,
-                "quantum_ns": self.quantum_ns,
-                "predictor": self.predictor,
-            }
+        return _shape_key(
+            self.workload.canonical_json,
+            self.base_freq_ghz,
+            self.quantum_ns,
+            self.predictor,
         )
 
 
-def _field_dict(value: Any) -> Dict[str, Any]:
-    """``json.dumps`` hook for (nested) dataclasses: the JSON it yields
-    is that of ``dataclasses.asdict``, without asdict's deep copies."""
-    return {f.name: getattr(value, f.name) for f in fields(value)}
+@functools.lru_cache(maxsize=4096, typed=True)
+def _shape_key(
+    workload_json: str, base_freq_ghz: float, quantum_ns: float, predictor: str
+) -> str:
+    """The profile key of one (workload, base, quantum, predictor) shape.
+
+    It hashes the sorted-key JSON of those four fields. "workload" sorts
+    last and json nests a value's text unchanged, so the workload's
+    memoized text is spliced in for a placeholder. Cached by value, and
+    typed, because ``4`` and ``4.0`` serialize differently: a fleet
+    hashes each distinct shape once however many tenants share it.
+    """
+    head = json.dumps(
+        {
+            "base_freq_ghz": base_freq_ghz,
+            "predictor": predictor,
+            "quantum_ns": quantum_ns,
+            "workload": 0,
+        },
+        sort_keys=True,
+    )
+    return _digest(head[:-2] + workload_json + "}")
 
 
-def _digest(payload: Any) -> str:
-    canonical = json.dumps(payload, sort_keys=True, default=_field_dict)
+def _digest(canonical: str) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
 def workload_fingerprint(workload: SyntheticWorkloadConfig) -> str:
     """Stable content hash of a workload config (program identity)."""
-    return _digest(workload)
+    return _digest(workload.canonical_json)
 
 
 def profile_key(spec: TenantSpec) -> str:

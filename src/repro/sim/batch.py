@@ -20,7 +20,8 @@ what is computed:
 * the group's lanes without their own ``gc_model`` share one
   :class:`~repro.jvm.gc.GcModel` per GC config, so each GC cycle
   program is built once for the group instead of once per lane. Cycle
-  *timings* stay lane-private: a System evicts them when the cycle ends.
+  *timings* stay lane-private: a System evicts them, at every
+  frequency, when the cycle ends.
 
 Lanes then execute their event loops against the warmed store. Divergence
 needs no special handling by construction: each lane owns its event
@@ -125,9 +126,9 @@ class SharedTimingStore:
 
     Lanes run one at a time, so no locking: a lane that warms a
     frequency does so exactly as it would privately, and later lanes
-    hit. A GC cycle's timings are evicted when the cycle ends, so they
-    never outlive it here. Values keep strong references to their
-    segments, pinning the ids they are keyed by.
+    hit. A GC cycle's timings are evicted at every frequency when the
+    cycle ends, so they never outlive it here. Values keep strong
+    references to their segments, pinning the ids they are keyed by.
     """
 
     def __init__(self) -> None:

@@ -11,8 +11,10 @@ intervals' per-thread counters. Every column is base64 of the
 little-endian bytes of an ``array('d'|'q'|'i'|'B')``, so values round-trip
 bit-exactly and decoding is ``frombytes``, not parsing one JSON number at
 a time. :func:`decode_trace` is the only decoder; it rebuilds a columnar
-trace (``trace.columns`` set) so the columnar fast paths apply to loaded
-traces as to fresh ones. Hand-built traces without columns are packed
+trace (``trace.columns`` set, ``trace.events`` the lazy
+:class:`~repro.sim.trace.TraceEvents` view over it) so the columnar fast
+paths apply to loaded traces as to fresh ones, and decoding builds no
+event object. Hand-built traces without columns are packed
 through a :class:`~repro.sim.trace.TraceBuilder` first.
 
 The same document is the value the experiment result cache
@@ -56,7 +58,7 @@ from repro.sim.trace import (
     ThreadInfo,
     TraceBuilder,
     TraceColumns,
-    TraceEvent,
+    TraceEvents,
 )
 
 FORMAT_VERSION = 2
@@ -294,12 +296,13 @@ def _decode(payload: Dict[str, Any]) -> SimulationTrace:
     )
     for tid, name, kind in payload["threads"]:
         trace.threads[tid] = ThreadInfo(tid=tid, name=name, kind=ThreadKind(kind))
-    trace.columns, trace.events = _decode_events(payload["events"])
-    trace.intervals = _decode_intervals(payload["intervals"], len(trace.events))
+    trace.columns = cols = _decode_events(payload["events"])
+    trace.events = TraceEvents(cols)
+    trace.intervals = _decode_intervals(payload["intervals"], cols.n_events)
     return trace
 
 
-def _decode_events(doc: Dict[str, Any]) -> tuple:
+def _decode_events(doc: Dict[str, Any]) -> TraceColumns:
     n = doc["n"]
     cols = TraceColumns()
     for name, typecode in _EVENT_COLUMNS:
@@ -322,19 +325,10 @@ def _decode_events(doc: Dict[str, Any]) -> tuple:
 
     tids = running_tid.tolist()
     bounds = running_lo.tolist()
-    cols.running = running = [
+    cols.running = [
         tuple(tids[lo:hi]) for lo, hi in zip(bounds, islice(bounds, 1, None))
     ]
-    snap_lo = cols.snap_lo.tolist()
-    events: List[TraceEvent] = [
-        TraceEvent(time_ns, tid, KIND_ORDER[code], freq, run,
-                   SnapshotView(cols, lo, hi), text)
-        for time_ns, tid, code, freq, run, lo, hi, text in zip(
-            cols.time_ns, cols.tid, cols.kind, cols.freq_ghz, running,
-            snap_lo, islice(snap_lo, 1, None), detail,
-        )
-    ]
-    return cols, events
+    return cols
 
 
 def _decode_intervals(doc: Dict[str, Any], n_events: int) -> List[IntervalRecord]:

@@ -158,9 +158,9 @@ class System:
         #: to pre-time the whole program in one vectorized batch per
         #: frequency instead of one scalar call per (mostly unique) segment.
         self._static_segments: List = []
-        #: (freq, warmed ids) of the current GC cycle's pre-timed segments,
+        #: Ids of the current GC cycle's Run segments, whose timings are
         #: evicted when the cycle ends (cycle segments never recur).
-        self._gc_warmed: Optional[Tuple[float, List[int]]] = None
+        self._gc_segment_ids: List[int] = []
         #: Threads with an in-flight segment plan, in plan-start order.
         self._plans_inflight: Dict[int, SimThread] = {}
         #: Diagnostics for the benchmark harness.
@@ -532,22 +532,18 @@ class System:
             self._warm_cache(cache, freq, self._static_segments)
         return cache
 
-    def _warm_cache(self, cache: Dict[int, Tuple], freq: float, segments) -> List[int]:
-        """Batch-time the uncached ``segments`` at ``freq``; return their ids.
+    def _warm_cache(self, cache: Dict[int, Tuple], freq: float, segments) -> None:
+        """Batch-time the uncached ``segments`` at ``freq``.
 
         Duplicate instances in ``segments`` are timed redundantly rather
         than deduplicated — the second store writes the identical value.
         """
         misses = [s for s in segments if id(s) not in cache]
         if not misses:
-            return []
+            return
         batch = self.core_model.time_batch(SegmentBatch(misses), freq)
-        warmed: List[int] = []
         for segment, wall, counters in zip(misses, batch.walls, batch.counters):
-            sid = id(segment)
-            cache[sid] = (segment, wall, counters)
-            warmed.append(sid)
-        return warmed
+            cache[id(segment)] = (segment, wall, counters)
 
     def _start_plan(self, thread: SimThread) -> None:
         """Time the head of the pending deque and schedule its completion.
@@ -813,10 +809,8 @@ class System:
                 for action in actions
                 if isinstance(action, Run)
             ]
-            self._gc_warmed = (
-                freq,
-                self._warm_cache(self._freq_cache(freq), freq, cycle_segments),
-            )
+            self._warm_cache(self._freq_cache(freq), freq, cycle_segments)
+            self._gc_segment_ids = [id(segment) for segment in cycle_segments]
         gc_tids = sorted(self._gc_work)
         for worker_index, gc_tid in enumerate(gc_tids):
             self._gc_work[gc_tid].extend(plan.worker_actions[worker_index])
@@ -852,15 +846,15 @@ class System:
         self._gc_active = False
         self._gc_pending = False
         self._gc_plan = None
-        if self._gc_warmed is not None:
-            # Cycle segments never recur; drop their cache entries so the
-            # cache stays bounded by the program size.
-            warm_freq, warmed_ids = self._gc_warmed
-            warm_cache = self._timing_cache.get(warm_freq)
-            if warm_cache is not None:
-                for sid in warmed_ids:
-                    warm_cache.pop(sid, None)
-            self._gc_warmed = None
+        if self._gc_segment_ids:
+            # Cycle segments never recur; drop their entries at every
+            # frequency, since a governor may have switched mid-cycle and
+            # timed the rest on the miss path, so the cache stays bounded
+            # by the program size.
+            for cache in self._timing_cache.values():
+                for sid in self._gc_segment_ids:
+                    cache.pop(sid, None)
+            self._gc_segment_ids = []
         self._emit(EventKind.GC_END, -1, plan.kind)
         woken = self.futex.wake_all(_KEY_GC_RENDEZVOUS)
         for tid in woken:

@@ -5,7 +5,9 @@ contains:
 
 * one :class:`TraceEvent` per thread-visible transition — futex waits and
   wakes, spawns and exits, scheduler preemptions and dispatches, GC phase
-  markers, frequency changes, and interval (quantum) boundaries;
+  markers, frequency changes, and interval (quantum) boundaries (stored
+  as :class:`TraceColumns`; :class:`TraceEvents` creates the objects on
+  first read);
 * with each event, counter snapshots for the threads running around it
   (what reading the per-core counters at that instant would return);
 * per-quantum :class:`~repro.sim.intervals.IntervalRecord` entries.
@@ -17,10 +19,12 @@ boundaries to obtain per-epoch or per-interval deltas.
 from __future__ import annotations
 
 import enum
+import operator
 from array import array
 from collections.abc import Mapping as AbcMapping
+from collections.abc import Sequence as AbcSequence
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.common.errors import TraceError
 from repro.arch.counters import CounterSet
@@ -121,6 +125,81 @@ class TraceColumns:
             self.insns[row],
             self.stores[row],
         )
+
+    def event_at(self, i: int) -> "TraceEvent":
+        """Materialize event ``i`` (its snapshots stay a lazy view)."""
+        snap_lo = self.snap_lo
+        return TraceEvent(
+            self.time_ns[i],
+            self.tid[i],
+            KIND_ORDER[self.kind[i]],
+            self.freq_ghz[i],
+            self.running[i],
+            SnapshotView(self, snap_lo[i], snap_lo[i + 1]),
+            self.detail[i],
+        )
+
+
+class TraceEvents(AbcSequence):
+    """Read-only ``Sequence[TraceEvent]`` over a trace's columns.
+
+    ``len()`` reads the columns; an event object is created on its first
+    index, slice or iteration and kept, so each is built at most once.
+    The view follows its columns: while the simulator appends, ``len``
+    grows and iteration reaches the new events, as a list's would.
+    Slices are lists; ``==`` compares element-wise with lists and other
+    views. Pickling keeps the columns only.
+    """
+
+    __slots__ = ("columns", "_made")
+
+    def __init__(self, columns: TraceColumns) -> None:
+        self.columns = columns
+        self._made: List[Optional[TraceEvent]] = []
+
+    def __len__(self) -> int:
+        return len(self.columns.time_ns)
+
+    def _at(self, i: int) -> "TraceEvent":
+        made = self._made
+        if i >= len(made):
+            made.extend([None] * (len(self.columns.time_ns) - len(made)))
+        event = made[i]
+        if event is None:
+            event = made[i] = self.columns.event_at(i)
+        return event
+
+    def __getitem__(self, index):
+        n = len(self.columns.time_ns)
+        if isinstance(index, slice):
+            return [self._at(i) for i in range(*index.indices(n))]
+        i = operator.index(index)
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError("trace event index out of range")
+        return self._at(i)
+
+    def __iter__(self) -> Iterator["TraceEvent"]:
+        i = 0
+        while i < len(self.columns.time_ns):
+            yield self._at(i)
+            i += 1
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (list, TraceEvents)):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            a is b or a == b for a, b in zip(self, other)
+        )
+
+    __hash__ = None  # like list
+
+    def __reduce__(self):
+        return TraceEvents, (self.columns,)
+
+    def __repr__(self) -> str:
+        return repr(list(self))
 
 
 class SnapshotView(AbcMapping):
@@ -245,19 +324,18 @@ class ThreadInfo:
 class TraceBuilder:
     """Append-only constructor of a columnar trace.
 
-    Owns a :class:`TraceColumns` store (attached to the trace as
-    ``trace.columns``) and appends matching :class:`TraceEvent` records —
-    whose ``snapshots`` are lazy :class:`SnapshotView` mappings — to
-    ``trace.events``, so every existing consumer of the event list keeps
-    working while columnar fast paths read the arrays directly.
+    Owns a :class:`TraceColumns` store, attached to the trace as
+    ``trace.columns``, and sets ``trace.events`` to the
+    :class:`TraceEvents` view over it: every consumer of the event
+    sequence keeps working, columnar fast paths read the arrays
+    directly, and an event no one reads is never built.
     """
 
-    __slots__ = ("columns", "_events")
+    __slots__ = ("columns",)
 
     def __init__(self, trace: "SimulationTrace") -> None:
-        self.columns = TraceColumns()
-        trace.columns = self.columns
-        self._events = trace.events
+        self.columns = trace.columns = TraceColumns()
+        trace.events = TraceEvents(self.columns)
 
     def append_event(
         self,
@@ -268,7 +346,7 @@ class TraceBuilder:
         running: Tuple[int, ...],
         snapshots,  # iterable of (tid, CounterSet), ascending tid
         detail: str = "",
-    ) -> TraceEvent:
+    ) -> None:
         cols = self.columns
         cols.time_ns.append(time_ns)
         cols.tid.append(tid)
@@ -293,15 +371,7 @@ class TraceBuilder:
             sqfull.append(cs.sqfull_ns)
             insns.append(cs.insns)
             stores.append(cs.stores)
-        hi = len(snap_tid)
-        lo = cols.snap_lo[-1]
-        cols.snap_lo.append(hi)
-        event = TraceEvent(
-            time_ns, tid, kind, freq_ghz, running,
-            SnapshotView(cols, lo, hi), detail,
-        )
-        self._events.append(event)
-        return event
+        cols.snap_lo.append(len(snap_tid))
 
 
 @dataclass
@@ -309,7 +379,10 @@ class SimulationTrace:
     """Everything observable from one simulation run."""
 
     program_name: str
-    events: List[TraceEvent] = field(default_factory=list)
+    #: A :class:`TraceEvents` view for traces built by a
+    #: :class:`TraceBuilder` (simulated or decoded); a plain list for
+    #: hand-built traces.
+    events: Sequence[TraceEvent] = field(default_factory=list)
     threads: Dict[int, ThreadInfo] = field(default_factory=dict)
     intervals: List[IntervalRecord] = field(default_factory=list)
     #: Columnar backing store when the trace was produced by a

@@ -18,9 +18,11 @@ then executes at any frequency.
 
 from __future__ import annotations
 
+import functools
+import json
 import math
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Tuple
+from dataclasses import dataclass, field, fields, replace
+from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
@@ -139,6 +141,24 @@ class SyntheticWorkloadConfig:
             f"scale must be a finite number > 0, got {scale!r}",
         )
         return replace(self, n_units=max(8, int(round(self.n_units * scale))))
+
+    @functools.cached_property
+    def canonical_json(self) -> str:
+        """The config as sorted-key JSON (nested dataclasses as objects),
+        the text its content hashes are taken over.
+
+        Serialized on first use and kept on the instance, like
+        ``TenantSpec``'s profile key: the config is frozen, and the memo
+        is not a field, so equality, ``asdict`` and ``replace`` never
+        see it.
+        """
+        return json.dumps(self, sort_keys=True, default=_field_dict)
+
+
+def _field_dict(value: Any) -> Dict[str, Any]:
+    """``json.dumps`` hook for (nested) dataclasses: the JSON it yields
+    is that of ``dataclasses.asdict``, without asdict's deep copies."""
+    return {f.name: getattr(value, f.name) for f in fields(value)}
 
 
 def build_synthetic_program(config: SyntheticWorkloadConfig) -> Program:

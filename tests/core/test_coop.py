@@ -60,11 +60,13 @@ def test_malformed_gc_markers_rejected():
     from repro.sim.trace import EventKind, TraceEvent
 
     trace = simulate(lock_pair_program(), 1.0).trace
-    trace.events.append(
+    # A simulated trace's events are a read-only view; edit a list copy.
+    trace.events = [
+        *trace.events,
         TraceEvent(
             time_ns=trace.total_ns, tid=-1, kind=EventKind.GC_END,
             freq_ghz=1.0, running_after=(), snapshots={},
-        )
-    )
+        ),
+    ]
     with pytest.raises(PredictionError):
         split_phases(trace)

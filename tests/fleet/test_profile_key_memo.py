@@ -14,6 +14,7 @@ import pickle
 
 import pytest
 
+from repro.core.predictors import predictor_names
 from repro.energy.manager import ManagerConfig
 from repro.fleet.corpus import builtin_templates
 from repro.fleet.tenants import (
@@ -49,6 +50,28 @@ def fresh_key(spec):
         sort_keys=True,
     )
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+
+
+def _field_dict(value):
+    return {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+
+
+def reference_digest(payload):
+    """The key hash as first defined: one ``json.dumps`` of the whole
+    payload with a dataclass hook, no memo."""
+    canonical = json.dumps(payload, sort_keys=True, default=_field_dict)
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+
+
+def reference_key(spec):
+    return reference_digest(
+        {
+            "workload": spec.workload,
+            "base_freq_ghz": spec.base_freq_ghz,
+            "quantum_ns": spec.quantum_ns,
+            "predictor": spec.predictor,
+        }
+    )
 
 
 def template_spec(template):
@@ -124,3 +147,48 @@ def test_replace_recomputes_the_key():
     renamed = dataclasses.replace(spec, name="renamed")
     assert not _memoized(renamed)
     assert profile_key(renamed) == key
+
+
+def test_key_bytes_over_every_template_shape():
+    """Every builtin template x base frequency x quantum x predictor, and
+    a promoted fuzz tenant: the memoized key (which splices in the
+    workload's memoized JSON) equals the one-shot reference hash."""
+    checked = 0
+    for template in builtin_templates():
+        for base in template.base_freqs:
+            for quantum in template.quanta:
+                for predictor in predictor_names():
+                    spec = TenantSpec(
+                        name=template.name,
+                        workload=template.workload,
+                        base_freq_ghz=base,
+                        quantum_ns=quantum,
+                        manager=ManagerConfig(),
+                        predictor=predictor,
+                    )
+                    assert profile_key(spec) == reference_key(spec)
+                    checked += 1
+        assert workload_fingerprint(template.workload) == reference_digest(
+            template.workload
+        )
+    assert checked >= 6 * 6 * 2
+    promoted = tenant_from_fuzz_case(fuzz_case(31))
+    assert profile_key(promoted) == reference_key(promoted)
+    assert workload_fingerprint(promoted.workload) == reference_digest(
+        promoted.workload
+    )
+
+
+def test_integer_base_frequency_keeps_its_json_text():
+    """An int base frequency serializes as ``4``, not ``4.0``, exactly as
+    the one-shot hash writes it."""
+    template = builtin_templates()[0]
+    spec = TenantSpec(
+        name="int-base",
+        workload=template.workload,
+        base_freq_ghz=4,
+        quantum_ns=200000,
+        manager=ManagerConfig(),
+    )
+    assert profile_key(spec) == reference_key(spec)
+    assert profile_key(spec) != profile_key(template_spec(template))

@@ -363,3 +363,79 @@ def test_group_builds_each_gc_cycle_once(monkeypatch):
     assert sorted(built) == sorted({key for _, key, _ in calls})
     # Every lane collected; only the first to reach a cycle built it.
     assert len(calls) >= 3 * len(built)
+
+
+# ----------------------------------------------------------------------
+# GC cycle timings never outlive their cycle
+# ----------------------------------------------------------------------
+
+
+def _governed_gc_batch(monkeypatch):
+    """Two governor lanes over one allocating program; returns the
+    report and the group's timing stores."""
+    from repro.energy.manager import EnergyManager
+    import repro.sim.batch as batch
+
+    stores = []
+
+    class RecordingStore(SharedTimingStore):
+        def __init__(self):
+            super().__init__()
+            stores.append(self)
+
+    monkeypatch.setattr(batch, "SharedTimingStore", RecordingStore)
+    program = allocating_program(allocations=24)
+    spec = haswell_i7_4770k()
+    report = run_batch(
+        [
+            BatchInstance(
+                program=program,
+                governor=EnergyManager(spec),
+                spec=spec,
+                quantum_ns=quantum,
+            )
+            for quantum in (2.0e5, 1.0e5)
+        ]
+    )
+    return report, stores
+
+
+def _cycle_entries(store):
+    """Cache entries whose segment belongs to a built GC cycle."""
+    from repro.workloads.items import Run
+
+    cycle_ids = {
+        id(action.segment)
+        for model in store.gc_models.values()
+        for workers in model._cycle_cache.values()
+        for actions in workers
+        for action in actions
+        if isinstance(action, Run)
+    }
+    return sum(
+        1 for cache in store.caches.values() for sid in cache if sid in cycle_ids
+    )
+
+
+def test_gc_cycle_timings_are_evicted_at_every_frequency(monkeypatch):
+    report, stores = _governed_gc_batch(monkeypatch)
+    (store,) = stores
+    assert store.gc_models, "the lanes collected no garbage"
+    # The governors visited several set points, some of them mid-cycle.
+    assert len(store.caches) > 1
+    assert _cycle_entries(store) == 0
+    # Eviction only drops memoized timings: each lane's trace is the one
+    # it produces on its own.
+    from repro.sim.run import simulate_managed
+    from repro.energy.manager import EnergyManager
+    from repro.sim.serialize import encode_trace
+
+    spec = haswell_i7_4770k()
+    for quantum, result in zip((2.0e5, 1.0e5), report.results):
+        solo = simulate_managed(
+            allocating_program(allocations=24),
+            EnergyManager(spec),
+            spec=spec,
+            quantum_ns=quantum,
+        )
+        assert encode_trace(result.trace) == encode_trace(solo.trace)
