@@ -23,20 +23,20 @@ from repro.arch.clusters import (
 )
 from repro.arch.core import CoreModel, SegmentTiming
 from repro.arch.counters import CounterSet
-from repro.arch.dram import DramConfig, DramModel
+from repro.arch.dram import ChainSampler, DramConfig
 from repro.arch.frequency import DvfsDomain
 from repro.arch.specs import MachineSpec, haswell_i7_4770k
 from repro.arch.storequeue import StoreQueueConfig, StoreQueueModel, StoreBurstTiming
 
 __all__ = [
     "CacheConfig",
+    "ChainSampler",
     "ClusterDvfs",
     "ClusterSpec",
     "ClusterTopology",
     "CoreModel",
     "CounterSet",
     "DramConfig",
-    "DramModel",
     "DvfsDomain",
     "MachineSpec",
     "SegmentTiming",

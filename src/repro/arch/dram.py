@@ -2,10 +2,10 @@
 
 CRIT exists because real memory systems serve requests with *variable*
 latency — row-buffer hits are fast, row conflicts are slow, and queueing at
-the memory controller adds more variance (Section II.A). This module models
-a multi-bank DRAM with an open-page policy and a small queueing component,
-so that the load-miss chains fed to the predictors carry realistic,
-non-uniform latencies.
+the memory controller adds more variance (Section II.A). This module draws
+each access of a load-miss chain as a row hit, miss or conflict of an
+open-page DRAM plus a queueing delay (:class:`ChainSampler`), so that the
+chains fed to the predictors carry realistic, non-uniform latencies.
 
 DRAM latency is expressed in nanoseconds and is *independent of core
 frequency*: this is the physical fact the whole scaling/non-scaling
@@ -15,10 +15,11 @@ decomposition rests on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Any, Callable, List, Optional, Tuple
 
 import numpy as np
 
+from repro.arch.segments import MemorySegment
 from repro.common.validation import check_non_negative, check_positive
 
 
@@ -60,116 +61,132 @@ class DramConfig:
         check_positive("store_line_drain_ns", self.store_line_drain_ns)
 
 
-class DramModel:
-    """Stateful open-page DRAM: maps addresses to banks/rows, tracks open rows.
+#: Pending DRAM accesses after which a :class:`ChainSampler` flushes. Large
+#: enough to spread each flush's NumPy calls over dozens of segments, small
+#: enough that the pending draws stay a few tens of KB.
+_FLUSH_DRAWS = 4096
 
-    The model is deterministic given the sequence of accessed line addresses,
-    which lets workload builders pre-draw per-access latencies once and reuse
-    them for simulations at every frequency (the latencies must not change
-    with core frequency).
+
+class ChainSampler:
+    """Builds the memory segments of one action stream in batches.
+
+    Each access of a dependent chain is a row-buffer hit with probability
+    ``locality`` (high for a pointer chase through a fresh nursery, low
+    for a scattered object graph), else a row miss or conflict (3:5),
+    plus an exponential queueing delay of mean ``queue_ns_per_request``.
+
+    :meth:`draw` consumes ``rng`` at once, in per-segment order: depths,
+    row draws, queueing draws. :meth:`place` leaves a placeholder in the
+    action list; the arithmetic waits until about :data:`_FLUSH_DRAWS`
+    accesses are pending, so each NumPy call covers many segments.
+    Call :meth:`flush` once more when the stream ends.
     """
 
-    def __init__(self, config: Optional[DramConfig] = None) -> None:
-        self.config = config or DramConfig()
-        self._open_rows: List[Optional[int]] = [None] * self.config.n_banks
-        self._pending: int = 0
-
-    def reset(self) -> None:
-        """Close all row buffers and clear the controller queue."""
-        self._open_rows = [None] * self.config.n_banks
-        self._pending = 0
-
-    def _bank_and_row(self, line_addr: int) -> tuple:
-        bank = line_addr % self.config.n_banks
-        row = (line_addr // self.config.n_banks) % self.config.rows_per_bank
-        return bank, row
-
-    def access(self, line_addr: int) -> float:
-        """Serve one cache-line read; return its latency in nanoseconds.
-
-        Updates the open-row state so subsequent same-row accesses hit the
-        row buffer.
-        """
-        cfg = self.config
-        bank, row = self._bank_and_row(line_addr)
-        open_row = self._open_rows[bank]
-        if open_row == row:
-            latency = cfg.row_hit_ns
-        elif open_row is None:
-            latency = cfg.row_miss_ns
-        else:
-            latency = cfg.row_conflict_ns
-        self._open_rows[bank] = row
-        latency += self._pending * cfg.queue_ns_per_request
-        return latency
-
-    def begin_burst(self, in_flight: int) -> None:
-        """Mark ``in_flight`` other requests as queued ahead (MLP pressure)."""
-        check_non_negative("in_flight", in_flight)
-        self._pending = int(in_flight)
-
-    def end_burst(self) -> None:
-        """Clear queueing pressure after a burst of parallel requests."""
-        self._pending = 0
-
-    def sample_chain_latencies(
+    def __init__(
         self,
         rng: np.random.Generator,
-        depths: np.ndarray,
-        locality: float = 0.5,
-    ) -> np.ndarray:
-        """Draw total latencies for many dependent chains at once (fast path).
+        config: DramConfig,
+        locality: float,
+        action: Callable[[MemorySegment], Any],
+    ) -> None:
+        self._rng = rng
+        self._config = config
+        self._locality = locality
+        self._p_miss = locality + (1.0 - locality) * 0.375
+        #: Wraps a finished segment into the action its list holds.
+        self._action = action
+        self._drawn: Optional[np.ndarray] = None
+        self._depths: List[np.ndarray] = []
+        self._rows: List[np.ndarray] = []
+        self._queue: List[np.ndarray] = []
+        self._slots: List[Tuple[List[Any], int, int, float]] = []
+        self._pending_clusters = 0
+        self._pending_draws = 0
 
-        Statistical, *stateless* counterpart of :meth:`sample_chain_latency`
-        used by bulk workload builders: each access in a chain is a
-        row-buffer hit with probability ``locality`` and otherwise a
-        row miss or row conflict (3:5 split, matching what the stateful
-        walk converges to for scattered traffic), plus an exponential
-        controller-queueing term with mean ``queue_ns_per_request``.
+    def draw(
+        self, n_clusters: int, *, mean_depth: Optional[float] = None, depth: int = 1
+    ) -> None:
+        """Draw the latencies of the next segment's ``n_clusters`` chains.
 
-        ``depths`` is an integer array (one chain depth per cluster);
-        returns one total chain latency per cluster. Consumes ``rng``
-        deterministically.
+        Depths are geometric with mean ``mean_depth`` when it is given,
+        else every chain is ``depth`` accesses long.
         """
-        depths = np.asarray(depths, dtype=np.int64)
-        if depths.size == 0:
-            return np.zeros(0, dtype=np.float64)
-        if depths.min() <= 0:
-            raise ValueError("chain depths must be positive")
-        cfg = self.config
+        if self._drawn is not None:
+            raise ValueError("the previous draw was never placed")
+        if n_clusters < 0:
+            raise ValueError(f"n_clusters must be >= 0, got {n_clusters!r}")
+        rng = self._rng
+        if mean_depth is None or not n_clusters:
+            depths = np.full(n_clusters, depth, dtype=np.int64)
+        else:
+            depths = rng.geometric(1.0 / mean_depth, n_clusters)
+        self._drawn = depths
+        if not n_clusters:
+            return
         total = int(depths.sum())
-        draw = rng.random(total)
-        p_miss = locality + (1.0 - locality) * 0.375
+        self._rows.append(rng.random(total))
+        if self._config.queue_ns_per_request > 0:
+            self._queue.append(
+                rng.exponential(self._config.queue_ns_per_request, total)
+            )
+        self._pending_draws += total
+
+    def place(self, actions: List[Any], insns: int, cpi: float) -> None:
+        """Append the segment of the last :meth:`draw` to ``actions``."""
+        depths = self._drawn
+        if depths is None:
+            raise ValueError("place() needs a draw() first")
+        self._drawn = None
+        if not depths.size:
+            actions.append(
+                self._action(MemorySegment.from_clusters(insns=insns, cpi=cpi))
+            )
+            return
+        self._depths.append(depths)
+        self._pending_clusters += depths.size
+        self._slots.append((actions, len(actions), insns, cpi))
+        actions.append(None)
+        if self._pending_draws >= _FLUSH_DRAWS:
+            self.flush()
+
+    def flush(self) -> None:
+        """Fill every placeholder left since the last flush."""
+        if self._drawn is not None:
+            raise ValueError("the last draw was never placed")
+        if not self._slots:
+            return
+        cfg = self._config
+        # The segments keep views of this array: allocating it before the
+        # temporaries below keeps it from pinning their freed space.
+        chains = np.empty(self._pending_clusters)
+        depths = np.concatenate(self._depths)
+        if int(depths.min()) < 1:
+            raise ValueError("chain depths must be positive")
+        rows = np.concatenate(self._rows)
         lat = np.where(
-            draw < locality,
+            rows < self._locality,
             cfg.row_hit_ns,
-            np.where(draw < p_miss, cfg.row_miss_ns, cfg.row_conflict_ns),
+            np.where(rows < self._p_miss, cfg.row_miss_ns, cfg.row_conflict_ns),
         )
-        if cfg.queue_ns_per_request > 0:
-            lat = lat + rng.exponential(cfg.queue_ns_per_request, total)
-        # Sum per chain.
-        boundaries = np.zeros(depths.size, dtype=np.int64)
-        np.cumsum(depths[:-1], out=boundaries[1:])
-        return np.add.reduceat(lat, boundaries)
-
-    def sample_chain_latency(
-        self, rng: np.random.Generator, depth: int, locality: float = 0.5
-    ) -> float:
-        """Draw the total latency of a dependent chain of ``depth`` misses.
-
-        ``locality`` is the probability that consecutive chain accesses land
-        in the same row (a pointer chase through a freshly-allocated nursery
-        has high locality; a scattered object graph has low locality).
-        Used by workload builders; consumes ``rng`` deterministically.
-        """
-        check_positive("depth", depth)
-        total = 0.0
-        prev_line: Optional[int] = None
-        for _ in range(depth):
-            if prev_line is not None and rng.random() < locality:
-                line = prev_line + 1
-            else:
-                line = int(rng.integers(0, self.config.n_banks * self.config.rows_per_bank * 8))
-            total += self.access(line)
-            prev_line = line
-        return total
+        if self._queue:
+            lat += np.concatenate(self._queue)
+        starts = np.zeros(depths.size, dtype=np.int64)
+        np.cumsum(depths[:-1], out=starts[1:])
+        np.add.reduceat(lat, starts, out=chains)
+        chains.setflags(write=False)
+        leading = chains / depths
+        stop = 0
+        for (actions, index, insns, cpi), segment_depths in zip(
+            self._slots, self._depths
+        ):
+            start, stop = stop, stop + segment_depths.size
+            actions[index] = self._action(
+                MemorySegment(
+                    insns=insns,
+                    cpi=cpi,
+                    chain_ns=chains[start:stop],
+                    leading_total_ns=float(leading[start:stop].sum()),
+                )
+            )
+        self._depths, self._rows, self._queue, self._slots = [], [], [], []
+        self._pending_clusters = self._pending_draws = 0

@@ -38,9 +38,10 @@ not once per run:
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import json
 import tempfile
-from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
@@ -49,11 +50,12 @@ from repro.common.store import (
     FileStore,
     MemoryLRU,
     TieredStore,
+    canonical,
     default_cache_dir,
-    stable_hash,
 )
 from repro.sim.serialize import FORMAT_VERSION, decode_trace, encode_trace
 from repro.sim.trace import SimulationTrace
+from repro.workloads.synthetic import SyntheticWorkloadConfig
 
 #: Bump when the profile envelope or its semantics change: every
 #: existing entry becomes unreachable (new keys) and is rebuilt.
@@ -74,7 +76,7 @@ def default_profile_cache_dir() -> Path:
 
 
 def profile_cache_key(
-    workload: Any,
+    workload: SyntheticWorkloadConfig,
     base_freq_ghz: float,
     quantum_ns: float,
     predictor: str,
@@ -86,22 +88,44 @@ def profile_cache_key(
     (workload × base × quantum × predictor) widened by everything a
     persistent store must additionally distrust: the machine spec the
     trace was simulated on, the trace format, the sweep kernel revision
-    and the envelope version.
+    and the envelope version. The key is :func:`stable_hash` of those
+    fields; the workload and spec part of that JSON is built once per
+    (workload, spec) pair.
     """
     from repro.core.sweep import KERNEL_VERSION
 
-    return stable_hash(
+    head = json.dumps(
         {
-            "kind": PROFILE_KIND,
-            "cache_version": PROFILE_CACHE_VERSION,
-            "trace_format": FORMAT_VERSION,
-            "kernel_version": KERNEL_VERSION,
-            "workload": asdict(workload),
             "base_freq_ghz": round(base_freq_ghz, 6),
-            "quantum_ns": quantum_ns,
+            "cache_version": PROFILE_CACHE_VERSION,
+            "kernel_version": KERNEL_VERSION,
+            "kind": PROFILE_KIND,
             "predictor": predictor,
-            "spec": spec,
-        }
+            "quantum_ns": quantum_ns,
+        },
+        **_COMPACT,
+    )
+    text = head[:-1] + _key_tail(workload.canonical_json, spec)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+#: ``json.dumps`` options of :func:`stable_hash`.
+_COMPACT: Dict[str, Any] = dict(sort_keys=True, separators=(",", ":"), allow_nan=True)
+
+
+@functools.lru_cache(maxsize=256)
+def _key_tail(workload_json: str, spec: MachineSpec) -> str:
+    """The members that close a profile key's JSON (they sort last).
+
+    ``workload_json`` is the workload's sorted-key JSON; dumped again
+    compactly it is the text :func:`stable_hash` writes for the workload,
+    since JSON numbers, strings and nesting round-trip exactly.
+    """
+    spec_json = json.dumps(canonical(spec), **_COMPACT)
+    workload = json.dumps(json.loads(workload_json), **_COMPACT)
+    return (
+        f',"spec":{spec_json},"trace_format":{FORMAT_VERSION!r}'
+        f',"workload":{workload}}}'
     )
 
 

@@ -29,8 +29,8 @@ import numpy as np
 
 from repro.common.rng import rng_stream
 from repro.common.validation import check_fraction, check_positive
-from repro.arch.dram import DramConfig, DramModel
-from repro.arch.segments import ComputeSegment, MemorySegment, StoreBurstSegment
+from repro.arch.dram import ChainSampler, DramConfig
+from repro.arch.segments import ComputeSegment, StoreBurstSegment
 from repro.workloads.items import Action, BarrierWait, Run
 
 
@@ -110,7 +110,7 @@ class GcModel:
             return cached
         cfg = self.config
         rng = rng_stream(self.seed, "gc-cycle", gc_index)
-        dram = DramModel(self._dram_config)
+        chains = ChainSampler(rng, self._dram_config, cfg.trace_locality, Run)
         n_subphases = cfg.trace_subphases
         # Per-sub-phase work shares: work stealing rebalances between
         # sub-phases, so the critical worker alternates.
@@ -135,19 +135,19 @@ class GcModel:
             # Phase 2: trace + copy in work-stealing sub-phases.
             for subphase in range(n_subphases):
                 share = subphase_shares[subphase][worker]
-                actions.extend(
-                    self._trace_copy_actions(
-                        rng,
-                        dram,
-                        int(traced_per_subphase * share),
-                        int(copied_per_subphase * share),
-                    )
+                self._trace_copy_actions(
+                    rng,
+                    chains,
+                    actions,
+                    int(traced_per_subphase * share),
+                    int(copied_per_subphase * share),
                 )
                 actions.append(barrier(1 + subphase))
             # Phase 3: per-worker finalization, final rendezvous.
             actions.append(Run(ComputeSegment(insns=cfg.finalize_insns, cpi=cfg.cpi)))
             actions.append(barrier(1 + n_subphases))
             workers.append(actions)
+        chains.flush()
         self._cycle_cache[key] = workers
         return workers
 
@@ -166,15 +166,15 @@ class GcModel:
     def _trace_copy_actions(
         self,
         rng: np.random.Generator,
-        dram: DramModel,
+        chains: ChainSampler,
+        actions: List[Action],
         traced_bytes: int,
         copied_bytes: int,
-    ) -> List[Action]:
-        """Interleaved tracing and copying work for one worker."""
+    ) -> None:
+        """Append one worker's interleaved pointer-chase tracing and copying."""
         cfg = self.config
-        actions: List[Action] = []
         if traced_bytes <= 0:
-            return actions
+            return
         n_chunks = max(1, (traced_bytes + cfg.chunk_bytes - 1) // cfg.chunk_bytes)
         copy_per_chunk = copied_bytes // n_chunks if copied_bytes else 0
         remaining = traced_bytes
@@ -183,7 +183,10 @@ class GcModel:
             remaining -= chunk
             kb = chunk / 1024.0
             insns = max(100, int(cfg.trace_insns_per_kb * kb))
-            actions.append(Run(self._trace_segment(rng, dram, insns, kb)))
+            expected = cfg.trace_clusters_per_kb * kb
+            n_clusters = int(rng.poisson(expected)) if expected > 0 else 0
+            chains.draw(n_clusters, mean_depth=cfg.trace_chain_depth)
+            chains.place(actions, insns, cfg.cpi)
             if copy_per_chunk >= cfg.store_bytes:
                 n_stores = copy_per_chunk // cfg.store_bytes
                 actions.append(
@@ -194,22 +197,3 @@ class GcModel:
                         )
                     )
                 )
-        return actions
-
-    def _trace_segment(
-        self, rng: np.random.Generator, dram: DramModel, insns: int, kb: float
-    ) -> MemorySegment:
-        """One tracing chunk: pointer-chase miss clusters over ``kb`` bytes."""
-        cfg = self.config
-        expected = cfg.trace_clusters_per_kb * kb
-        n_clusters = int(rng.poisson(expected)) if expected > 0 else 0
-        if n_clusters == 0:
-            return MemorySegment.from_clusters(insns=insns, cpi=cfg.cpi)
-        depths = np.maximum(
-            rng.geometric(1.0 / cfg.trace_chain_depth, n_clusters), 1
-        )
-        chains = dram.sample_chain_latencies(rng, depths, cfg.trace_locality)
-        leading_total = float((chains / depths).sum())
-        return MemorySegment(
-            insns=insns, cpi=cfg.cpi, chain_ns=chains, leading_total_ns=leading_total
-        )

@@ -16,12 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-import numpy as np
-
 from repro.common.rng import rng_stream
 from repro.common.validation import check_positive
-from repro.arch.dram import DramConfig, DramModel
-from repro.arch.segments import ComputeSegment, MemorySegment
+from repro.arch.dram import ChainSampler, DramConfig
+from repro.arch.segments import ComputeSegment
 from repro.workloads.items import Action, Run, Sleep
 from repro.workloads.program import ThreadProgram
 
@@ -52,23 +50,14 @@ def build_jit_program(
     if not config.enabled:
         return None
     rng = rng_stream(seed, "jit")
-    dram_model = DramModel(dram)
+    chains = ChainSampler(rng, dram, 0.4, Run)
     actions: List[Action] = []
     for _ in range(config.n_compilations):
         sleep_ns = config.interval_ns * (0.5 + rng.random())
         actions.append(Sleep(duration_ns=sleep_ns))
-        depths = np.ones(config.clusters_per_compilation, dtype=np.int64)
-        chains = dram_model.sample_chain_latencies(rng, depths, locality=0.4)
+        chains.draw(config.clusters_per_compilation)
         insns = max(10_000, int(config.insns_per_compilation * (0.6 + 0.8 * rng.random())))
-        actions.append(
-            Run(
-                MemorySegment(
-                    insns=insns,
-                    cpi=config.cpi,
-                    chain_ns=chains,
-                    leading_total_ns=float(chains.sum()),
-                )
-            )
-        )
+        chains.place(actions, insns, config.cpi)
         actions.append(Run(ComputeSegment(insns=insns // 4, cpi=config.cpi)))
+    chains.flush()
     return ThreadProgram(name="jit-compiler", actions=tuple(actions))

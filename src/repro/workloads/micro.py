@@ -25,12 +25,10 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Tuple
 
-import numpy as np
-
 from repro.common.errors import ConfigError
 from repro.common.rng import rng_stream
-from repro.arch.dram import DramConfig, DramModel
-from repro.arch.segments import ComputeSegment, MemorySegment, StoreBurstSegment
+from repro.arch.dram import ChainSampler, DramConfig
+from repro.arch.segments import ComputeSegment, StoreBurstSegment
 from repro.workloads.items import Action, Run
 from repro.workloads.program import Program, sequential_program
 
@@ -38,22 +36,23 @@ _CPI = 0.55
 _UNIT_INSNS = 80_000
 
 
-def _memory_unit(
-    rng: np.random.Generator,
-    dram: DramModel,
+def _memory_units(
+    seed: int,
+    stream: str,
+    dram: DramConfig,
+    units: int,
     n_clusters: int,
     depth: int,
     locality: float,
-) -> Run:
-    depths = np.full(n_clusters, depth, dtype=np.int64)
-    chains = dram.sample_chain_latencies(rng, depths, locality)
-    leading = float((chains / depths).sum())
-    return Run(
-        MemorySegment(
-            insns=_UNIT_INSNS, cpi=_CPI, chain_ns=chains,
-            leading_total_ns=leading,
-        )
-    )
+) -> List[Action]:
+    """``units`` memory units of ``n_clusters`` chains of ``depth`` misses."""
+    chains = ChainSampler(rng_stream(seed, stream), dram, locality, Run)
+    actions: List[Action] = []
+    for _ in range(units):
+        chains.draw(n_clusters, depth=depth)
+        chains.place(actions, _UNIT_INSNS, _CPI)
+    chains.flush()
+    return actions
 
 
 def compute(units: int = 40, intensity: float = 1.0, seed: int = 11) -> Program:
@@ -68,42 +67,32 @@ def compute(units: int = 40, intensity: float = 1.0, seed: int = 11) -> Program:
 def pointer_chase(units: int = 40, intensity: float = 1.0,
                   seed: int = 12) -> Program:
     """Dependent-miss chains (linked-list walks)."""
-    rng = rng_stream(seed, "chase")
-    dram = DramModel(DramConfig())
-    n_clusters = max(1, int(30 * intensity))
-    actions = [
-        _memory_unit(rng, dram, n_clusters, depth=4, locality=0.15)
-        for _ in range(units)
-    ]
+    actions = _memory_units(
+        seed, "chase", DramConfig(), units,
+        n_clusters=max(1, int(30 * intensity)), depth=4, locality=0.15,
+    )
     return sequential_program("micro-pointer-chase", actions)
 
 
 def streaming(units: int = 40, intensity: float = 1.0, seed: int = 13) -> Program:
     """Independent misses with uniform latency (sequential sweep)."""
-    rng = rng_stream(seed, "stream")
     # High locality -> almost every access is a row hit: uniform latency.
-    dram = DramModel(DramConfig(queue_ns_per_request=0.5))
-    n_clusters = max(1, int(80 * intensity))
-    actions = [
-        _memory_unit(rng, dram, n_clusters, depth=1, locality=0.95)
-        for _ in range(units)
-    ]
+    actions = _memory_units(
+        seed, "stream", DramConfig(queue_ns_per_request=0.5), units,
+        n_clusters=max(1, int(80 * intensity)), depth=1, locality=0.95,
+    )
     return sequential_program("micro-streaming", actions)
 
 
 def bank_conflicts(units: int = 40, intensity: float = 1.0,
                    seed: int = 14) -> Program:
     """Independent misses with wildly variable latency (CRIT's motivation)."""
-    rng = rng_stream(seed, "conflict")
-    dram = DramModel(
-        DramConfig(row_hit_ns=30.0, row_conflict_ns=110.0,
-                   queue_ns_per_request=14.0)
+    dram = DramConfig(row_hit_ns=30.0, row_conflict_ns=110.0,
+                      queue_ns_per_request=14.0)
+    actions = _memory_units(
+        seed, "conflict", dram, units,
+        n_clusters=max(1, int(60 * intensity)), depth=1, locality=0.1,
     )
-    n_clusters = max(1, int(60 * intensity))
-    actions = [
-        _memory_unit(rng, dram, n_clusters, depth=1, locality=0.1)
-        for _ in range(units)
-    ]
     return sequential_program("micro-bank-conflicts", actions)
 
 
@@ -123,26 +112,28 @@ def store_heavy(units: int = 40, intensity: float = 1.0,
 
 def mixed(units: int = 40, intensity: float = 1.0, seed: int = 16) -> Program:
     """Alternating compute, chases, streams and store bursts."""
+    # Chases and streams share one RNG stream, each with its own locality.
     rng = rng_stream(seed, "mixed")
-    dram = DramModel(DramConfig())
+    chase = ChainSampler(rng, DramConfig(), 0.2, Run)
+    stream = ChainSampler(rng, DramConfig(), 0.9, Run)
     actions: List[Action] = []
     for unit in range(units):
         kind = unit % 4
         if kind == 0:
             actions.append(Run(ComputeSegment(insns=_UNIT_INSNS, cpi=_CPI)))
         elif kind == 1:
-            actions.append(
-                _memory_unit(rng, dram, max(1, int(20 * intensity)), 3, 0.2)
-            )
+            chase.draw(max(1, int(20 * intensity)), depth=3)
+            chase.place(actions, _UNIT_INSNS, _CPI)
         elif kind == 2:
-            actions.append(
-                _memory_unit(rng, dram, max(1, int(50 * intensity)), 1, 0.9)
-            )
+            stream.draw(max(1, int(50 * intensity)), depth=1)
+            stream.place(actions, _UNIT_INSNS, _CPI)
         else:
             actions.append(
                 Run(StoreBurstSegment(n_stores=max(64, int(3_000 * intensity)),
                                       drain_ns_per_store=1.5))
             )
+    chase.flush()
+    stream.flush()
     return sequential_program("micro-mixed", actions)
 
 

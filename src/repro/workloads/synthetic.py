@@ -22,7 +22,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass, field, fields, replace
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -33,8 +33,8 @@ from repro.common.validation import (
     check_positive,
     require,
 )
-from repro.arch.dram import DramConfig, DramModel
-from repro.arch.segments import ComputeSegment, MemorySegment
+from repro.arch.dram import ChainSampler, DramConfig
+from repro.arch.segments import ComputeSegment
 from repro.workloads.items import (
     Acquire,
     Action,
@@ -179,7 +179,7 @@ def build_synthetic_program(config: SyntheticWorkloadConfig) -> Program:
 
 def _build_thread(config: SyntheticWorkloadConfig, t: int) -> ThreadProgram:
     rng = rng_stream(config.seed, "thread", t)
-    dram = DramModel(config.dram)
+    chains = ChainSampler(rng, config.dram, config.chain_locality, Run)
     actions: List[Action] = []
     if config.n_threads > 1 and config.thread_imbalance > 0:
         work_multiplier = 1.0 + config.thread_imbalance * t / (config.n_threads - 1)
@@ -191,6 +191,8 @@ def _build_thread(config: SyntheticWorkloadConfig, t: int) -> ThreadProgram:
         )
     else:
         memory_multiplier = 1.0
+    mean_insns = config.unit_insns * work_multiplier
+    lognormal = _lognormal_params(mean_insns, config.unit_insns_cv)
     barrier_counter = 0
     phase_omega = 2.0 * np.pi * config.phase_periods / config.n_units
     for unit in range(config.n_units):
@@ -208,22 +210,19 @@ def _build_thread(config: SyntheticWorkloadConfig, t: int) -> ThreadProgram:
                 )
             )
             barrier_counter += 1
-        insns = _lognormal_insns(
-            rng, config.unit_insns * work_multiplier, config.unit_insns_cv
-        )
+        if lognormal is None:
+            insns = max(100, int(mean_insns))
+        else:
+            insns = max(100, int(rng.lognormal(*lognormal)))
         serial_insns = int(insns * config.serialized_fraction)
         parallel_insns = insns - serial_insns
         intensity = memory_multiplier * phase_mod
         if serial_insns > 0:
             actions.append(Acquire(lock_id=_GLOBAL_LOCK))
-            actions.append(
-                Run(_memory_segment(config, rng, dram, serial_insns, intensity))
-            )
+            _memory_segment(config, rng, chains, actions, serial_insns, intensity)
             actions.append(Release(lock_id=_GLOBAL_LOCK))
         if parallel_insns > 0:
-            actions.append(
-                Run(_memory_segment(config, rng, dram, parallel_insns, intensity))
-            )
+            _memory_segment(config, rng, chains, actions, parallel_insns, intensity)
         if config.cs_probability and rng.random() < config.cs_probability:
             lock = _CS_LOCK_BASE + int(rng.integers(0, config.n_locks))
             actions.append(Acquire(lock_id=lock))
@@ -239,39 +238,31 @@ def _build_thread(config: SyntheticWorkloadConfig, t: int) -> ThreadProgram:
             n_bytes = int(batch * (0.5 + rng.random()) * phase_mod)
             n_bytes = max(1024, min(n_bytes, (config.nursery_mb << 20) // 4))
             actions.append(Allocate(n_bytes=n_bytes))
+    chains.flush()
     # Make every thread arrive at all barriers it announced (threads all
     # generate the same barrier schedule because periods are unit-indexed).
     return ThreadProgram(name=f"{config.name}-worker-{t}", actions=tuple(actions))
 
 
-def _lognormal_insns(rng: np.random.Generator, mean: float, cv: float) -> int:
-    """Draw a unit's instruction count with the given mean and variation."""
+def _lognormal_params(mean: float, cv: float) -> Optional[Tuple[float, float]]:
+    """``(mu, sigma)`` of unit instruction counts with the given mean and
+    variation, or None when units do not vary."""
     if cv <= 0:
-        return max(100, int(mean))
+        return None
     sigma = float(np.sqrt(np.log(1.0 + cv * cv)))
-    mu = float(np.log(mean) - 0.5 * sigma * sigma)
-    return max(100, int(rng.lognormal(mu, sigma)))
+    return float(np.log(mean) - 0.5 * sigma * sigma), sigma
 
 
 def _memory_segment(
     config: SyntheticWorkloadConfig,
     rng: np.random.Generator,
-    dram: DramModel,
+    chains: ChainSampler,
+    actions: List[Action],
     insns: int,
-    memory_multiplier: float = 1.0,
-) -> MemorySegment:
-    """A unit's main segment: compute plus sampled LLC-miss clusters."""
+    memory_multiplier: float,
+) -> None:
+    """Append a unit's main segment: compute plus sampled LLC-miss clusters."""
     expected = config.clusters_per_kinsn * memory_multiplier * insns / 1000.0
     n_clusters = int(rng.poisson(expected)) if expected > 0 else 0
-    if n_clusters == 0:
-        return MemorySegment.from_clusters(insns=insns, cpi=config.cpi)
-    depths = np.maximum(
-        rng.geometric(1.0 / config.chain_depth_mean, n_clusters), 1
-    )
-    chains = dram.sample_chain_latencies(rng, depths, config.chain_locality)
-    return MemorySegment(
-        insns=insns,
-        cpi=config.cpi,
-        chain_ns=chains,
-        leading_total_ns=float((chains / depths).sum()),
-    )
+    chains.draw(n_clusters, mean_depth=config.chain_depth_mean)
+    chains.place(actions, insns, config.cpi)

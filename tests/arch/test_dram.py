@@ -1,52 +1,30 @@
-"""DRAM model: open-page state machine and batch chain sampling."""
+"""DRAM model: batched dependent-chain latency sampling."""
 
 import numpy as np
 import pytest
 
-from repro.arch.dram import DramConfig, DramModel
+from repro.arch.dram import ChainSampler, DramConfig
+from repro.arch.segments import MemorySegment
 
 
-def test_row_hit_after_open():
-    dram = DramModel(DramConfig(queue_ns_per_request=0.0))
-    first = dram.access(0)
-    second = dram.access(0)
-    assert first == dram.config.row_miss_ns  # closed row on cold start
-    assert second == dram.config.row_hit_ns
-
-
-def test_row_conflict_on_other_row_same_bank():
-    cfg = DramConfig(queue_ns_per_request=0.0)
-    dram = DramModel(cfg)
-    dram.access(0)
-    # Same bank (addr % n_banks == 0), different row.
-    conflict_addr = cfg.n_banks * 1
-    assert dram.access(conflict_addr) == cfg.row_conflict_ns
-
-
-def test_queue_pressure_adds_latency():
-    cfg = DramConfig(queue_ns_per_request=5.0)
-    dram = DramModel(cfg)
-    base = dram.access(0)
-    dram.reset()
-    dram.begin_burst(4)
-    loaded = dram.access(0)
-    assert loaded == pytest.approx(base + 20.0)
-    dram.end_burst()
-    assert dram.access(0) == cfg.row_hit_ns
-
-
-def test_reset_closes_rows():
-    dram = DramModel(DramConfig(queue_ns_per_request=0.0))
-    dram.access(0)
-    dram.reset()
-    assert dram.access(0) == dram.config.row_miss_ns
+def _sample(config, seed, locality, groups):
+    """Chain latencies of ``(n_clusters, depth)`` segments, one array each."""
+    actions = []
+    sampler = ChainSampler(
+        np.random.default_rng(seed), config, locality, action=lambda s: s
+    )
+    for n_clusters, depth in groups:
+        sampler.draw(n_clusters, depth=depth)
+        sampler.place(actions, 1_000, 0.5)
+    sampler.flush()
+    assert all(isinstance(segment, MemorySegment) for segment in actions)
+    return [segment.chain_ns for segment in actions]
 
 
 def test_batch_chain_latencies_shape_and_determinism():
-    dram = DramModel()
-    depths = np.array([1, 2, 3, 1])
-    a = dram.sample_chain_latencies(np.random.default_rng(3), depths, 0.4)
-    b = dram.sample_chain_latencies(np.random.default_rng(3), depths, 0.4)
+    groups = [(1, 1), (1, 2), (1, 3), (1, 1)]
+    a = np.concatenate(_sample(DramConfig(), 3, 0.4, groups))
+    b = np.concatenate(_sample(DramConfig(), 3, 0.4, groups))
     assert a.shape == (4,)
     assert np.array_equal(a, b)
     # Deeper chains have larger latency in expectation; latencies positive.
@@ -54,30 +32,56 @@ def test_batch_chain_latencies_shape_and_determinism():
 
 
 def test_batch_empty_and_invalid_depths():
-    dram = DramModel()
-    assert dram.sample_chain_latencies(np.random.default_rng(0), np.array([], dtype=int)).size == 0
+    (empty,) = _sample(DramConfig(), 0, 0.5, [(0, 1)])
+    assert empty.size == 0
     with pytest.raises(ValueError):
-        dram.sample_chain_latencies(np.random.default_rng(0), np.array([0]))
+        _sample(DramConfig(), 0, 0.5, [(1, 0)])
+    with pytest.raises(ValueError):
+        _sample(DramConfig(), 0, 0.5, [(-1, 1)])
 
 
 def test_batch_latency_bounds():
     cfg = DramConfig(queue_ns_per_request=0.0)
-    dram = DramModel(cfg)
-    depths = np.full(200, 2)
-    chains = dram.sample_chain_latencies(np.random.default_rng(5), depths, 0.5)
+    (chains,) = _sample(cfg, 5, 0.5, [(200, 2)])
     assert chains.min() >= 2 * cfg.row_hit_ns - 1e-9
     assert chains.max() <= 2 * cfg.row_conflict_ns + 1e-9
 
 
 def test_high_locality_lowers_mean_latency():
-    dram = DramModel(DramConfig(queue_ns_per_request=0.0))
-    depths = np.full(2000, 1)
-    local = dram.sample_chain_latencies(np.random.default_rng(1), depths, 0.95)
-    scattered = dram.sample_chain_latencies(np.random.default_rng(1), depths, 0.05)
+    cfg = DramConfig(queue_ns_per_request=0.0)
+    (local,) = _sample(cfg, 1, 0.95, [(2000, 1)])
+    (scattered,) = _sample(cfg, 1, 0.05, [(2000, 1)])
     assert local.mean() < scattered.mean()
 
 
-def test_stateful_chain_sampler_positive_and_deterministic():
-    a = DramModel().sample_chain_latency(np.random.default_rng(2), 3, 0.5)
-    b = DramModel().sample_chain_latency(np.random.default_rng(2), 3, 0.5)
-    assert a == b > 0
+def test_segments_hold_read_only_views_and_leading_ratios():
+    actions = ["before"]
+    sampler = ChainSampler(
+        np.random.default_rng(9), DramConfig(), 0.3, action=lambda s: s
+    )
+    sampler.draw(5, mean_depth=2.0)
+    sampler.place(actions, 2_000, 0.7)
+    actions.append("between")
+    sampler.draw(0)
+    sampler.place(actions, 300, 0.7)
+    assert actions[1] is None  # placeholder until the flush
+    sampler.flush()
+    first, empty = actions[1], actions[3]
+    assert actions[0] == "before" and actions[2] == "between"
+    assert (first.insns, first.cpi, first.n_clusters) == (2_000, 0.7, 5)
+    assert not first.chain_ns.flags.writeable
+    assert first.leading_total_ns <= first.total_chain_ns
+    assert empty.n_clusters == 0 and empty.leading_total_ns == 0.0
+
+
+def test_draw_and_place_must_alternate():
+    sampler = ChainSampler(
+        np.random.default_rng(0), DramConfig(), 0.5, action=lambda s: s
+    )
+    with pytest.raises(ValueError):
+        sampler.place([], 100, 0.5)
+    sampler.draw(1)
+    with pytest.raises(ValueError):
+        sampler.draw(1)
+    with pytest.raises(ValueError):
+        sampler.flush()

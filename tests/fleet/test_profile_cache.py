@@ -1,13 +1,17 @@
 """The persistent profile store: round-trip, keys, rejection, management."""
 
 import base64
+import dataclasses
 import hashlib
 import json
 
 import pytest
 
 from repro.arch.specs import haswell_i7_4770k
-from repro.common.store import FileStore
+from repro.common.store import FileStore, stable_hash
+from repro.core.predictors import predictor_names
+from repro.core.sweep import KERNEL_VERSION
+from repro.fleet.corpus import builtin_templates
 from repro.fleet.profile_cache import (
     PROFILE_CACHE_VERSION,
     PROFILE_PREFIX,
@@ -19,7 +23,7 @@ from repro.fleet.profile_cache import (
 )
 from repro.fleet.profiles import ProfileStore
 from repro.sim.run import simulate
-from repro.sim.serialize import trace_to_dict
+from repro.sim.serialize import FORMAT_VERSION, trace_to_dict
 from tests.fleet.conftest import tiny_tenant
 
 SPEC = haswell_i7_4770k()
@@ -74,6 +78,48 @@ def test_key_covers_every_shape_axis():
         )
         != base
     )
+
+
+def one_shot_key(workload, base, quantum, predictor, spec):
+    """The profile key as defined: one ``stable_hash`` of the whole payload."""
+    return stable_hash(
+        {
+            "kind": "repro-fleet-profile",
+            "cache_version": PROFILE_CACHE_VERSION,
+            "trace_format": FORMAT_VERSION,
+            "kernel_version": KERNEL_VERSION,
+            "workload": dataclasses.asdict(workload),
+            "base_freq_ghz": round(base, 6),
+            "quantum_ns": quantum,
+            "predictor": predictor,
+            "spec": spec,
+        }
+    )
+
+
+def test_memoized_keys_equal_the_one_shot_hash():
+    """Every builtin template x base x quantum x predictor, on two machine
+    specs and with an int base: the key built from the memoized workload
+    and spec text is the one-shot ``stable_hash`` byte for byte."""
+    slow_dram = dataclasses.replace(
+        SPEC, dram=dataclasses.replace(SPEC.dram, row_hit_ns=40.0)
+    )
+    keys, checked = set(), 0
+    for spec in (SPEC, slow_dram):
+        for template in builtin_templates():
+            for base in template.base_freqs + (4,):
+                for quantum in template.quanta:
+                    for predictor in predictor_names():
+                        key = profile_cache_key(
+                            template.workload, base, quantum, predictor, spec
+                        )
+                        assert key == one_shot_key(
+                            template.workload, base, quantum, predictor, spec
+                        )
+                        keys.add(key)
+                        checked += 1
+    # Every shape has its own key; bases 4 and 4.0 differ in JSON text.
+    assert len(keys) == checked >= 2 * 6 * 4 * 2 * 2
 
 
 def test_corrupt_entry_is_a_miss_and_dropped(tmp_path, tenant_and_trace):
