@@ -20,7 +20,9 @@ from typing import List, Optional, Sequence
 from repro.common.errors import PredictionError
 from repro.core.crit import crit_nonscaling
 from repro.core.epochs import Epoch
-from repro.core.model import NonScalingEstimator, check_predicted_ns, decompose
+from repro.core.model import (
+    NonScalingEstimator, check_lane, check_predicted_ns, decompose,
+)
 from repro.core.timeline import CounterTimeline
 from repro.sim.trace import EventKind, SimulationTrace
 
@@ -112,6 +114,7 @@ class CoopPredictor:
         predicted thread). Phase predictions are summed, exactly as the
         whole-trace model sums its GC-marker phases.
         """
+        check_lane(base_freq_ghz, target_freq_ghz, uncore_scale)
         from repro.core.mcrit import _sum_thread_deltas
 
         total = 0.0

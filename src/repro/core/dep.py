@@ -28,7 +28,9 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.core.crit import crit_nonscaling
 from repro.core.epochs import Epoch, extract_epochs
-from repro.core.model import NonScalingEstimator, check_predicted_ns, decompose
+from repro.core.model import (
+    NonScalingEstimator, check_lane, check_predicted_ns, decompose,
+)
 from repro.sim.trace import SimulationTrace
 
 
@@ -73,6 +75,7 @@ class DepPredictor:
         each thread's non-scaling time (heterogeneous uncore clocks);
         1.0 is the homogeneous machine.
         """
+        check_lane(base_freq_ghz, target_freq_ghz, uncore_scale)
         deltas: Dict[int, float] = {}
         total = 0.0
         for epoch in epochs:

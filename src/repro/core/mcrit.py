@@ -19,7 +19,9 @@ from typing import Dict, Optional, Sequence
 from repro.common.errors import PredictionError
 from repro.arch.counters import CounterSet
 from repro.core.epochs import Epoch
-from repro.core.model import NonScalingEstimator, check_predicted_ns, decompose
+from repro.core.model import (
+    NonScalingEstimator, check_lane, check_predicted_ns, decompose,
+)
 from repro.core.crit import crit_nonscaling
 from repro.core.timeline import CounterTimeline
 from repro.sim.trace import SimulationTrace
@@ -72,6 +74,7 @@ class MCritPredictor:
         summed deltas over the epochs it ran in. Used by the serve
         subsystem, which sees counter windows instead of whole traces.
         """
+        check_lane(base_freq_ghz, target_freq_ghz, uncore_scale)
         if not epochs:
             return 0.0
         span = epochs[-1].end_ns - epochs[0].start_ns

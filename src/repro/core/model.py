@@ -54,19 +54,25 @@ class TimeDecomposition:
 
         ``uncore_scale`` multiplies the non-scaling (memory/stall) time:
         it is the ratio of the reference uncore frequency to the target
-        uncore frequency, so 1.0 — the default, and the only value the
-        homogeneous machine ever produces — evaluates the paper's exact
-        expression.
+        uncore frequency. The homogeneous machine's 1.0 (the default)
+        evaluates the paper's exact expression, since IEEE-754 makes
+        ``x * 1.0 == x``.
         """
-        check_frequency("base frequency", base_freq_ghz, PredictionError)
-        check_frequency("target frequency", target_freq_ghz, PredictionError)
-        if uncore_scale == 1.0:
-            return self.scaling_ns * base_freq_ghz / target_freq_ghz + self.nonscaling_ns
-        check_frequency("uncore_scale", uncore_scale, PredictionError)
+        check_lane(base_freq_ghz, target_freq_ghz, uncore_scale)
         return (
             self.scaling_ns * base_freq_ghz / target_freq_ghz
             + self.nonscaling_ns * uncore_scale
         )
+
+
+def check_lane(
+    base_freq_ghz: float, target_freq_ghz: float, uncore_scale: float
+) -> None:
+    """Raise :class:`PredictionError` unless one prediction lane's base,
+    target and uncore scale are all finite and above zero."""
+    check_frequency("base frequency", base_freq_ghz, PredictionError)
+    check_frequency("target frequency", target_freq_ghz, PredictionError)
+    check_frequency("uncore_scale", uncore_scale, PredictionError)
 
 
 def check_predicted_ns(value: float) -> float:

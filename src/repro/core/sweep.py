@@ -15,7 +15,9 @@ the whole sweep as array kernels:
 * window kernels — DEP (both CTP policies), M+CRIT and COOP evaluated
   over an epoch window for any set of target frequencies
   (:func:`sweep_predict_epochs`), the engine behind the energy manager's
-  full-V/f-table quantum sweep and the serve batch path;
+  full-V/f-table quantum sweep and the serve batch path. M+CRIT and COOP
+  share one phase kernel (M+CRIT is COOP with one phase), over epoch
+  windows and whole traces alike;
 * :class:`TraceSweep` — whole-trace sweeps matching each predictor's
   ``predict_total_ns`` semantics, sharing one decomposition (epochs,
   counter timeline, phase split) across every predictor and target.
@@ -42,14 +44,15 @@ never depend on which path ran.
 Heterogeneous targets: a sweep target is either a core frequency in GHz
 (the paper's axis) or a ``(core_freq_ghz, uncore_scale)`` tuple, where
 the scale multiplies the non-scaling (memory/stall) time — the uncore
-DVFS axis (:func:`split_target`). Homogeneous sweeps (every scale 1.0,
-which is what every plain-float target means) are gated onto the
-verbatim legacy expressions, so the new axis cannot perturb a single
-bit of the paper's configuration.
+DVFS axis (:func:`split_target`). A plain-float target means scale 1.0.
+Every kernel evaluates the one expression ``scaling * base / target +
+nonscaling * uncore``; IEEE-754 makes ``x * 1.0 == x`` exactly, so the
+uncore axis cannot perturb a single bit of the paper's configuration.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -99,13 +102,14 @@ def estimator_key(estimator: NonScalingEstimator) -> Optional[str]:
     return _COLUMN_OF.get(estimator)
 
 
-def vector_estimate(estimator: NonScalingEstimator, cols) -> np.ndarray:
+def vector_estimate(
+    estimator: NonScalingEstimator, cols: EpochArrays
+) -> np.ndarray:
     """Columnar non-scaling estimate matching ``estimator`` exactly.
 
-    ``cols`` is anything exposing ``crit``/``leading``/``stall``/
-    ``sqfull`` arrays (an :class:`EpochArrays` or the serve batcher's
-    column store). Raises ``KeyError`` for unrecognized estimators —
-    callers gate on :func:`estimator_key` first.
+    Reads the ``crit``/``leading``/``stall``/``sqfull`` columns of
+    ``cols``. Raises ``KeyError`` for unrecognized estimators — callers
+    gate on :func:`estimator_key` first.
     """
     base = getattr(estimator, "base_estimator", None)
     if base is not None:
@@ -229,9 +233,8 @@ def split_targets(
 ) -> Tuple[List[float], Optional[List[float]]]:
     """``(freqs, uncore_scales_or_None)`` of a target list.
 
-    The second element is ``None`` when every target is homogeneous —
-    the gate the kernels use to run the byte-identical legacy
-    expressions.
+    The second element is ``None`` when every target is homogeneous
+    (uncore scale 1.0).
     """
     freqs: List[float] = []
     uncore: List[float] = []
@@ -288,31 +291,21 @@ class EpochArrays:
         arrays = cls()
         entries: List[CounterSet] = []
         for epoch in epochs:
-            tids = tuple(epoch.thread_deltas)
-            arrays.tids.append(tids)
-            for tid in tids:
-                entries.append(epoch.thread_deltas[tid])
+            arrays.tids.append(tuple(epoch.thread_deltas))
+            entries.extend(epoch.thread_deltas.values())
             arrays.durations.append(epoch.duration_ns)
             arrays.stall_tids.append(epoch.stall_tid)
             arrays.during_gc.append(epoch.during_gc)
             arrays.starts.append(epoch.start_ns)
             arrays.ends.append(epoch.end_ns)
-        n = len(entries)
-        arrays.wall = np.empty(n)
-        arrays.crit = np.empty(n)
-        arrays.leading = np.empty(n)
-        arrays.stall = np.empty(n)
-        arrays.sqfull = np.empty(n)
-        arrays.insns = np.empty(n, dtype=np.int64)
-        arrays.stores = np.empty(n, dtype=np.int64)
-        for i, c in enumerate(entries):
-            arrays.wall[i] = c.active_ns
-            arrays.crit[i] = c.crit_ns
-            arrays.leading[i] = c.leading_ns
-            arrays.stall[i] = c.stall_ns
-            arrays.sqfull[i] = c.sqfull_ns
-            arrays.insns[i] = c.insns
-            arrays.stores[i] = c.stores
+        f64, i64 = np.float64, np.int64
+        arrays.wall = np.array([c.active_ns for c in entries], dtype=f64)
+        arrays.crit = np.array([c.crit_ns for c in entries], dtype=f64)
+        arrays.leading = np.array([c.leading_ns for c in entries], dtype=f64)
+        arrays.stall = np.array([c.stall_ns for c in entries], dtype=f64)
+        arrays.sqfull = np.array([c.sqfull_ns for c in entries], dtype=f64)
+        arrays.insns = np.array([c.insns for c in entries], dtype=i64)
+        arrays.stores = np.array([c.stores for c in entries], dtype=i64)
         return arrays
 
     @classmethod
@@ -528,21 +521,14 @@ def dep_window_sweep(
     freqs, uncore = split_targets(targets)
     check_frequency("base frequency", base_freq_ghz, PredictionError)
     scaling, nonscaling = arrays.decomposed(predictor.estimator)
-    if uncore is None:
-        # (entries, targets): per lane this is exactly the scalar expression
-        # ``scaling * base / target + nonscaling``, left-to-right.
-        predicted = (scaling * base_freq_ghz)[:, None] / np.asarray(
-            freqs, dtype=np.float64
-        )[None, :] + nonscaling[:, None]
-    else:
-        # Heterogeneous lanes: the lane's uncore scale multiplies the
-        # non-scaling term, elementwise-identical to
-        # ``predict_ns(base, f, uncore_scale)``.
-        predicted = (scaling * base_freq_ghz)[:, None] / np.asarray(
-            freqs, dtype=np.float64
-        )[None, :] + nonscaling[:, None] * np.asarray(
-            uncore, dtype=np.float64
-        )[None, :]
+    # (entries, targets): per lane exactly the scalar ``predict_ns``
+    # expression ``scaling * base / target + nonscaling * uncore``,
+    # left-to-right.
+    predicted = (scaling * base_freq_ghz)[:, None] / np.asarray(
+        freqs, dtype=np.float64
+    )[None, :] + nonscaling[:, None] * np.asarray(
+        uncore or [1.0] * len(freqs), dtype=np.float64
+    )[None, :]
     totals = ctp_total_multi(
         arrays.epoch_meta(), predicted, predictor.across_epoch_ctp
     )
@@ -614,21 +600,64 @@ def dep_ranges_sweep(
     return totals
 
 
-def _window_decompose(
+def _phase_sweep(
     estimator: NonScalingEstimator,
-    span: float,
-    summed: Dict[int, CounterSet],
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-thread (scaling, nonscaling) of a window model's summed
-    counters — estimator applied scalar-ly per thread (any estimator
-    works), clamp identical to :func:`repro.core.model.decompose`."""
-    if span < 0:
-        raise PredictionError(f"negative wall time {span}")
-    estimate = np.array(
-        [estimator(counters) for counters in summed.values()], dtype=np.float64
+    walls: np.ndarray,
+    counters: Sequence[CounterSet],
+    phases: Sequence[Tuple[float, int, int]],
+    base_freq_ghz: float,
+    targets: Sequence[Target],
+) -> List[float]:
+    """The M+CRIT/COOP lane kernel: slowest entry per phase, phases summed.
+
+    Entry ``i`` is one thread's window, ``walls[i]`` long with
+    ``counters[i]`` accumulated; each phase ``(duration_ns, lo, hi)``
+    owns entries ``lo:hi``. The estimator runs scalar-ly per entry (any
+    estimator works) under :func:`repro.core.model.decompose`'s clamp;
+    each lane is ``scaling * base / target + nonscaling * uncore``,
+    which is the scalar ``predict_ns`` elementwise. A phase with no
+    entries keeps its measured duration. M+CRIT is the one-phase case.
+    """
+    freqs, uncore = split_targets(targets)
+    check_frequency("base frequency", base_freq_ghz, PredictionError)
+    if walls.size and float(walls.min()) < 0:
+        raise PredictionError(f"negative wall time {float(walls.min())}")
+    estimate = np.array([estimator(c) for c in counters], dtype=np.float64)
+    nonscaling = np.minimum(np.maximum(estimate, 0.0), walls)
+    scaling = walls - nonscaling
+    results: List[float] = []
+    for target, scale in zip(freqs, uncore or [1.0] * len(freqs)):
+        values = scaling * base_freq_ghz / target + nonscaling * scale
+        total = 0.0
+        for duration_ns, lo, hi in phases:
+            if hi == lo:
+                total += duration_ns
+            else:
+                total += max(0.0, float(values[lo:hi].max()))
+        results.append(total)
+    return results
+
+
+def _window_sweep(
+    predictor, groups: Sequence[Sequence[Epoch]], base_freq_ghz: float,
+    targets: Sequence[Target],
+) -> List[float]:
+    """:func:`_phase_sweep` over epoch-window phases: each thread's
+    counters summed over its phase, its wall time the phase's span."""
+    walls: List[float] = []
+    counters: List[CounterSet] = []
+    phases: List[Tuple[float, int, int]] = []
+    for group in groups:
+        span = group[-1].end_ns - group[0].start_ns
+        summed = _sum_thread_deltas(group)
+        lo = len(walls)
+        walls.extend([span] * len(summed))
+        counters.extend(summed.values())
+        phases.append((span, lo, len(walls)))
+    return _phase_sweep(
+        predictor.estimator, np.array(walls, dtype=np.float64), counters,
+        phases, base_freq_ghz, targets,
     )
-    nonscaling = np.minimum(np.maximum(estimate, 0.0), span)
-    return span - nonscaling, nonscaling
 
 
 def mcrit_window_sweep(
@@ -638,23 +667,8 @@ def mcrit_window_sweep(
     targets: Sequence[float],
 ) -> List[float]:
     """M+CRIT window semantics at every target from one summation."""
-    pairs = [split_target(target) for target in targets]
-    check_frequency("base frequency", base_freq_ghz, PredictionError)
-    if not epochs:
-        return [0.0 for _ in targets]
-    span = epochs[-1].end_ns - epochs[0].start_ns
-    summed = _sum_thread_deltas(epochs)
-    if not summed:
-        return [span for _ in targets]
-    scaling, nonscaling = _window_decompose(predictor.estimator, span, summed)
-    results: List[float] = []
-    for target, uncore in pairs:
-        if uncore == 1.0:
-            values = scaling * base_freq_ghz / target + nonscaling
-        else:
-            values = scaling * base_freq_ghz / target + nonscaling * uncore
-        results.append(max(0.0, float(values.max())))
-    return results
+    groups = [epochs] if epochs else []
+    return _window_sweep(predictor, groups, base_freq_ghz, targets)
 
 
 def coop_window_sweep(
@@ -664,46 +678,23 @@ def coop_window_sweep(
     targets: Sequence[float],
 ) -> List[float]:
     """COOP window semantics (GC-run phase groups) at every target."""
-    pairs = [split_target(target) for target in targets]
-    check_frequency("base frequency", base_freq_ghz, PredictionError)
     groups: List[List[Epoch]] = []
-    group: List[Epoch] = []
     for epoch in epochs:
-        if group and epoch.during_gc != group[0].during_gc:
-            groups.append(group)
-            group = []
-        group.append(epoch)
-    if group:
-        groups.append(group)
-    # Gather each phase group once; per target only the multiply-add and
-    # the (sequential, scalar-order) phase summation remain.
-    metas: List[Tuple[float, Optional[Tuple[np.ndarray, np.ndarray]]]] = []
-    for g in groups:
-        span = g[-1].end_ns - g[0].start_ns
-        summed = _sum_thread_deltas(g)
-        if not summed:
-            metas.append((span, None))
-        else:
-            metas.append(
-                (span, _window_decompose(predictor.estimator, span, summed))
-            )
-    results: List[float] = []
-    for target, uncore in pairs:
-        total = 0.0
-        for span, decomposition in metas:
-            if decomposition is None:
-                total += span
-            else:
-                scaling, nonscaling = decomposition
-                if uncore == 1.0:
-                    values = scaling * base_freq_ghz / target + nonscaling
-                else:
-                    values = (
-                        scaling * base_freq_ghz / target + nonscaling * uncore
-                    )
-                total += max(0.0, float(values.max()))
-        results.append(total)
-    return results
+        if not groups or epoch.during_gc != groups[-1][0].during_gc:
+            groups.append([])
+        groups[-1].append(epoch)
+    return _window_sweep(predictor, groups, base_freq_ghz, targets)
+
+
+def predict_target(predict, target: Target) -> float:
+    """One scalar prediction at a sweep target: ``predict(freq)``, with
+    ``uncore_scale=`` only for a heterogeneous target. The
+    :class:`~repro.core.predictors.Predictor` protocol (and custom
+    predictors following it) takes no uncore keyword."""
+    freq, uncore = split_target(target)
+    if uncore == 1.0:
+        return predict(freq)
+    return predict(freq, uncore_scale=uncore)
 
 
 def sweep_predict_epochs(
@@ -740,20 +731,10 @@ def sweep_predict_epochs(
         return check_predicted_list(
             coop_window_sweep(predictor, epochs, base_freq_ghz, targets)
         )
-    results: List[float] = []
-    for target in targets:
-        freq, uncore = split_target(target)
-        if uncore == 1.0:
-            # Keep the legacy call shape: custom predictors need not
-            # accept an uncore keyword to stay sweepable.
-            results.append(predictor.predict_epochs(epochs, base_freq_ghz, freq))
-        else:
-            results.append(
-                predictor.predict_epochs(
-                    epochs, base_freq_ghz, freq, uncore_scale=uncore
-                )
-            )
-    return check_predicted_list(results)
+    predict = partial(predictor.predict_epochs, epochs, base_freq_ghz)
+    return check_predicted_list(
+        [predict_target(predict, target) for target in targets]
+    )
 
 
 # ----------------------------------------------------------------------
@@ -864,23 +845,10 @@ class TraceSweep:
             return self._mcrit_sweep(predictor, base, targets)
         if type(predictor) is CoopPredictor:
             return self._coop_sweep(predictor, base, targets)
-        results: List[float] = []
-        for target in targets:
-            freq, uncore = split_target(target)
-            if uncore == 1.0:
-                results.append(
-                    predictor.predict_total_ns(
-                        self.trace, freq, base_freq_ghz=base
-                    )
-                )
-            else:
-                results.append(
-                    predictor.predict_total_ns(
-                        self.trace, freq, base_freq_ghz=base,
-                        uncore_scale=uncore,
-                    )
-                )
-        return results
+        predict = partial(
+            predictor.predict_total_ns, self.trace, base_freq_ghz=base
+        )
+        return [predict_target(predict, target) for target in targets]
 
     # -- M+CRIT --------------------------------------------------------
 
@@ -900,26 +868,13 @@ class TraceSweep:
         return gathered
 
     def _mcrit_sweep(
-        self, predictor: MCritPredictor, base: float, targets: List[float]
+        self, predictor: MCritPredictor, base: float, targets: List[Target]
     ) -> List[float]:
-        pairs = [split_target(target) for target in targets]
-        check_frequency("base frequency", base, PredictionError)
-        walls, counter_list = self._mcrit_gather()
-        if walls.size and float(walls.min()) < 0:
-            raise PredictionError(f"negative wall time {float(walls.min())}")
-        estimate = np.array(
-            [predictor.estimator(c) for c in counter_list], dtype=np.float64
+        walls, counters = self._mcrit_gather()
+        return _phase_sweep(
+            predictor.estimator, walls, counters, [(0.0, 0, walls.size)],
+            base, targets,
         )
-        nonscaling = np.minimum(np.maximum(estimate, 0.0), walls)
-        scaling = walls - nonscaling
-        results: List[float] = []
-        for target, uncore in pairs:
-            if uncore == 1.0:
-                values = scaling * base / target + nonscaling
-            else:
-                values = scaling * base / target + nonscaling * uncore
-            results.append(max(0.0, float(values.max())))
-        return results
 
     # -- COOP ----------------------------------------------------------
 
@@ -928,7 +883,7 @@ class TraceSweep:
     ) -> Tuple[List[Tuple[float, int, int]], np.ndarray, List[CounterSet]]:
         """Per-phase entry windows, flattened.
 
-        Returns ``(metas, walls, counters)`` where ``metas`` holds one
+        Returns ``(phases, walls, counters)`` where ``phases`` holds one
         ``(phase_duration_ns, lo, hi)`` per phase (``lo:hi`` slicing the
         flat entry arrays) and each entry is one live thread clipped to
         the phase, in the scalar model's thread order.
@@ -968,32 +923,9 @@ class TraceSweep:
         return gathered
 
     def _coop_sweep(
-        self, predictor: CoopPredictor, base: float, targets: List[float]
+        self, predictor: CoopPredictor, base: float, targets: List[Target]
     ) -> List[float]:
-        pairs = [split_target(target) for target in targets]
-        check_frequency("base frequency", base, PredictionError)
-        metas, walls, counter_list = self._coop_gather()
-        if walls.size and float(walls.min()) < 0:
-            raise PredictionError(f"negative wall time {float(walls.min())}")
-        estimate = np.array(
-            [predictor.estimator(c) for c in counter_list], dtype=np.float64
+        phases, walls, counters = self._coop_gather()
+        return _phase_sweep(
+            predictor.estimator, walls, counters, phases, base, targets
         )
-        nonscaling = np.minimum(np.maximum(estimate, 0.0), walls)
-        scaling = walls - nonscaling
-        results: List[float] = []
-        for target, uncore in pairs:
-            if uncore == 1.0:
-                values = scaling * base / target + nonscaling
-            else:
-                values = scaling * base / target + nonscaling * uncore
-            total = 0.0
-            for duration_ns, lo, hi in metas:
-                if hi == lo:
-                    # No live thread in the phase window: keep measured
-                    # duration (the scalar model's rule).
-                    total += duration_ns
-                else:
-                    total += max(0.0, float(values[lo:hi].max()))
-            results.append(total)
-        return results
-

@@ -25,8 +25,9 @@ per epoch.
 The kernels themselves live in :mod:`repro.core.sweep` (the sweep engine
 shares them with the experiment drivers and the energy manager); this
 module adds the batch concern the service needs: DEP-family jobs with a
-recognized linear estimator are flattened together so one columnar pass
-covers the whole batch. M+CRIT/COOP jobs route through the sweep window
+recognized linear estimator are flattened together into one
+:class:`~repro.core.sweep.EpochArrays`, so one columnar pass covers the
+whole batch. M+CRIT/COOP jobs route through the sweep window
 kernels per job; custom predictors or estimators fall back to the scalar
 code, so results never depend on which path ran.
 """
@@ -44,6 +45,7 @@ from repro.core.dep import DepPredictor
 from repro.core.epochs import Epoch
 from repro.core.model import check_predicted_ns
 from repro.core.sweep import (
+    EpochArrays,
     ctp_total,
     estimator_key,
     sweep_predict_epochs,
@@ -59,26 +61,6 @@ class PredictJob:
     epochs: Sequence[Epoch]
     base_freq_ghz: float
     target_freqs_ghz: Tuple[float, ...]
-
-
-class _Columns:
-    """Counter columns of all (epoch, thread) entries of a job group."""
-
-    __slots__ = ("wall", "crit", "leading", "stall", "sqfull")
-
-    def __init__(self, entries: List) -> None:
-        n = len(entries)
-        self.wall = np.empty(n)
-        self.crit = np.empty(n)
-        self.leading = np.empty(n)
-        self.stall = np.empty(n)
-        self.sqfull = np.empty(n)
-        for i, c in enumerate(entries):
-            self.wall[i] = c.active_ns
-            self.crit[i] = c.crit_ns
-            self.leading[i] = c.leading_ns
-            self.stall[i] = c.stall_ns
-            self.sqfull[i] = c.sqfull_ns
 
 
 def _vector_estimate(estimator, cols) -> np.ndarray:
@@ -129,33 +111,33 @@ def evaluate_predict_jobs(jobs: Sequence[PredictJob]) -> List[List[float]]:
 def _evaluate_group(
     group: List[PredictJob], indices: List[int], results: List
 ) -> None:
-    """Columnar evaluation of jobs sharing one estimator."""
-    entries: List = []
-    # Per job: (entry_lo, per-epoch thread layout). The layout remembers,
-    # for each epoch, its (tids, duration, stall_tid) so the CTP loop can
-    # slice the flat prediction array back into epochs.
-    layouts: List[Tuple[int, List[Tuple[Tuple[int, ...], float, Optional[int]]]]] = []
-    for job in group:
-        lo = len(entries)
-        epoch_meta = []
-        for epoch in job.epochs:
-            tids = tuple(epoch.thread_deltas)
-            for tid in tids:
-                entries.append(epoch.thread_deltas[tid])
-            epoch_meta.append((tids, epoch.duration_ns, epoch.stall_tid))
-        layouts.append((lo, epoch_meta))
-    cols = _Columns(entries)
-    if cols.wall.size and float(cols.wall.min()) < 0:
+    """Columnar evaluation of jobs sharing one estimator: one
+    :class:`EpochArrays` over every job's epochs, in job order, which
+    each job slices back into its own entries and epochs."""
+    arrays = EpochArrays.from_epochs(
+        [epoch for job in group for epoch in job.epochs]
+    )
+    if arrays.wall.size and float(arrays.wall.min()) < 0:
         raise PredictionError("negative wall time in predict batch")
-    estimate = _vector_estimate(group[0].predictor.estimator, cols)
-    nonscaling = np.minimum(np.maximum(estimate, 0.0), cols.wall)
-    scaling = cols.wall - nonscaling
-    for job, (lo, epoch_meta), out_index in zip(group, layouts, indices):
+    estimate = _vector_estimate(group[0].predictor.estimator, arrays)
+    nonscaling = np.minimum(np.maximum(estimate, 0.0), arrays.wall)
+    scaling = arrays.wall - nonscaling
+    epoch_lo = entry_lo = 0
+    for job, out_index in zip(group, indices):
         for freq in (job.base_freq_ghz, *job.target_freqs_ghz):
             check_frequency("frequency", freq, PredictionError)
-        n = sum(len(tids) for tids, _, _ in epoch_meta)
-        s = scaling[lo : lo + n]
-        ns = nonscaling[lo : lo + n]
+        epoch_hi = epoch_lo + len(job.epochs)
+        tids = arrays.tids[epoch_lo:epoch_hi]
+        epoch_meta = list(
+            zip(
+                tids,
+                arrays.durations[epoch_lo:epoch_hi],
+                arrays.stall_tids[epoch_lo:epoch_hi],
+            )
+        )
+        entry_hi = entry_lo + sum(len(t) for t in tids)
+        s = scaling[entry_lo:entry_hi]
+        ns = nonscaling[entry_lo:entry_hi]
         across = job.predictor.across_epoch_ctp
         job_results: List[float] = []
         for target in job.target_freqs_ghz:
@@ -164,3 +146,4 @@ def _evaluate_group(
                 check_predicted_ns(ctp_total(epoch_meta, predicted, across))
             )
         results[out_index] = job_results
+        epoch_lo, entry_lo = epoch_hi, entry_hi

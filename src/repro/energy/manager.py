@@ -28,6 +28,7 @@ that slices each interval's epochs out of the live trace and delegates.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Dict, List, Optional, Sequence
 
 from repro.common.errors import ConfigError
@@ -37,7 +38,7 @@ from repro.core.burst import with_burst
 from repro.core.crit import crit_nonscaling
 from repro.core.dep import DepPredictor
 from repro.core.epochs import Epoch, extract_epochs
-from repro.core.sweep import EpochArrays, sweep_predict_epochs
+from repro.core.sweep import EpochArrays, predict_target, sweep_predict_epochs
 from repro.sim.intervals import IntervalRecord
 from repro.sim.trace import SimulationTrace
 
@@ -149,9 +150,9 @@ class EnergyManagerSession:
                 raise ConfigError("candidates must be non-empty")
             self._f_max = self._candidates[-1]
         #: Uncore-frequency scale applied to non-scaling time in every
-        #: prediction (reference_uncore / domain_uncore); 1.0 — the
-        #: default and the homogeneous machine — leaves every prediction
-        #: on the paper's exact expression.
+        #: prediction (reference_uncore / domain_uncore). The default 1.0
+        #: is the homogeneous machine: ``x * 1.0 == x``, so every
+        #: prediction stays the paper's exact expression.
         self.uncore_scale = check_frequency("uncore_scale", uncore_scale)
         #: Evaluate the whole candidate V/f table per quantum in one
         #: sweep-kernel call instead of one ``predict_epochs`` per set
@@ -215,10 +216,9 @@ class EnergyManagerSession:
 
     def _predict_scalar(self, epochs, base, freq):
         """One scalar prediction honouring the session's uncore scale."""
-        if self.uncore_scale == 1.0:
-            return self.predictor.predict_epochs(epochs, base, freq)
-        return self.predictor.predict_epochs(
-            epochs, base, freq, uncore_scale=self.uncore_scale
+        return predict_target(
+            partial(self.predictor.predict_epochs, epochs, base),
+            (freq, self.uncore_scale),
         )
 
     def _sweep_candidates(self, epochs, base):
@@ -228,10 +228,7 @@ class EnergyManagerSession:
         f_max = self._f_max
         if f_max not in freqs:
             freqs.append(f_max)
-        if self.uncore_scale == 1.0:
-            targets = freqs
-        else:
-            targets = [(freq, self.uncore_scale) for freq in freqs]
+        targets = [(freq, self.uncore_scale) for freq in freqs]
         arrays = EpochArrays.from_epochs(epochs)
         values = sweep_predict_epochs(self.predictor, arrays, base, targets)
         return dict(zip(freqs, values))

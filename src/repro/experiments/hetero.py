@@ -118,10 +118,7 @@ def evaluate_grid_point(
     candidates = table.set_points()
     f_max = candidates[-1]
     sweep = runner.trace_sweep(benchmark, BASE_FREQ_GHZ)
-    if uncore_scale == 1.0:
-        targets: List = list(candidates)
-    else:
-        targets = [(freq, uncore_scale) for freq in candidates]
+    targets = [(freq, uncore_scale) for freq in candidates]
     values = sweep.predict(predictor, targets, base_freq_ghz=BASE_FREQ_GHZ)
     predictions = dict(zip(candidates, values))
     predicted_at_max = predictions[f_max]

@@ -146,7 +146,8 @@ def _diff_predict_vectorized(context: CaseContext) -> List[str]:
     "sweep-scalar-identity",
     "the simulate-once sweep engine (columnar decomposition + frequency "
     "kernels) is byte-identical to the scalar per-frequency path for all "
-    "predictors, and leaves energy-manager decisions unchanged",
+    "predictors, at plain and uncore-2.0 targets, and leaves "
+    "energy-manager decisions unchanged",
 )
 def _sweep_scalar_identity(context: CaseContext) -> List[str]:
     from repro.core.epochs import extract_epochs
@@ -168,27 +169,27 @@ def _sweep_scalar_identity(context: CaseContext) -> List[str]:
     sweep = TraceSweep(trace)
     epochs = context.epochs()
     arrays = EpochArrays.from_epochs(epochs)
+    # Plain targets, then the same ladder as (f, 2.0) uncore lanes.
+    lane_sets = ((targets, 1.0), ([(t, 2.0) for t in targets], 2.0))
     for name in predictor_names():
         predictor = make_predictor(name)
-        whole = sweep.predict(predictor, targets)
-        whole_scalar = [
-            predictor.predict_total_ns(trace, target) for target in targets
-        ]
-        if whole != whole_scalar:
-            violations.append(
-                f"{name}: whole-trace sweep {whole!r} != scalar "
-                f"{whole_scalar!r}"
+        for lanes, uncore in lane_sets:
+            checks = (
+                ("whole-trace", sweep.predict(predictor, lanes), [
+                    predictor.predict_total_ns(trace, t, uncore_scale=uncore)
+                    for t in targets
+                ]),
+                ("window", sweep_predict_epochs(predictor, arrays, base, lanes), [
+                    predictor.predict_epochs(epochs, base, t, uncore_scale=uncore)
+                    for t in targets
+                ]),
             )
-        window = sweep_predict_epochs(predictor, arrays, base, targets)
-        window_scalar = [
-            predictor.predict_epochs(epochs, base, target)
-            for target in targets
-        ]
-        if window != window_scalar:
-            violations.append(
-                f"{name}: window sweep {window!r} != scalar "
-                f"{window_scalar!r}"
-            )
+            for kind, swept, scalar in checks:
+                if swept != scalar:
+                    violations.append(
+                        f"{name} (uncore {uncore}): {kind} sweep {swept!r} "
+                        f"!= scalar {scalar!r}"
+                    )
 
     # The consumer that matters most: per-quantum governor decisions must
     # not depend on which engine scored the candidate table.

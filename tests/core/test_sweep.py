@@ -19,6 +19,7 @@ from repro.core.sweep import (
     estimator_key,
     sweep_predict_epochs,
 )
+from repro.energy.manager import interval_epochs
 from repro.sim.run import simulate
 from repro.workloads.dacapo import build_dacapo
 from tests.util import barrier_program, lock_pair_program
@@ -285,6 +286,28 @@ def test_epoch_sweep_accepts_tuples(benchmark_traces):
         for t in TARGETS
     ]
     assert tupled == scalar
+    # Every window kernel (DEP, and M+CRIT/COOP's phase kernel) takes
+    # plain and (f, uncore) lanes in one call, over the whole trace and
+    # over each governor interval's window.
+    targets = [t for f in TARGETS for t in (f, (f, 0.5), (f, 1.0), (f, 2.0))]
+    lanes = [(f, u) for f in TARGETS for u in (1.0, 0.5, 1.0, 2.0)]
+    for pname in predictor_names():
+        predictor = make_predictor(pname)
+        for name, trace in benchmark_traces.items():
+            windows = [extract_epochs(trace.events)] + [
+                interval_epochs(record, trace) for record in trace.intervals
+            ]
+            for i, window in enumerate(windows):
+                swept = sweep_predict_epochs(
+                    predictor, window, BASE_GHZ, targets
+                )
+                scalar = [
+                    predictor.predict_epochs(
+                        window, BASE_GHZ, f, uncore_scale=u
+                    )
+                    for f, u in lanes
+                ]
+                assert swept == scalar, (pname, name, i)
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Hetero experiment: node x uncore grid, determinism, sweep parity."""
 
+import hashlib
+
 import pytest
 
 from repro.core.predictors import make_predictor
@@ -70,6 +72,19 @@ def test_slow_uncore_never_raises_the_pick(payload):
 def test_payload_bytes_are_deterministic(runner, payload):
     rebuilt = hetero.figure_payload(ExperimentRunner(CONFIG))
     assert hetero.payload_bytes(rebuilt) == hetero.payload_bytes(payload)
+
+
+#: sha256 of the figure bytes at ``CONFIG``: pins every cell, so a change
+#: that moved all uncore lanes alike (which cold-vs-warm parity misses)
+#: still fails.
+FIGURE_SHA256 = (
+    "2ea212215816a544de9c230e67dba018d966b46dd3b6e162067812c8cb13a074"
+)
+
+
+def test_payload_bytes_are_pinned(payload):
+    digest = hashlib.sha256(hetero.payload_bytes(payload)).hexdigest()
+    assert digest == FIGURE_SHA256
 
 
 def test_write_figure_round_trips(tmp_path, runner, payload):
