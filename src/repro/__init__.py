@@ -21,7 +21,7 @@ Quick start::
 """
 
 from repro.core.predictors import get_predictor, make_predictor, predictor_names
-from repro.core.evaluate import mean_absolute_error, prediction_error
+from repro.core.evaluate import prediction_error
 from repro.sim.run import SimulationResult, simulate, simulate_managed
 from repro.workloads.registry import BenchmarkBundle, benchmark_names, get_benchmark
 
@@ -35,7 +35,6 @@ __all__ = [
     "get_benchmark",
     "get_predictor",
     "make_predictor",
-    "mean_absolute_error",
     "prediction_error",
     "predictor_names",
     "simulate",

@@ -12,8 +12,8 @@ workload behaves unexpectedly:
   for;
 * :mod:`~repro.analysis.breakdown` — per-epoch prediction error
   attribution: which epochs a predictor gets wrong, and by how much;
-* :mod:`~repro.analysis.charts` — ASCII renderings of the paper-style
-  figures from experiment results.
+* :mod:`~repro.analysis.charts` — an ASCII busy-time-per-thread chart
+  of one run.
 """
 
 from repro.analysis.breakdown import EpochErrorBreakdown, epoch_error_breakdown

@@ -1,56 +1,9 @@
-"""ASCII renderings of the paper-style figures.
-
-The experiment modules return tabular :class:`ExperimentResult` objects;
-this module turns the key series into terminal bar charts that read like
-the paper's figures — a signed error bar per benchmark (Figure 3 style) or
-a savings bar per benchmark (Figure 6 style).
-"""
+"""ASCII bar charts of one run's trace statistics."""
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Sequence
-
 from repro.common.tables import format_bar_chart
 from repro.analysis.stats import TraceStats
-
-
-def error_chart(
-    errors_by_benchmark: Mapping[str, float], title: str, width: int = 36
-) -> str:
-    """Figure-3-style signed error bars (values are fractions)."""
-    labels = list(errors_by_benchmark)
-    values = [100.0 * errors_by_benchmark[label] for label in labels]
-    return format_bar_chart(labels, values, width=width, unit="%", title=title)
-
-
-def savings_chart(
-    savings_by_benchmark: Mapping[str, float], title: str, width: int = 36
-) -> str:
-    """Figure-6-style energy-saving bars (values are fractions)."""
-    labels = list(savings_by_benchmark)
-    values = [100.0 * savings_by_benchmark[label] for label in labels]
-    return format_bar_chart(labels, values, width=width, unit="%", title=title)
-
-
-def frequency_histogram(
-    freqs_ghz: Sequence[float], set_points: Sequence[float], width: int = 30
-) -> str:
-    """Residency histogram of a managed run's frequency choices."""
-    counts: Dict[float, int] = {point: 0 for point in set_points}
-    for freq in freqs_ghz:
-        nearest = min(set_points, key=lambda p: abs(p - freq))
-        counts[nearest] += 1
-    total = max(1, len(freqs_ghz))
-    labels: List[str] = []
-    values: List[float] = []
-    for point in set_points:
-        if counts[point] == 0:
-            continue
-        labels.append(f"{point:.3f} GHz")
-        values.append(100.0 * counts[point] / total)
-    return format_bar_chart(
-        labels, values, width=width, unit="%", title="frequency residency"
-    )
 
 
 def stats_chart(stats: TraceStats, width: int = 30) -> str:

@@ -28,7 +28,7 @@ from repro.core.burst import with_burst
 from repro.core.crit import crit_nonscaling
 from repro.core.dep import DepPredictor
 from repro.core.epochs import Epoch, extract_epochs
-from repro.core.evaluate import mean_absolute_error, prediction_error
+from repro.core.evaluate import prediction_error
 from repro.core.leadingloads import leading_loads_nonscaling
 from repro.core.mcrit import MCritPredictor
 from repro.core.coop import CoopPredictor
@@ -49,7 +49,6 @@ __all__ = [
     "extract_epochs",
     "leading_loads_nonscaling",
     "make_predictor",
-    "mean_absolute_error",
     "prediction_error",
     "predictor_names",
     "stall_time_nonscaling",

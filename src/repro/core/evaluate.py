@@ -2,16 +2,12 @@
 
 The paper quantifies accuracy as the *relative prediction error*
 ``estimated / actual - 1``: negative values mean the execution time was
-underestimated (performance overestimated), positive the reverse. Averages
-across benchmarks use the mean of absolute errors.
+underestimated (performance overestimated), positive the reverse.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional
-
 from repro.common.errors import PredictionError
-from repro.sim.trace import SimulationTrace
 
 
 def prediction_error(estimated_ns: float, actual_ns: float) -> float:
@@ -19,47 +15,3 @@ def prediction_error(estimated_ns: float, actual_ns: float) -> float:
     if actual_ns <= 0:
         raise PredictionError(f"actual time must be positive, got {actual_ns}")
     return estimated_ns / actual_ns - 1.0
-
-
-def mean_absolute_error(errors: Iterable[float]) -> float:
-    """Mean of absolute relative errors (the paper's 'average absolute error')."""
-    values = [abs(error) for error in errors]
-    if not values:
-        raise PredictionError("no errors to average")
-    return sum(values) / len(values)
-
-
-def evaluate_predictor(
-    predictor,
-    base_trace: SimulationTrace,
-    actual_by_freq: Mapping[float, float],
-    base_freq_ghz: Optional[float] = None,
-    sweep: bool = True,
-) -> Dict[float, float]:
-    """Signed error of ``predictor`` at every target frequency.
-
-    ``actual_by_freq`` maps target frequency (GHz) to the measured
-    end-to-end time from a ground-truth run at that frequency. With
-    ``sweep`` (the default) all targets are evaluated through the sweep
-    kernels from one decomposition of ``base_trace``; ``sweep=False``
-    runs one scalar ``predict_total_ns`` per target. The errors are
-    bit-identical either way.
-    """
-    targets = list(actual_by_freq)
-    if sweep:
-        from repro.core.sweep import TraceSweep
-
-        estimates = TraceSweep(base_trace).predict(
-            predictor, targets, base_freq_ghz=base_freq_ghz
-        )
-    else:
-        estimates = [
-            predictor.predict_total_ns(
-                base_trace, freq_ghz, base_freq_ghz=base_freq_ghz
-            )
-            for freq_ghz in targets
-        ]
-    return {
-        freq_ghz: prediction_error(estimated, actual_by_freq[freq_ghz])
-        for freq_ghz, estimated in zip(targets, estimates)
-    }

@@ -9,12 +9,12 @@ end to end over the wire, twice per run:
 
 1. run a benchmark under the in-process energy manager,
 2. stand up a real **single server** (unix socket, batching enabled)
-   and a real **two-worker pool** behind the routing frontend
-   (:mod:`repro.serve.pool` / :mod:`repro.serve.frontend`, shared
-   prediction cache on),
+   and a real **two-worker pool** (:mod:`repro.serve.pool`, shared
+   prediction cache on), reached through its worker sockets by a
+   :class:`~repro.serve.client.ShardedServeClient`,
 3. replay the recorded trace through a fresh ``govern`` session on
-   each topology — the pool session is pinned by a per-run
-   ``session_key``, so the run exercises consistent-hash routing,
+   each topology — the pool session is placed by a per-run
+   ``session_key``, so the run exercises consistent-hash placement,
 4. compare all three decision logs *as encoded wire bytes* — the same
    JSON encoding the protocol uses, so "equal" means equal at the byte
    level, not approximately.
@@ -38,9 +38,8 @@ from repro.energy.manager import EnergyManager, ManagerConfig
 from repro.experiments.report import ExperimentResult
 from repro.experiments.runner import ExperimentRunner
 from repro.serve import protocol
-from repro.serve.background import BackgroundServer, BackgroundService
-from repro.serve.client import ServeClient, replay_decisions
-from repro.serve.frontend import Frontend
+from repro.serve.background import BackgroundServer
+from repro.serve.client import ServeClient, ShardedServeClient, replay_decisions
 from repro.serve.pool import WorkerPool
 from repro.serve.server import ServeConfig
 from repro.serve.sessions import decision_to_wire
@@ -102,13 +101,10 @@ def run(runner: ExperimentRunner) -> ExperimentResult:
         )
         with BackgroundServer(ServeConfig(socket_path=socket_path)):
             pool.start()
-            frontend = BackgroundService(
-                Frontend(pool.worker_paths(), socket_path=pool_path)
-            )
-            frontend.start()
             try:
                 with ServeClient.connect(socket_path=socket_path) as client, \
-                        ServeClient.connect(socket_path=pool_path) as pooled:
+                        ShardedServeClient.connect_workers(
+                            pool.worker_paths()) as pooled:
                     for benchmark in benchmarks:
                         bundle = runner.bundle(benchmark)
                         for threshold in config.thresholds:
@@ -163,7 +159,6 @@ def run(runner: ExperimentRunner) -> ExperimentResult:
                             )
                     opened = _worker_sessions_opened(pool)
             finally:
-                frontend.stop()
                 pool.stop()
     distribution = ", ".join(
         f"w{worker_id}={count}" for worker_id, count in sorted(opened.items())

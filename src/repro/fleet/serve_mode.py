@@ -3,9 +3,10 @@
 The fleet engine steps every governor decision stream in process
 (:meth:`repro.fleet.profiles.TenantProfile.governor_plan`). This module
 replays the same streams through a live multi-worker :mod:`repro.serve`
-tier — a :class:`~repro.serve.pool.WorkerPool` behind the routing
-:class:`~repro.serve.frontend.Frontend`, each stream pinned to its
-consistent-hash shard by a per-group ``session_key`` — and asserts the
+tier — a :class:`~repro.serve.pool.WorkerPool` reached through its
+worker sockets by a :class:`~repro.serve.client.ShardedServeClient`,
+each stream placed on its consistent-hash shard by a per-group
+``session_key`` — and asserts the
 two logs agree **as encoded wire bytes**, the same comparison the serve
 replay experiment makes. One stream per distinct (profile, manager
 config) group covers every tenant: tenants sharing a group share the
@@ -27,9 +28,7 @@ from repro.energy.manager import ManagerConfig
 from repro.fleet.profiles import ProfileStore, TenantProfile
 from repro.fleet.tenants import TenantSpec, profile_key
 from repro.serve import protocol
-from repro.serve.client import ServeClient
-from repro.serve.background import BackgroundService
-from repro.serve.frontend import Frontend
+from repro.serve.client import ShardedServeClient
 from repro.serve.pool import WorkerPool
 from repro.serve.server import ServeConfig
 from repro.serve.sessions import decision_to_wire
@@ -67,7 +66,7 @@ def decision_groups(
 
 
 def replay_group(
-    client: ServeClient,
+    client: ShardedServeClient,
     key: str,
     profile: TenantProfile,
     manager: ManagerConfig,
@@ -112,12 +111,9 @@ def validate_decision_streams(
             shared_cache=True,
         )
         pool.start()
-        frontend = BackgroundService(
-            Frontend(pool.worker_paths(), socket_path=pool_path)
-        )
-        frontend.start()
         try:
-            with ServeClient.connect(socket_path=pool_path) as client:
+            with ShardedServeClient.connect_workers(
+                    pool.worker_paths()) as client:
                 for key, profile, manager in groups:
                     local = decision_stream_bytes(
                         profile.governor_plan(manager).decisions
@@ -135,7 +131,6 @@ def validate_decision_streams(
                         profile.governor_plan(manager).decisions
                     )
         finally:
-            frontend.stop()
             pool.stop()
     return {
         "workers": workers,

@@ -8,10 +8,13 @@ Examples::
     repro-serve --socket /tmp/repro.sock --workers 4 --shared-predict-cache
 
 With ``--workers N`` (N > 1) the process becomes a pool driver: it
-spawns N worker processes (:mod:`repro.serve.pool`), shares the TCP
-port via ``SO_REUSEPORT`` or fronts the unix socket with a routing
-frontend (:mod:`repro.serve.frontend`), and aggregates fleet metrics so
-``stats`` against any endpoint reports the whole pool.
+spawns N worker processes (:mod:`repro.serve.pool`) that share fleet
+metrics, so ``stats`` against any worker reports the whole pool. With
+``--socket P`` each worker binds its own path ``P.w0`` ... ``P.w{N-1}``
+(the ready line lists them, and nothing binds ``P``); clients reach the
+pool with :meth:`repro.serve.client.ShardedServeClient.connect_workers`.
+With ``--host`` every worker also binds the one TCP port via
+``SO_REUSEPORT``.
 
 The process runs until SIGINT/SIGTERM, then shuts down cleanly (closing
 listeners, live connections and — in pool mode — every worker).
@@ -31,8 +34,6 @@ import threading
 
 from repro.common.errors import ConfigError
 from repro.common.profiling import UNSET, resolve_profile_path, run_maybe_profiled
-from repro.serve.background import BackgroundService
-from repro.serve.frontend import Frontend
 from repro.serve.pool import WorkerPool
 from repro.serve.server import ServeConfig, Server
 
@@ -129,25 +130,16 @@ async def _run(config: ServeConfig) -> int:
 
 
 def _run_pool(config: ServeConfig, n_workers: int, shared_cache: bool) -> int:
-    """Drive a worker pool (and, in unix mode, its routing frontend)."""
+    """Drive a worker pool until SIGINT/SIGTERM."""
     pool = WorkerPool(config, n_workers, shared_cache=shared_cache)
-    frontend: "BackgroundService | None" = None
     stop = threading.Event()
     for signum in (signal.SIGINT, signal.SIGTERM):
         signal.signal(signum, lambda *_: stop.set())
     pool.start()
     try:
-        if pool.unix_mode:
-            frontend = BackgroundService(Frontend(
-                pool.worker_paths(),
-                socket_path=config.socket_path,
-                host=config.host,
-                port=config.port,
-                max_frame_bytes=config.max_frame_bytes,
-            ))
-            endpoints = frontend.start()
-        else:
-            endpoints = [f"tcp:{pool.base.host}:{pool.base.port}"]
+        endpoints = [f"unix:{path}" for path in pool.worker_paths()]
+        if pool.base.host is not None:
+            endpoints.append(f"tcp:{pool.base.host}:{pool.base.port}")
         print(
             f"repro-serve ready on {', '.join(endpoints)} "
             f"({n_workers} workers)",
@@ -155,12 +147,7 @@ def _run_pool(config: ServeConfig, n_workers: int, shared_cache: bool) -> int:
         )
         stop.wait()
     finally:
-        if frontend is not None:
-            frontend.stop()
         pool.stop()
-        if config.socket_path is not None:
-            with contextlib.suppress(OSError):
-                os.unlink(config.socket_path)
     return 0
 
 

@@ -305,10 +305,11 @@ class ServeClient:
     ) -> "GovernSession":
         """Open a server-side governor session.
 
-        ``session_key`` is a frame-level routing hint: a pool frontend
-        pins the session to ``shard_for_key(session_key)``'s worker, so
-        re-opened sessions with the same key land on the same worker.
-        Standalone servers ignore it.
+        ``session_key`` places a session on a pool worker
+        (:meth:`ShardedServeClient.open_session`). One connection reaches
+        one server, so there is nothing to place here: the key is
+        accepted so that both clients open sessions through one call,
+        and it is not sent.
         """
         wire_config: Dict[str, Any] = {
             "predictor": predictor,
@@ -322,10 +323,7 @@ class ServeClient:
                 slack_banking=config.slack_banking,
                 objective=config.objective,
             )
-        extra: Dict[str, Any] = {}
-        if session_key is not None:
-            extra["session_key"] = session_key
-        result = self.request("govern", op="open", config=wire_config, **extra)
+        result = self.request("govern", op="open", config=wire_config)
         return GovernSession(self, result["session"])
 
 
@@ -384,12 +382,12 @@ class GovernSession:
 class ShardedServeClient:
     """A client holding one connection per pool worker, routed by shard.
 
-    For callers that want to skip the frontend hop and speak to a unix
-    pool's private worker sockets directly. Stateless requests rotate
-    round-robin across workers; sessions are pinned to
-    ``shard_for_key(session_key)`` — the same placement the frontend
-    would compute — and their :class:`GovernSession` handle is bound to
-    that worker's connection, so stepping routes itself.
+    This is how a unix pool is reached: it binds only its workers'
+    private sockets (``P.w0`` ... ``P.w{N-1}``), and this client connects
+    to each. Stateless requests rotate round-robin across workers;
+    sessions are pinned to ``shard_for_key(session_key)``'s worker, and
+    their :class:`GovernSession` handle is bound to that worker's
+    connection, so stepping routes itself.
     """
 
     def __init__(self, clients: Sequence[ServeClient]) -> None:
@@ -466,7 +464,6 @@ class ShardedServeClient:
             config=config,
             predictor=predictor,
             across_epoch_ctp=across_epoch_ctp,
-            session_key=session_key,
         )
 
 

@@ -5,11 +5,13 @@ core; scaling past that means *processes*. :class:`WorkerPool` spawns N
 :class:`~repro.serve.server.Server` workers (spawn context — no forked
 event-loop state), each with:
 
-* its own listener — a private unix socket derived from the public path
-  (``/run/repro.sock`` -> ``/run/repro.sock.w0`` ...), or the shared TCP
-  port bound with ``SO_REUSEPORT`` so the kernel balances accepted
-  connections across workers;
-* a ``worker_id`` so minted session ids carry routing affinity
+* its own listeners — a private unix socket derived from the pool's
+  path (``/run/repro.sock`` -> ``/run/repro.sock.w0`` ...), and/or the
+  shared TCP port bound with ``SO_REUSEPORT`` so the kernel balances
+  accepted connections across workers. Nothing binds the pool's path
+  itself: clients reach a unix pool through its worker paths
+  (:meth:`repro.serve.client.ShardedServeClient.connect_workers`);
+* a ``worker_id`` so minted session ids carry their worker
   (:mod:`repro.serve.sharding`);
 * a shared fleet-metrics directory (:mod:`repro.serve.fleet`) — created
   and owned by the pool when the config does not name one — so ``stats``
@@ -20,8 +22,7 @@ event-loop state), each with:
 The pool is synchronous (the CLI and the test suite drive it from
 blocking code): ``start()`` spawns and waits for every worker to answer
 ``health``; ``stop()`` sends SIGTERM, joins, and escalates to kill after
-a timeout. Unix-mode pools are usually fronted by
-:class:`repro.serve.frontend.Frontend` on the public path.
+a timeout.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ def resolve_tcp_port(host: str) -> int:
 def worker_config(base: ServeConfig, worker_id: int, n_workers: int,
                   fleet_dir: str,
                   predict_cache_dir: Optional[str]) -> ServeConfig:
-    """Derive one worker's config from the pool's public config."""
+    """Derive one worker's config from the pool's config."""
     changes = dict(
         worker_id=worker_id,
         n_workers=n_workers,
@@ -75,8 +76,7 @@ def worker_config(base: ServeConfig, worker_id: int, n_workers: int,
     )
     if base.socket_path is not None:
         changes["socket_path"] = worker_socket_path(base.socket_path, worker_id)
-        changes["host"] = None  # TCP, if any, is the frontend's job
-    else:
+    if base.host is not None:
         changes["reuse_port"] = True
     return dataclasses.replace(base, **changes)
 
@@ -109,7 +109,7 @@ async def _worker_run(config: ServeConfig) -> None:
 
 
 class WorkerPool:
-    """N serve workers sharing a listener, a fleet dir and a cache."""
+    """N serve workers sharing a fleet dir, and optionally a TCP port and a cache."""
 
     def __init__(
         self,
@@ -119,13 +119,10 @@ class WorkerPool:
     ) -> None:
         if n_workers < 1:
             raise ConfigError("n_workers must be >= 1")
-        if base.socket_path is None:
-            if base.host is None:
-                raise ConfigError("pool config needs a socket_path or a host")
-            if base.port == 0:
-                base = dataclasses.replace(
-                    base, port=resolve_tcp_port(base.host)
-                )
+        if base.socket_path is None and base.host is None:
+            raise ConfigError("pool config needs a socket_path or a host")
+        if base.host is not None and base.port == 0:
+            base = dataclasses.replace(base, port=resolve_tcp_port(base.host))
         self.base = base
         self.n_workers = n_workers
         self._own_dir: Optional[str] = None
@@ -151,21 +148,17 @@ class WorkerPool:
     # Topology
     # ------------------------------------------------------------------
 
-    @property
-    def unix_mode(self) -> bool:
-        return self.base.socket_path is not None
-
     def worker_paths(self) -> List[str]:
-        """Private unix-socket paths (unix mode only)."""
+        """The workers' private unix-socket paths (empty for a TCP-only pool)."""
         return [c.socket_path for c in self.worker_configs
                 if c.socket_path is not None]
 
     def worker_endpoint(self, worker_id: int) -> dict:
         """connect() kwargs reaching one specific worker directly.
 
-        In TCP reuse-port mode every worker answers on the shared port,
-        so 'directly' is only meaningful per-connection there; unix mode
-        pins exactly.
+        A worker's private unix path pins exactly. A TCP-only pool has
+        only the shared reuse-port, so there 'directly' means whichever
+        worker the kernel hands the connection to.
         """
         config = self.worker_configs[worker_id]
         if config.socket_path is not None:

@@ -78,8 +78,8 @@ class SessionStore:
     """All live governor sessions of one server.
 
     In a worker pool, ``worker_id`` embeds this worker's identity in
-    every minted session id (``g3@w1``) so frontends and sharded clients
-    can route follow-up ``step``/``close`` frames statelessly — see
+    every minted session id (``g3@w1``), so an id names the worker its
+    follow-up ``step``/``close`` frames belong to — see
     :mod:`repro.serve.sharding`. Standalone servers keep the historical
     bare ``g<N>`` ids.
     """

@@ -1,29 +1,26 @@
 """Deterministic worker sharding for the multi-worker serve tier.
 
-Three parties must agree on which worker owns what, without talking to
+Two parties must agree on which worker owns what, without talking to
 each other:
 
-* the **frontend** routes ``govern`` frames so a session's entire stream
-  lands on one worker (governor sessions are stateful and ordered);
 * the **sharded client** pins a session to a worker before opening it,
-  so it can speak to worker endpoints directly (no frontend hop);
-* each **worker** mints session ids that carry its own identity, so any
-  router can place a follow-up ``step``/``close`` statelessly.
+  and speaks to that worker's private endpoint for the whole stream
+  (governor sessions are stateful and ordered);
+* each **worker** mints session ids that carry its own identity
+  (``g7@w1``), so a session id names its home worker on its face.
 
 The agreement is content-addressed, like the result caches: a session
 *key* (any string the client chooses — tenant id, benchmark name, a
-UUID) hashes to a worker index via SHA-256 (:func:`shard_for_key`), and
-session *ids* minted by pooled workers embed the worker index as a
-``@w<i>`` suffix (:func:`worker_for_session`). Python's builtin
-``hash()`` is never used: it is salted per process, and two processes
-that disagree about a session's home worker would split one governor
-stream in half.
+UUID) hashes to a worker index via SHA-256 (:func:`shard_for_key`).
+Python's builtin ``hash()`` is never used: it is salted per process, and
+two processes that disagree about a session's home worker would split
+one governor stream in half.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import List, Optional, Tuple
+from typing import List
 
 #: Separator between a worker-local session id and its worker affinity tag.
 AFFINITY_SEP = "@w"
@@ -32,7 +29,7 @@ AFFINITY_SEP = "@w"
 def shard_for_key(key: str, n_workers: int) -> int:
     """Consistent worker index for an arbitrary string key.
 
-    SHA-256-based so every process — client, frontend, worker — computes
+    SHA-256-based so every process — client or worker — computes
     the same shard for the same key, on any platform, in any run.
     """
     if n_workers < 1:
@@ -46,49 +43,16 @@ def tag_session_id(local_id: str, worker_id: int) -> str:
     return f"{local_id}{AFFINITY_SEP}{worker_id}"
 
 
-def worker_for_session(session_id: str, n_workers: int) -> int:
-    """The worker that owns ``session_id``.
-
-    Ids minted by pooled workers parse exactly (``...@w<i>``); anything
-    else — including ids from a differently-sized pool — falls back to
-    :func:`shard_for_key`, which keeps routing deterministic and lets the
-    owning worker produce the authoritative ``unknown-session`` reply.
-    """
-    _, sep, suffix = session_id.rpartition(AFFINITY_SEP)
-    if sep:
-        try:
-            worker_id = int(suffix)
-        except ValueError:
-            worker_id = -1
-        if 0 <= worker_id < n_workers:
-            return worker_id
-    return shard_for_key(session_id, n_workers)
-
-
 # ----------------------------------------------------------------------
 # Worker endpoint naming
 # ----------------------------------------------------------------------
 
 
-def worker_socket_path(public_path: str, worker_id: int) -> str:
-    """The private unix-socket path of one worker behind a public path."""
-    return f"{public_path}.w{worker_id}"
+def worker_socket_path(pool_path: str, worker_id: int) -> str:
+    """The private unix-socket path of one worker of a pool on ``pool_path``."""
+    return f"{pool_path}.w{worker_id}"
 
 
-def worker_socket_paths(public_path: str, n_workers: int) -> List[str]:
-    """All private unix-socket paths behind a public path."""
-    return [worker_socket_path(public_path, i) for i in range(n_workers)]
-
-
-def parse_endpoint(endpoint: str) -> Tuple[str, Optional[str], Optional[int]]:
-    """Split a ``unix:<path>`` / ``tcp:<host>:<port>`` endpoint string.
-
-    Returns ``(kind, path_or_host, port)`` — the inverse of the endpoint
-    strings :meth:`repro.serve.server.Server.start` reports.
-    """
-    if endpoint.startswith("unix:"):
-        return "unix", endpoint[len("unix:"):], None
-    if endpoint.startswith("tcp:"):
-        host, _, port = endpoint[len("tcp:"):].rpartition(":")
-        return "tcp", host, int(port)
-    raise ValueError(f"unparseable endpoint {endpoint!r}")
+def worker_socket_paths(pool_path: str, n_workers: int) -> List[str]:
+    """Every worker's private unix-socket path for a pool on ``pool_path``."""
+    return [worker_socket_path(pool_path, i) for i in range(n_workers)]

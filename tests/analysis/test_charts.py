@@ -1,33 +1,9 @@
 """ASCII chart rendering."""
 
-from repro.analysis.charts import (
-    error_chart,
-    frequency_histogram,
-    savings_chart,
-    stats_chart,
-)
+from repro.analysis.charts import stats_chart
 from repro.analysis.stats import trace_stats
 from repro.sim.run import simulate
 from tests.util import lock_pair_program
-
-
-def test_error_chart_contains_benchmarks_and_signs():
-    text = error_chart({"xalan": -0.25, "sunflow": 0.03}, title="errs")
-    assert "xalan" in text and "sunflow" in text
-    assert "-25.0%" in text and "+3.0%" in text
-
-
-def test_savings_chart():
-    text = savings_chart({"xalan": 0.19}, title="savings")
-    assert "+19.0%" in text
-
-
-def test_frequency_histogram_residency():
-    freqs = [4.0, 4.0, 2.0, 2.0, 2.0, 1.0]
-    text = frequency_histogram(freqs, set_points=(1.0, 2.0, 3.0, 4.0))
-    assert "2.000 GHz" in text
-    assert "3.000 GHz" not in text  # zero residency omitted
-    assert "+50.0%" in text
 
 
 def test_stats_chart_from_real_trace():

@@ -3,10 +3,7 @@
 import pytest
 
 from repro.common.errors import PredictionError
-from repro.core.evaluate import evaluate_predictor, mean_absolute_error, prediction_error
-from repro.core.predictors import make_predictor
-from repro.sim.run import simulate
-from tests.util import lock_pair_program
+from repro.core.evaluate import prediction_error
 
 
 def test_prediction_error_signs():
@@ -18,57 +15,3 @@ def test_prediction_error_signs():
 def test_prediction_error_rejects_bad_actual():
     with pytest.raises(PredictionError):
         prediction_error(1.0, 0.0)
-
-
-def test_mean_absolute_error():
-    assert mean_absolute_error([-0.1, 0.3]) == pytest.approx(0.2)
-    with pytest.raises(PredictionError):
-        mean_absolute_error([])
-
-
-def test_evaluate_predictor_end_to_end():
-    program = lock_pair_program()
-    base = simulate(program, 1.0)
-    actuals = {f: simulate(program, f).total_ns for f in (2.0, 4.0)}
-    errors = evaluate_predictor(
-        make_predictor("DEP+BURST"), base.trace, actuals
-    )
-    assert set(errors) == {2.0, 4.0}
-    for err in errors.values():
-        assert abs(err) < 0.10
-
-
-def test_evaluate_predictor_sweep_matches_scalar():
-    program = lock_pair_program()
-    base = simulate(program, 1.0)
-    actuals = {f: simulate(program, f).total_ns for f in (1.5, 2.0, 4.0)}
-    for name in ("M+CRIT", "COOP+BURST", "DEP+BURST"):
-        predictor = make_predictor(name)
-        swept = evaluate_predictor(predictor, base.trace, actuals, sweep=True)
-        scalar = evaluate_predictor(
-            predictor, base.trace, actuals, sweep=False
-        )
-        assert swept == scalar, name
-
-
-def test_evaluate_predictor_base_freq_override():
-    program = lock_pair_program()
-    base = simulate(program, 1.0)
-    actuals = {2.0: simulate(program, 2.0).total_ns}
-    swept = evaluate_predictor(
-        make_predictor("DEP+BURST"), base.trace, actuals, base_freq_ghz=1.5
-    )
-    scalar = evaluate_predictor(
-        make_predictor("DEP+BURST"),
-        base.trace,
-        actuals,
-        base_freq_ghz=1.5,
-        sweep=False,
-    )
-    assert swept == scalar
-
-
-def test_evaluate_predictor_empty_actuals():
-    program = lock_pair_program()
-    base = simulate(program, 1.0)
-    assert evaluate_predictor(make_predictor("DEP"), base.trace, {}) == {}

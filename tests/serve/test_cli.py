@@ -98,25 +98,28 @@ def _wait_ready(process, timeout=90.0):
     not hasattr(socket, "AF_UNIX"), reason="platform has no AF_UNIX sockets"
 )
 def test_pool_mode_serves_and_shuts_down_gracefully(tmp_path):
-    """``--workers 2`` answers on the public socket; SIGTERM exits 0."""
-    public = str(tmp_path / "serve.sock")
+    """``--workers 2`` answers on its worker sockets; SIGTERM exits 0."""
+    pool_path = str(tmp_path / "serve.sock")
+    workers = [pool_path + ".w0", pool_path + ".w1"]
     process = _spawn_serve(
-        "--socket", public, "--workers", "2", "--max-delay-ms", "1"
+        "--socket", pool_path, "--workers", "2", "--max-delay-ms", "1"
     )
     try:
         banner = _wait_ready(process)
         assert "repro-serve ready" in banner
         assert "(2 workers)" in banner
-        with ServeClient.connect(socket_path=public) as client:
-            health = client.health()
-            assert health["status"] == "ok"
-            assert health["n_workers"] == 2
+        for path in workers:
+            assert f"unix:{path}" in banner
+        assert not os.path.exists(pool_path)  # nothing binds the pool's path
+        for path in workers:
+            with ServeClient.connect(socket_path=path) as client:
+                health = client.health()
+                assert health["status"] == "ok"
+                assert health["n_workers"] == 2
         process.send_signal(signal.SIGTERM)
         assert process.wait(timeout=60) == 0
-        # Graceful teardown removes the public socket and the workers'.
-        assert not os.path.exists(public)
-        assert not os.path.exists(public + ".w0")
-        assert not os.path.exists(public + ".w1")
+        # Graceful teardown removes every worker's socket.
+        assert not any(os.path.exists(path) for path in workers)
     finally:
         if process.poll() is None:
             process.kill()

@@ -58,7 +58,8 @@ def test_unix_worker_configs_derive_private_sockets(tmp_path):
     derived = worker_config(base, 1, 2, fleet_dir=str(tmp_path),
                             predict_cache_dir=None)
     assert derived.socket_path == str(tmp_path / "public.sock") + ".w1"
-    assert derived.host is None  # TCP, if any, is the frontend's job
+    assert derived.host is None
+    assert not derived.reuse_port
     assert derived.worker_id == 1
     assert derived.n_workers == 2
     assert derived.fleet_dir == str(tmp_path)
@@ -70,6 +71,19 @@ def test_tcp_worker_configs_share_a_reuse_port(tmp_path):
     ports = {c.port for c in pool.worker_configs}
     assert len(ports) == 1 and 0 not in ports  # one concrete shared port
     assert all(c.reuse_port for c in pool.worker_configs)
+
+
+def test_unix_and_tcp_listeners_are_independent(tmp_path):
+    """A pool on a path and a host: each worker binds both of its own."""
+    base = ServeConfig(socket_path=str(tmp_path / "serve.sock"),
+                       host="127.0.0.1", port=0, fleet_dir=str(tmp_path))
+    pool = WorkerPool(base, n_workers=2)  # never started
+    assert pool.worker_paths() == [str(tmp_path / "serve.sock.w0"),
+                                   str(tmp_path / "serve.sock.w1")]
+    ports = {c.port for c in pool.worker_configs}
+    assert len(ports) == 1 and 0 not in ports
+    assert all(c.host == "127.0.0.1" and c.reuse_port
+               for c in pool.worker_configs)
 
 
 # ----------------------------------------------------------------------

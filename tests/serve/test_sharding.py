@@ -6,10 +6,8 @@ import pytest
 
 from repro.serve.sharding import (
     AFFINITY_SEP,
-    parse_endpoint,
     shard_for_key,
     tag_session_id,
-    worker_for_session,
     worker_socket_path,
     worker_socket_paths,
 )
@@ -53,19 +51,6 @@ class TestSessionAffinity:
         for worker_id in range(4):
             tagged = tag_session_id("g7", worker_id)
             assert tagged == f"g7{AFFINITY_SEP}{worker_id}"
-            assert worker_for_session(tagged, 4) == worker_id
-
-    def test_untagged_id_falls_back_to_key_hash(self):
-        assert worker_for_session("g7", 4) == shard_for_key("g7", 4)
-
-    def test_out_of_range_tag_falls_back(self):
-        """An id minted by a larger pool routes deterministically anyway."""
-        stale = tag_session_id("g7", 7)
-        assert worker_for_session(stale, 2) == shard_for_key(stale, 2)
-
-    def test_non_numeric_suffix_falls_back(self):
-        odd = f"g7{AFFINITY_SEP}abc"
-        assert worker_for_session(odd, 4) == shard_for_key(odd, 4)
 
 
 # ----------------------------------------------------------------------
@@ -80,13 +65,3 @@ class TestEndpoints:
             "/run/serve.sock.w0",
             "/run/serve.sock.w1",
         ]
-
-    def test_parse_endpoint_round_trips(self):
-        assert parse_endpoint("unix:/run/s.sock") == ("unix", "/run/s.sock", None)
-        assert parse_endpoint("tcp:127.0.0.1:8231") == ("tcp", "127.0.0.1", 8231)
-        # IPv6 hosts contain colons; the port is the last field.
-        assert parse_endpoint("tcp:::1:8231") == ("tcp", "::1", 8231)
-
-    def test_parse_endpoint_rejects_unknown_schemes(self):
-        with pytest.raises(ValueError, match="unparseable"):
-            parse_endpoint("http://localhost:8231")

@@ -53,10 +53,6 @@ from repro.arch.counters import CounterSet  # noqa: E402
 from repro.core.epochs import Epoch  # noqa: E402
 from repro.serve import protocol  # noqa: E402
 from repro.serve.client import ServeClient  # noqa: E402
-from repro.serve.background import (  # noqa: E402
-    BackgroundService as BackgroundFrontend,
-)
-from repro.serve.frontend import Frontend  # noqa: E402
 from repro.serve.pool import WorkerPool  # noqa: E402
 from repro.serve.server import ServeConfig  # noqa: E402
 
@@ -378,8 +374,6 @@ def bench_endpoints(pool, args):
     if args.topology == "direct":
         paths = pool.worker_paths()
         return [("unix", paths[i % len(paths)]) for i in range(args.clients)]
-    if args.topology == "frontend":
-        return [("unix", pool.base.socket_path)] * args.clients
     return [("tcp", (pool.base.host, pool.base.port))] * args.clients
 
 
@@ -403,15 +397,8 @@ def run_load(args, n_workers: int) -> dict:
             )
         pool = WorkerPool(serve_config, n_workers,
                           shared_cache=args.cache_mem > 0 and n_workers > 1)
-        frontend = None
         pool.start()
         try:
-            if args.topology == "frontend":
-                frontend = BackgroundFrontend(Frontend(
-                    pool.worker_paths(),
-                    socket_path=serve_config.socket_path,
-                ))
-                frontend.start()
             endpoints = bench_endpoints(pool, args)
             # Warm every unique payload through each worker so the timed
             # phases measure the steady state the cache is built for.
@@ -440,8 +427,6 @@ def run_load(args, n_workers: int) -> dict:
             with ServeClient.connect(**pool.worker_endpoint(0)) as reader:
                 stats = reader.stats()
         finally:
-            if frontend is not None:
-                frontend.stop()
             pool.stop()
 
     deadline_s = args.deadline_ms / 1000.0
@@ -574,10 +559,9 @@ def main(argv=None) -> int:
     parser.add_argument("--workers", type=int, default=4,
                         help="server worker processes")
     parser.add_argument("--topology", default="direct",
-                        choices=("direct", "frontend", "tcp"),
+                        choices=("direct", "tcp"),
                         help="how clients reach workers: direct per-worker "
-                        "unix sockets, the routing frontend, or a shared "
-                        "SO_REUSEPORT TCP port")
+                        "unix sockets or a shared SO_REUSEPORT TCP port")
     parser.add_argument("--clients", type=int, default=80,
                         help="concurrent client connections "
                         "(open-loop phase)")
@@ -623,8 +607,6 @@ def main(argv=None) -> int:
                         help="fail if multi/single throughput ratio is "
                         "below this (needs --compare-single)")
     args = parser.parse_args(argv)
-    if args.topology == "frontend" and args.workers < 1:
-        parser.error("--topology frontend needs --workers >= 1")
 
     payload = run_bench(args)
     out = Path(args.out)
