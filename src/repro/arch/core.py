@@ -186,9 +186,10 @@ class CoreModel:
         Bit-compatibility contract: each wall time and counter value equals
         the scalar :meth:`time_segment` result for the same segment — the
         vectorized expressions perform the identical IEEE-754 operations
-        elementwise, and per-segment cluster reductions run over contiguous
-        slices of the concatenated cluster array (the same pairwise
-        summation NumPy applies to the standalone array).
+        elementwise, and per-segment cluster reductions sum each run of
+        equal-count segments (:attr:`SegmentBatch.m_runs`) as one row
+        block, whose rows are the segments' contiguous slices (the same
+        pairwise summation NumPy applies to each standalone array).
         """
         n = batch.n
         walls: List[float] = [0.0] * n
@@ -245,30 +246,19 @@ class CoreModel:
             n_m = len(batch.m_pos)
             exposed_sums = np.zeros(n_m)
             stall_sums = np.zeros(n_m)
-            if exposed_all.size:
-                # Per-segment cluster sums. ndarray.sum() accumulates
-                # strictly sequentially below NumPy's pairwise block size
-                # of 8, so small groups (the overwhelming majority) are
-                # summed with one vectorized gather-add per cluster rank —
-                # the identical addition order. Groups of >= 8 clusters
-                # take the contiguous slice sum (same pairwise kernel as
-                # the scalar path).
-                lo_arr = offsets[:-1]
-                small_idx = np.nonzero((counts > 0) & (counts < 8))[0]
-                if small_idx.size:
-                    base = lo_arr[small_idx]
-                    cnt = counts[small_idx]
-                    for j in range(int(cnt.max())):
-                        in_group = cnt > j
-                        gi = small_idx[in_group]
-                        pos = base[in_group] + j
-                        exposed_sums[gi] += exposed_all[pos]
-                        stall_sums[gi] += stall_all[pos]
-                for k in np.nonzero(counts >= 8)[0].tolist():
-                    lo = offsets[k]
-                    hi = offsets[k + 1]
-                    exposed_sums[k] = exposed_all[lo:hi].sum()
-                    stall_sums[k] = stall_all[lo:hi].sum()
+            # Per-segment cluster sums, one row-block sum per run of
+            # equal-count segments: each row is one segment's contiguous
+            # slice, summed by the same pairwise kernel as the scalar
+            # path's ``.sum()``.
+            for lo, hi, n_clusters in batch.m_runs:
+                clo = offsets[lo]
+                chi = offsets[hi]
+                exposed_sums[lo:hi] = (
+                    exposed_all[clo:chi].reshape(hi - lo, n_clusters).sum(axis=1)
+                )
+                stall_sums[lo:hi] = (
+                    stall_all[clo:chi].reshape(hi - lo, n_clusters).sum(axis=1)
+                )
             clustered = counts > 0
             hidden = np.minimum(total_chain_arr - exposed_sums, compute_arr)
             wall_arr = np.where(
@@ -302,10 +292,11 @@ class CoreModel:
 
         Bit-compatibility rests on two facts the tests pin: elementwise
         ufunc chains produce the identical IEEE-754 value per element no
-        matter how the array is chunked, and a contiguous row slice of a
-        2-D buffer sums (pairwise) to the same bits as the standalone 1-D
-        slice. Chunks are cut only at segment boundaries, so per-segment
-        reductions always see whole groups.
+        matter how the array is chunked, and a run's row block of the
+        ``(frequencies, clusters)`` buffer sums along its last axis
+        (pairwise) to the same bits as each standalone 1-D slice. Chunks
+        are cut only at segment boundaries, so a run split across chunks
+        is summed chunk by chunk over whole segments.
         """
         freqs = [float(f) for f in freqs_ghz]
         nf = len(freqs)
@@ -374,6 +365,8 @@ class CoreModel:
                 hide_rep = np.repeat(hide_num, counts)
                 commit_rep = np.repeat(commit_num, counts)
                 clusters = batch.m_clusters
+                runs = batch.m_runs
+                run = 0
                 lo_seg = 0
                 while lo_seg < n_m:
                     target = int(offsets[lo_seg]) + self._MULTI_CHUNK
@@ -401,27 +394,25 @@ class CoreModel:
                         np.divide(chunk_commit, freq_ghz, out=scratch)
                         np.subtract(row_e, scratch, out=row_s)
                         np.maximum(row_s, 0.0, out=row_s)
-                    # Per-segment reductions, all frequencies at once; the
-                    # small/large split mirrors time_batch exactly (rank-j
-                    # gather adds below 8 clusters, contiguous slice sums
-                    # at or above — the identical addition orders).
-                    cnt = counts[lo_seg:hi_seg]
-                    base_arr = offsets[lo_seg:hi_seg] - clo
-                    small_idx = np.nonzero((cnt > 0) & (cnt < 8))[0]
-                    if small_idx.size:
-                        base = base_arr[small_idx]
-                        small_cnt = cnt[small_idx]
-                        for j in range(int(small_cnt.max())):
-                            in_group = small_cnt > j
-                            gi = small_idx[in_group] + lo_seg
-                            pos = base[in_group] + j
-                            exposed_sums[:, gi] += exposed[:, pos]
-                            stall_sums[:, gi] += stall[:, pos]
-                    for k in np.nonzero(cnt >= 8)[0].tolist():
-                        lo = int(base_arr[k])
-                        hi = lo + int(cnt[k])
-                        exposed_sums[:, lo_seg + k] = exposed[:, lo:hi].sum(axis=1)
-                        stall_sums[:, lo_seg + k] = stall[:, lo:hi].sum(axis=1)
+                    # Per-segment reductions, all frequencies at once: one
+                    # row-block sum per run of equal-count segments (or the
+                    # part of a run inside this chunk), as in time_batch.
+                    while run < len(runs) and runs[run][0] < hi_seg:
+                        lo, hi, n_clusters = runs[run]
+                        lo = max(lo, lo_seg)
+                        end = min(hi, hi_seg)
+                        blo = int(offsets[lo]) - clo
+                        bhi = int(offsets[end]) - clo
+                        shape = (nf, end - lo, n_clusters)
+                        exposed_sums[:, lo:end] = (
+                            exposed[:, blo:bhi].reshape(shape).sum(axis=2)
+                        )
+                        stall_sums[:, lo:end] = (
+                            stall[:, blo:bhi].reshape(shape).sum(axis=2)
+                        )
+                        if hi > hi_seg:
+                            break  # the run goes on in the next chunk
+                        run += 1
                     lo_seg = hi_seg
             clustered = counts > 0
             for fi, freq_ghz in enumerate(freqs):

@@ -22,7 +22,7 @@ list of objects — the timing hot path is then two vectorized expressions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Union
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -151,11 +151,16 @@ class SegmentBatch:
     time a whole run with a handful of array expressions instead of one
     Python dispatch per segment.
 
-    Cluster latencies of the memory segments are concatenated into a single
-    array with CSR-style ``m_cluster_offsets``; per-segment reductions are
-    taken over contiguous slices so they accumulate in exactly the same
-    order (NumPy pairwise summation over the same values) as the scalar
-    ``time_memory`` path — batching must not perturb a single bit.
+    Memory segments are ordered by cluster count (a stable sort, so equal
+    counts keep their plan order) and ``m_pos`` maps each back to its
+    plan position. Their cluster latencies are concatenated into a single
+    array with CSR-style ``m_cluster_offsets``, so each run of equal-count
+    segments, ``m_runs`` entry ``(lo, hi, n_clusters)``, is one
+    ``(hi - lo, n_clusters)`` block. Summing a block along its rows is
+    NumPy's own pairwise kernel applied to each segment's contiguous
+    slice: the same additions in the same order as the scalar
+    ``time_memory`` path's ``.sum()`` — batching must not perturb a single
+    bit.
     """
 
     __slots__ = (
@@ -163,6 +168,7 @@ class SegmentBatch:
         "c_pos", "c_insns", "c_insns_f", "c_cpi",
         "m_pos", "m_insns", "m_insns_f", "m_cpi", "m_total_chain",
         "m_leading", "m_clusters", "m_cluster_offsets", "m_cluster_counts",
+        "m_runs",
         "s_pos", "s_stores", "s_stores_f", "s_drain",
     )
 
@@ -203,21 +209,33 @@ class SegmentBatch:
         self.c_insns = c_insns
         self.c_insns_f = np.array(c_insns, dtype=np.float64) if c_pos else None
         self.c_cpi = np.array(c_cpi, dtype=np.float64) if c_pos else None
-        self.m_pos = m_pos
-        self.m_insns = m_insns
+        self.m_runs: List[Tuple[int, int, int]] = []
         if m_pos:
-            self.m_insns_f = np.array(m_insns, dtype=np.float64)
-            self.m_cpi = np.array(m_cpi, dtype=np.float64)
-            self.m_total_chain = np.array(m_total, dtype=np.float64)
-            self.m_leading = np.array(m_leading, dtype=np.float64)
             counts = np.array([c.size for c in m_chains], dtype=np.intp)
+            order = np.argsort(counts, kind="stable")
+            counts = counts[order]
+            index = order.tolist()
+            m_pos = [m_pos[i] for i in index]
+            m_insns = [m_insns[i] for i in index]
+            self.m_insns_f = np.array(m_insns, dtype=np.float64)
+            self.m_cpi = np.array(m_cpi, dtype=np.float64)[order]
+            self.m_total_chain = np.array(m_total, dtype=np.float64)[order]
+            self.m_leading = np.array(m_leading, dtype=np.float64)[order]
             self.m_cluster_counts = counts
             offsets = np.zeros(len(m_chains) + 1, dtype=np.intp)
             np.cumsum(counts, out=offsets[1:])
             self.m_cluster_offsets = offsets
-            self.m_clusters = (
-                np.concatenate(m_chains) if int(offsets[-1]) else _EMPTY_CHAINS
-            )
+            if int(offsets[-1]):
+                self.m_clusters = np.concatenate([m_chains[i] for i in index])
+                lows = [0, *(np.flatnonzero(np.diff(counts)) + 1).tolist()]
+                highs = [*lows[1:], len(index)]
+                self.m_runs = [
+                    (lo, hi, n)
+                    for lo, hi, n in zip(lows, highs, counts[lows].tolist())
+                    if n
+                ]
+            else:
+                self.m_clusters = _EMPTY_CHAINS
         else:
             self.m_insns_f = None
             self.m_cpi = None
@@ -226,6 +244,8 @@ class SegmentBatch:
             self.m_clusters = None
             self.m_cluster_offsets = None
             self.m_cluster_counts = None
+        self.m_pos = m_pos
+        self.m_insns = m_insns
         self.s_pos = s_pos
         self.s_stores = s_stores
         self.s_stores_f = np.array(s_stores, dtype=np.float64) if s_pos else None

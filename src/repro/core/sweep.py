@@ -20,7 +20,8 @@ the whole sweep as array kernels:
   windows and whole traces alike;
 * :class:`TraceSweep` — whole-trace sweeps matching each predictor's
   ``predict_total_ns`` semantics, sharing one decomposition (epochs,
-  counter timeline, phase split) across every predictor and target.
+  counter timeline, phase split) across every predictor and target, and
+  folding every DEP lane it is told to expect in one CTP pass.
 
 Bit-compatibility contract (the discipline ``CoreModel.time_batch`` and
 :mod:`repro.core.vectorized` established): results are **bit-identical**
@@ -33,9 +34,12 @@ multiply-add is vectorized:
 
 Order-dependent aggregation — Algorithm 1's delta counters, the window
 models' sequential counter summation, COOP's per-phase total — stays
-sequential Python, exactly mirroring the scalar loops. ``np.sum`` /
-``reduceat`` are deliberately never used for those reductions: NumPy's
-pairwise summation reassociates additions and would break byte identity.
+sequential, exactly mirroring the scalar loops. Two array operations are
+exact and are used: max reductions (``np.maximum.reduceat``; max never
+rounds) and ``np.cumsum`` down an axis (``add.accumulate`` adds one
+element at a time, in order). ``np.add.reduce`` / ``np.sum`` and
+``np.add.reduceat`` stay banned for those sums: NumPy's pairwise
+summation reassociates additions and would break byte identity.
 
 Anything the kernels do not recognize (custom predictors, unknown
 estimators, irregular traces) falls back to the scalar code, so results
@@ -161,17 +165,44 @@ def ctp_total_multi(
     """:func:`ctp_total` for every target lane at once.
 
     ``predicted`` has shape ``(n_entries, n_targets)``; each column is
-    one target's flattened per-(epoch, thread) predictions. The epoch
-    loop stays sequential (Algorithm 1 carries state across epochs) but
-    every target advances together: per-lane operations are the exact
-    scalar operations — elementwise subtract, a first-to-last
-    ``np.maximum`` fold replacing ``max``, elementwise accumulate — so
-    each lane is bit-identical to a scalar :func:`ctp_total` run at that
-    target. (``max`` folds commute for the finite, non-negative-zero
-    values these kernels produce; nothing here reassociates an add.)
+    one target's flattened per-(epoch, thread) predictions, and lanes
+    never mix, so a lane's result does not depend on which other lanes
+    share the call.
+
+    Across-epoch CTP stays a sequential epoch loop (Algorithm 1 carries
+    state across epochs) in which every target advances together: per
+    lane the exact scalar operations — elementwise subtract, a
+    first-to-last ``np.maximum`` fold replacing ``max``, elementwise
+    accumulate. Per-epoch CTP carries no state, so it is two array
+    operations: ``np.maximum.reduceat`` takes each epoch's slowest
+    thread (an empty epoch keeps its duration), then ``np.cumsum`` down
+    the epochs adds them one at a time in epoch order, as the scalar
+    ``total +=`` loop does. Either way each lane is bit-identical to a
+    scalar :func:`ctp_total` run at that target. (``max`` never rounds
+    and commutes for the finite, non-negative-zero values these kernels
+    produce; ``add.accumulate`` does not reassociate.)
     """
     n_targets = predicted.shape[1]
     total = np.zeros(n_targets, dtype=np.float64)
+    if not across:
+        counts: List[int] = []
+        durations: List[float] = []
+        for tids, duration_ns, _ in epoch_meta:
+            counts.append(len(tids))
+            durations.append(duration_ns)
+        if not counts:
+            return total
+        sizes = np.asarray(counts, dtype=np.int64)
+        per_epoch = np.repeat(
+            np.asarray(durations, dtype=np.float64)[:, None], n_targets, axis=1
+        )
+        filled = sizes > 0
+        if filled.any():
+            ends = np.cumsum(sizes)
+            per_epoch[filled] = np.maximum.reduceat(
+                predicted[: int(ends[-1])], (ends - sizes)[filled], axis=0
+            )
+        return np.cumsum(per_epoch, axis=0)[-1]
     zeros = np.zeros(n_targets, dtype=np.float64)
     deltas: Dict[int, np.ndarray] = {}
     cursor = 0
@@ -181,12 +212,6 @@ def ctp_total_multi(
             continue
         block = predicted[cursor : cursor + len(tids)]
         cursor += len(tids)
-        if not across:
-            values = block[0]
-            for row in block[1:]:
-                values = np.maximum(values, row)
-            total += values
-            continue
         effective = block[0] - deltas.get(tids[0], zeros)
         for tid, row in zip(tids[1:], block[1:]):
             effective = np.maximum(effective, row - deltas.get(tid, zeros))
@@ -518,21 +543,33 @@ def dep_window_sweep(
     targets: Sequence[float],
 ) -> List[float]:
     """DEP over an epoch window at every target, one clamp pass total."""
-    freqs, uncore = split_targets(targets)
-    check_frequency("base frequency", base_freq_ghz, PredictionError)
-    scaling, nonscaling = arrays.decomposed(predictor.estimator)
-    # (entries, targets): per lane exactly the scalar ``predict_ns``
-    # expression ``scaling * base / target + nonscaling * uncore``,
-    # left-to-right.
-    predicted = (scaling * base_freq_ghz)[:, None] / np.asarray(
-        freqs, dtype=np.float64
-    )[None, :] + nonscaling[:, None] * np.asarray(
-        uncore or [1.0] * len(freqs), dtype=np.float64
-    )[None, :]
+    predicted = dep_columns(
+        arrays, predictor.estimator, base_freq_ghz, targets
+    )
     totals = ctp_total_multi(
         arrays.epoch_meta(), predicted, predictor.across_epoch_ctp
     )
     return [float(value) for value in totals]
+
+
+def dep_columns(
+    arrays: EpochArrays,
+    estimator: NonScalingEstimator,
+    base_freq_ghz: float,
+    targets: Sequence[Target],
+) -> np.ndarray:
+    """The ``(entries, targets)`` per-thread prediction matrix that
+    :func:`ctp_total_multi` folds into DEP totals."""
+    freqs, uncore = split_targets(targets)
+    check_frequency("base frequency", base_freq_ghz, PredictionError)
+    scaling, nonscaling = arrays.decomposed(estimator)
+    # Per lane exactly the scalar ``predict_ns`` expression ``scaling *
+    # base / target + nonscaling * uncore``, left-to-right.
+    return (scaling * base_freq_ghz)[:, None] / np.asarray(
+        freqs, dtype=np.float64
+    )[None, :] + nonscaling[:, None] * np.asarray(
+        uncore or [1.0] * len(freqs), dtype=np.float64
+    )[None, :]
 
 
 def dep_ranges_sweep(
@@ -747,6 +784,16 @@ def sweep_predict_epochs(
 _MEMOIZED = (DepPredictor, MCritPredictor, CoopPredictor)
 
 
+def _identity(predictor, key: str, base: float) -> tuple:
+    """A memoized predictor's lane-memo identity."""
+    return (
+        type(predictor),
+        key,
+        getattr(predictor, "across_epoch_ctp", None),
+        base,
+    )
+
+
 class TraceSweep:
     """One trace's decomposition, shared across predictors and targets.
 
@@ -756,10 +803,38 @@ class TraceSweep:
     once, and reused by every :meth:`predict` call. Gathering follows
     the scalar models' own sequence of operations, so predictions are
     bit-identical to ``predictor.predict_total_ns``.
+
+    ``grid`` lists ``(DepPredictor, targets)`` lanes the owner will ask
+    for. DEP's across-epoch fold walks every epoch once per call however
+    many lanes it carries, so the first DEP miss folds its own lanes and
+    every grid lane not yet answered with the same CTP policy (at the
+    trace's base frequency) in one pass, and later questions about those
+    lanes come from the memo.
     """
 
-    def __init__(self, trace: SimulationTrace) -> None:
+    def __init__(
+        self,
+        trace: SimulationTrace,
+        grid: Sequence[Tuple[DepPredictor, Sequence[Target]]] = (),
+    ) -> None:
         self.trace = trace
+        #: DEP lanes the owner expects to ask for: ``(predictor, {lane:
+        #: target})`` pairs, folded in with the first DEP miss of the
+        #: same CTP policy at the trace's base frequency.
+        self._grid: List[
+            Tuple[DepPredictor, Dict[Tuple[float, float], Target]]
+        ] = []
+        for predictor, targets in grid:
+            if type(predictor) is not DepPredictor or not estimator_key(
+                predictor.estimator
+            ):
+                raise PredictionError(
+                    f"a sweep grid takes DEP predictors with a columnar "
+                    f"estimator, got {predictor!r}"
+                )
+            self._grid.append(
+                (predictor, {split_target(t): t for t in targets})
+            )
         self._arrays: Optional[EpochArrays] = None
         self._timeline: Optional[CounterTimeline] = None
         self._mcrit_gathered: Optional[
@@ -795,7 +870,8 @@ class TraceSweep:
 
         Each (predictor identity, target) lane is evaluated at most once
         per sweep: lanes already answered come from the memo, the rest
-        are de-duplicated and evaluated in one kernel call. Every kernel
+        are de-duplicated and evaluated in one kernel call (for DEP, the
+        one fold that also answers the grid). Every kernel
         lane is independent of the others in its call, so a memoized
         value equals a fresh evaluation bit for bit. Only the exact
         registered predictor types with a columnar estimator are
@@ -817,22 +893,65 @@ class TraceSweep:
             return check_predicted_list(
                 self._evaluate(predictor, base, targets)
             )
-        identity = (
-            type(predictor),
-            key,
-            getattr(predictor, "across_epoch_ctp", None),
-            base,
-        )
+        identity = _identity(predictor, key, base)
         lanes = self._lanes.setdefault(identity, {})
         keys = [split_target(target) for target in targets]
         pending: Dict[Tuple[float, float], Target] = {}
         for lane, target in zip(keys, targets):
             if lane not in lanes:
                 pending.setdefault(lane, target)
-        if pending:
+        if pending and type(predictor) is DepPredictor:
+            self._dep_fold(predictor, base, identity, pending)
+        elif pending:
             values = self._evaluate(predictor, base, list(pending.values()))
             lanes.update(zip(pending, values))
         return check_predicted_list([lanes[lane] for lane in keys])
+
+    def _dep_fold(
+        self,
+        predictor: DepPredictor,
+        base: float,
+        identity: tuple,
+        pending: Dict[Tuple[float, float], Target],
+    ) -> None:
+        """Memoize ``pending`` and every unanswered grid lane that shares
+        the predictor's CTP policy and base, from one
+        :func:`ctp_total_multi` pass.
+
+        Each estimator's columns are :func:`dep_window_sweep`'s, and the
+        fold never mixes lanes, so every lane equals a solo sweep bit
+        for bit. Values are memoized unchecked: a non-finite lane raises
+        only when it is asked for.
+        """
+        across = predictor.across_epoch_ctp
+        folds = {identity: (predictor, pending)}
+        if base == self.trace.base_freq_ghz:
+            for grid_predictor, grid_lanes in self._grid:
+                if grid_predictor.across_epoch_ctp != across:
+                    continue
+                key = estimator_key(grid_predictor.estimator)
+                grid_identity = _identity(grid_predictor, key, base)
+                answered = self._lanes.get(grid_identity, {})
+                todo = folds.setdefault(grid_identity, (grid_predictor, {}))[1]
+                for lane, target in grid_lanes.items():
+                    if lane not in answered:
+                        todo.setdefault(lane, target)
+        # An overflow shows as a non-finite lane, which raises when asked.
+        with np.errstate(over="ignore", invalid="ignore"):
+            columns = [
+                dep_columns(self.arrays, p.estimator, base, list(todo.values()))
+                for p, todo in folds.values()
+                if todo
+            ]
+            totals = ctp_total_multi(
+                self.arrays.epoch_meta(), np.hstack(columns), across
+            ).tolist()
+        cursor = 0
+        for fold_identity, (_, todo) in folds.items():
+            self._lanes.setdefault(fold_identity, {}).update(
+                zip(todo, totals[cursor : cursor + len(todo)])
+            )
+            cursor += len(todo)
 
     def _evaluate(
         self, predictor, base: float, targets: List[Target]

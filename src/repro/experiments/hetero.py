@@ -90,6 +90,18 @@ def _aggregate_counters(trace):
     return total
 
 
+def _node_table(spec, node_nm: int, scaling: str) -> NodeVfTable:
+    """The V/f table of one node grid point over ``spec``'s ladder."""
+    return NodeVfTable(
+        spec,
+        node_nm,
+        scaling,
+        min_freq_ghz=spec.min_freq_ghz,
+        max_freq_ghz=spec.max_freq_ghz,
+        freq_step_ghz=spec.freq_step_ghz,
+    )
+
+
 def evaluate_grid_point(
     runner: ExperimentRunner,
     benchmark: str,
@@ -107,14 +119,7 @@ def evaluate_grid_point(
     """
     predictor = predictor or _predictor()
     spec = runner.bundle(benchmark).spec
-    table = NodeVfTable(
-        spec,
-        node_nm,
-        scaling,
-        min_freq_ghz=spec.min_freq_ghz,
-        max_freq_ghz=spec.max_freq_ghz,
-        freq_step_ghz=spec.freq_step_ghz,
-    )
+    table = _node_table(spec, node_nm, scaling)
     candidates = table.set_points()
     f_max = candidates[-1]
     sweep = runner.trace_sweep(benchmark, BASE_FREQ_GHZ)
@@ -158,6 +163,20 @@ def figure_payload(runner: ExperimentRunner) -> Dict:
     predictor = _predictor()
     benchmarks: Dict[str, Dict] = {}
     for benchmark in runner.config.benchmarks:
+        # Ask for every cell's (set point, uncore) lanes at once, so the
+        # trace's sweep folds them all in one CTP pass; each cell below
+        # reads its lanes back from the sweep's memo.
+        spec = runner.bundle(benchmark).spec
+        runner.trace_sweep(benchmark, BASE_FREQ_GHZ).predict(
+            predictor,
+            [
+                (freq, uncore_scale)
+                for node_nm, scaling in NODE_GRID
+                for freq in _node_table(spec, node_nm, scaling).set_points()
+                for uncore_scale in UNCORE_SCALES
+            ],
+            base_freq_ghz=BASE_FREQ_GHZ,
+        )
         cells: Dict[str, Dict] = {}
         for node_nm, scaling in NODE_GRID:
             for uncore_scale in UNCORE_SCALES:

@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.core.predictors import make_predictor
 from repro.core.sweep import TraceSweep
 from repro.energy.account import compute_energy
 from repro.energy.manager import EnergyManager, ManagerConfig, ManagerDecision
@@ -266,12 +267,29 @@ class ExperimentRunner:
 
         One :class:`~repro.core.sweep.TraceSweep` per (benchmark, base)
         is shared by every figure/table driver, so a whole error grid
-        costs a single epoch decomposition per trace.
+        costs a single epoch decomposition per trace. Its lane grid is
+        DEP and DEP+BURST at every frequency the configuration names,
+        so the first DEP question about a trace folds the DEP lanes of
+        every later figure in the same CTP pass.
         """
         key = (benchmark, round(base_freq_ghz, 6))
         sweep = self._sweeps.get(key)
         if sweep is None:
-            sweep = TraceSweep(self.base_trace(benchmark, base_freq_ghz))
+            config = self.config
+            freqs = sorted(
+                {
+                    *config.targets_up_ghz,
+                    *config.targets_down_ghz,
+                    *config.static_freqs_ghz,
+                }
+            )
+            sweep = TraceSweep(
+                self.base_trace(benchmark, base_freq_ghz),
+                grid=[
+                    (make_predictor(name), freqs)
+                    for name in ("DEP", "DEP+BURST")
+                ],
+            )
             self._sweeps[key] = sweep
         return sweep
 

@@ -20,7 +20,6 @@ one governor stream in half.
 from __future__ import annotations
 
 import hashlib
-from typing import List
 
 #: Separator between a worker-local session id and its worker affinity tag.
 AFFINITY_SEP = "@w"
@@ -51,8 +50,3 @@ def tag_session_id(local_id: str, worker_id: int) -> str:
 def worker_socket_path(pool_path: str, worker_id: int) -> str:
     """The private unix-socket path of one worker of a pool on ``pool_path``."""
     return f"{pool_path}.w{worker_id}"
-
-
-def worker_socket_paths(pool_path: str, n_workers: int) -> List[str]:
-    """Every worker's private unix-socket path for a pool on ``pool_path``."""
-    return [worker_socket_path(pool_path, i) for i in range(n_workers)]

@@ -210,3 +210,76 @@ def test_time_batch_multi_empty_inputs():
     (timing,) = core.time_batch_multi(batch, [2.0])
     assert timing.walls == []
     assert timing.counters == []
+
+
+# ----------------------------------------------------------------------
+# Run-block sums: equal-count runs across chunks and pairwise bands
+# ----------------------------------------------------------------------
+
+#: Cluster counts below NumPy's pairwise block of 8, from 8 to its
+#: unrolled limit of 128, and above it (where the pairwise sum splits).
+RUN_COUNTS = (1, 3, 7, 8, 9, 16, 64, 127, 128, 129, 300, 1000)
+
+
+def _equal_count_runs(repeats=5, rng_seed=21):
+    """Memory segments with the counts of :data:`RUN_COUNTS`, each count
+    ``repeats`` times, interleaved in plan order (so runs only form
+    once the batch orders segments by count), plus clusterless memory,
+    compute and store segments between them."""
+    import numpy as np
+
+    rng = np.random.default_rng(rng_seed)
+    segments = [ComputeSegment(insns=5000, cpi=0.6)]
+    for repeat in range(repeats):
+        for n_clusters in RUN_COUNTS:
+            chains = rng.uniform(30.0, 600.0, size=n_clusters)
+            segments.append(
+                MemorySegment(
+                    insns=int(rng.integers(200, 50_000)),
+                    cpi=float(rng.uniform(0.3, 1.2)),
+                    chain_ns=chains,
+                    leading_total_ns=float(chains.sum() / 2),
+                )
+            )
+        segments.append(MemorySegment.from_clusters(1000, 0.5, []))
+        segments.append(StoreBurstSegment(n_stores=512, drain_ns_per_store=0.8))
+    return segments
+
+
+def _assert_matches_time_segment(core, segments, freq, timing):
+    for segment, wall, counters in zip(
+        segments, timing.walls, timing.counters
+    ):
+        solo = core.time_segment(segment, freq)
+        assert repr(wall) == repr(solo.wall_ns)
+        assert repr(counters) == repr(solo.counters)
+
+
+def test_run_block_sums_match_time_segment_in_every_band():
+    from repro.arch.segments import SegmentBatch
+
+    core = CoreModel(haswell_i7_4770k())
+    segments = _equal_count_runs()
+    batch = SegmentBatch(segments)
+    assert [n for _, _, n in batch.m_runs] == list(RUN_COUNTS)
+    freqs = [1.0, 2.25, 4.0]
+    for freq, multi in zip(freqs, core.time_batch_multi(batch, freqs)):
+        _assert_matches_time_segment(core, segments, freq, multi)
+        _assert_matches_time_segment(
+            core, segments, freq, core.time_batch(batch, freq)
+        )
+
+
+@pytest.mark.parametrize("chunk", [16, 100, 700, 2500])
+def test_runs_straddling_multi_chunks_stay_bit_identical(monkeypatch, chunk):
+    from repro.arch.segments import SegmentBatch
+
+    core = CoreModel(haswell_i7_4770k())
+    segments = _equal_count_runs(repeats=9, rng_seed=chunk)
+    # Chunks cut at segment boundaries near ``chunk`` clusters, so most
+    # runs of equal-count segments are split across chunks.
+    monkeypatch.setattr(CoreModel, "_MULTI_CHUNK", chunk)
+    batch = SegmentBatch(segments)
+    freqs = [1.5, 3.5]
+    for freq, multi in zip(freqs, core.time_batch_multi(batch, freqs)):
+        _assert_matches_time_segment(core, segments, freq, multi)

@@ -16,6 +16,7 @@ from repro.core.predictors import get_predictor, make_predictor, predictor_names
 from repro.core.sweep import (
     EpochArrays,
     TraceSweep,
+    dep_window_sweep,
     estimator_key,
     sweep_predict_epochs,
 )
@@ -321,16 +322,14 @@ LANE_TARGETS = (0.8, (1.3, 2.0), 2.0, (2.0, 1.0), (2.7, 0.5), 4.0)
 @pytest.fixture
 def kernel_calls(monkeypatch):
     """Targets handed to each sweep kernel, per kernel, in call order."""
-    import repro.core.sweep as sweep_mod
-
     calls = {"dep": [], "mcrit": [], "coop": []}
-    dep = sweep_mod.dep_window_sweep
+    dep = TraceSweep._dep_fold
     mcrit = TraceSweep._mcrit_sweep
     coop = TraceSweep._coop_sweep
 
-    def counting_dep(predictor, arrays, base, targets):
-        calls["dep"].append(list(targets))
-        return dep(predictor, arrays, base, targets)
+    def counting_dep(self, predictor, base, identity, pending):
+        calls["dep"].append(list(pending.values()))
+        return dep(self, predictor, base, identity, pending)
 
     def counting_mcrit(self, predictor, base, targets):
         calls["mcrit"].append(list(targets))
@@ -340,7 +339,7 @@ def kernel_calls(monkeypatch):
         calls["coop"].append(list(targets))
         return coop(self, predictor, base, targets)
 
-    monkeypatch.setattr(sweep_mod, "dep_window_sweep", counting_dep)
+    monkeypatch.setattr(TraceSweep, "_dep_fold", counting_dep)
     monkeypatch.setattr(TraceSweep, "_mcrit_sweep", counting_mcrit)
     monkeypatch.setattr(TraceSweep, "_coop_sweep", counting_coop)
     return calls
@@ -498,3 +497,83 @@ def test_invalid_target_raises_after_lanes_are_cached(program_traces):
         with pytest.raises(PredictionError):
             sweep.predict(predictor, [2.0], base_freq_ghz=0.0)
         assert sweep.predict(predictor, [2.0, (3.0, 0.5)]) == cached, pname
+
+
+# ----------------------------------------------------------------------
+# Lane grid: expected DEP lanes fold with the first DEP miss
+# ----------------------------------------------------------------------
+
+#: Grid lanes: plain floats and (freq, uncore) pairs.
+GRID_TARGETS = (0.8, 1.0, 2.0, (2.0, 2.0), (2.7, 0.5), 4.0)
+
+
+def _dep_grid(across=True):
+    return [
+        (make_predictor(name, across_epoch_ctp=across), list(GRID_TARGETS))
+        for name in ("DEP", "DEP+BURST")
+    ]
+
+
+def test_grid_lanes_fold_once_and_equal_a_solo_sweep(
+    all_traces, kernel_calls
+):
+    for name, trace in all_traces.items():
+        for across in (True, False):
+            grid = _dep_grid(across)
+            sweep = TraceSweep(trace, grid=grid)
+            asked = make_predictor("DEP+BURST", across_epoch_ctp=across)
+            before = len(kernel_calls["dep"])
+            sweep.predict(asked, [3.0])
+            # The miss folds its own lane and every grid lane; asking
+            # for any grid lane afterwards runs no fold.
+            for predictor, targets in grid:
+                got = sweep.predict(predictor, targets)
+                solo = [
+                    dep_window_sweep(
+                        predictor, EpochArrays.from_trace(trace),
+                        trace.base_freq_ghz, [t],
+                    )[0]
+                    for t in targets
+                ]
+                assert got == solo, (name, across, predictor.name)
+            assert len(kernel_calls["dep"]) == before + 1, (name, across)
+
+
+def test_grid_folds_only_the_same_policy_and_base(
+    program_traces, kernel_calls
+):
+    trace = program_traces["lock_pair"]
+    sweep = TraceSweep(trace, grid=_dep_grid(across=True))
+    per = make_predictor("DEP", across_epoch_ctp=False)
+    across = make_predictor("DEP", across_epoch_ctp=True)
+    sweep.predict(per, [2.0])
+    sweep.predict(across, [2.0], base_freq_ghz=1.5)
+    assert kernel_calls["dep"] == [[2.0], [2.0]]
+    # The grid is still unanswered: this miss folds all of it.
+    sweep.predict(across, [3.0])
+    for predictor, targets in _dep_grid(across=True):
+        sweep.predict(predictor, targets)
+    assert kernel_calls["dep"] == [[2.0], [2.0], [3.0]]
+
+
+def test_non_finite_grid_lane_raises_only_when_requested(program_traces):
+    trace = program_traces["lock_pair"]
+    overflow = 5e-324  # scaling * base / 5e-324 overflows a double
+    predictor = make_predictor("DEP")
+    sweep = TraceSweep(trace, grid=[(predictor, [2.0, overflow])])
+    assert sweep.predict(predictor, [3.0]) == TraceSweep(trace).predict(
+        predictor, [3.0]
+    )
+    assert sweep.predict(predictor, [2.0]) == [
+        predictor.predict_total_ns(trace, 2.0)
+    ]
+    with pytest.raises(PredictionError):
+        sweep.predict(predictor, [overflow])
+
+
+def test_grid_rejects_what_it_cannot_fold(program_traces):
+    trace = program_traces["lock_pair"]
+    with pytest.raises(PredictionError):
+        TraceSweep(trace, grid=[(make_predictor("M+CRIT"), [2.0])])
+    with pytest.raises(PredictionError):
+        TraceSweep(trace, grid=[(make_predictor("DEP"), [-1.0])])

@@ -8,8 +8,6 @@ from repro.serve.sharding import (
     AFFINITY_SEP,
     shard_for_key,
     tag_session_id,
-    worker_socket_path,
-    worker_socket_paths,
 )
 
 
@@ -51,17 +49,3 @@ class TestSessionAffinity:
         for worker_id in range(4):
             tagged = tag_session_id("g7", worker_id)
             assert tagged == f"g7{AFFINITY_SEP}{worker_id}"
-
-
-# ----------------------------------------------------------------------
-# Endpoint naming
-# ----------------------------------------------------------------------
-
-
-class TestEndpoints:
-    def test_worker_socket_paths_derive_from_the_public_path(self):
-        assert worker_socket_path("/run/serve.sock", 2) == "/run/serve.sock.w2"
-        assert worker_socket_paths("/run/serve.sock", 2) == [
-            "/run/serve.sock.w0",
-            "/run/serve.sock.w1",
-        ]
