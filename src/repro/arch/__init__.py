@@ -15,7 +15,6 @@ maintaining the performance counters the predictors read:
 
 from repro.arch.cache import CacheConfig
 from repro.arch.clusters import (
-    ClusterDvfs,
     ClusterSpec,
     ClusterTopology,
     big_little,
@@ -31,7 +30,6 @@ from repro.arch.storequeue import StoreQueueConfig, StoreQueueModel, StoreBurstT
 __all__ = [
     "CacheConfig",
     "ChainSampler",
-    "ClusterDvfs",
     "ClusterSpec",
     "ClusterTopology",
     "CoreModel",

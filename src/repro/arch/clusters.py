@@ -15,11 +15,7 @@ This module adds that axis without disturbing the timing substrate:
   tables) and its uncore clock;
 * :class:`ClusterTopology` — a machine's full partition into clusters,
   with validation (cores partition the machine, ladders stay on the
-  machine's set-point grid) and JSON round-trips;
-* :class:`ClusterDvfs` — the per-cluster frequency domains: the
-  heterogeneous counterpart of :class:`~repro.arch.frequency.DvfsDomain`
-  with the same ``frequency_of(core)`` surface the simulator times
-  segments through, plus per-cluster transition accounting.
+  machine's set-point grid) and JSON round-trips.
 
 A single-cluster topology (:func:`homogeneous`) is the exact legacy
 machine: same set points, same transition costs, same per-core
@@ -29,7 +25,7 @@ frequencies — pinned byte-identical by the hetero differential layer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.common.errors import ConfigError
 from repro.common.units import check_frequency
@@ -180,23 +176,6 @@ class ClusterTopology:
         only = self.clusters[0]
         return only.frequencies() == self.spec.frequencies()
 
-    def cluster_of_core(self, core: int) -> ClusterSpec:
-        """The cluster owning ``core`` (:class:`ConfigError` if none)."""
-        for cluster in self.clusters:
-            if core in cluster.cores:
-                return cluster
-        raise ConfigError(f"core {core} out of range")
-
-    def cluster_named(self, name: str) -> ClusterSpec:
-        """Lookup by cluster name."""
-        for cluster in self.clusters:
-            if cluster.name == name:
-                return cluster
-        raise ConfigError(
-            f"unknown cluster {name!r}; expected one of "
-            f"{[c.name for c in self.clusters]}"
-        )
-
     def to_dict(self) -> Dict[str, Any]:
         """JSON-compatible encoding of the cluster layout.
 
@@ -220,80 +199,6 @@ class ClusterTopology:
                 f"malformed ClusterTopology payload: {exc}"
             ) from exc
         return cls(spec=spec or haswell_i7_4770k(), clusters=clusters)
-
-
-class ClusterDvfs:
-    """Per-cluster frequency domains with the DvfsDomain surface.
-
-    One underlying :class:`~repro.arch.frequency.DvfsDomain` state per
-    cluster: validation against the *cluster's* ladder, transition
-    counting at the machine's transition cost, and ``frequency_of(core)``
-    resolving through the owning cluster — the method the simulator's
-    segment timing consults, so a heterogeneous topology drops in
-    wherever a chip-wide domain did.
-    """
-
-    def __init__(
-        self,
-        topology: ClusterTopology,
-        initial_freqs_ghz: Optional[Dict[str, float]] = None,
-    ) -> None:
-        self.topology = topology
-        self.spec = topology.spec
-        initial_freqs_ghz = initial_freqs_ghz or {}
-        self._set_points: Dict[str, Tuple[float, ...]] = {}
-        self._current: Dict[str, float] = {}
-        self._owner: Dict[int, str] = {}
-        for cluster in topology.clusters:
-            self._set_points[cluster.name] = cluster.frequencies()
-            initial = initial_freqs_ghz.get(cluster.name, cluster.max_freq_ghz)
-            self._current[cluster.name] = self.validate(cluster.name, initial)
-            for core in cluster.cores:
-                self._owner[core] = cluster.name
-        self.transitions = 0
-        self.transition_time_ns = 0.0
-
-    def set_points(self, name: str) -> Tuple[float, ...]:
-        """The named cluster's supported frequencies, ascending."""
-        points = self._set_points.get(name)
-        if points is None:
-            raise ConfigError(f"unknown cluster {name!r}")
-        return points
-
-    @property
-    def current_freqs_ghz(self) -> Dict[str, float]:
-        """Cluster name -> current frequency."""
-        return dict(self._current)
-
-    def frequency_of(self, core: Optional[int]) -> float:
-        """The frequency of ``core``'s cluster (fastest cluster if None)."""
-        if core is None:
-            return max(self._current.values())
-        name = self._owner.get(core)
-        if name is None:
-            raise ConfigError(f"core {core} out of range")
-        return self._current[name]
-
-    def validate(self, name: str, freq_ghz: float) -> float:
-        """The cluster set point equal to ``freq_ghz``, or raise."""
-        for point in self.set_points(name):
-            if abs(point - freq_ghz) < 5e-4:
-                return point
-        points = self.set_points(name)
-        raise ConfigError(
-            f"{freq_ghz} GHz is not a set point of cluster {name!r} "
-            f"({points[0]}..{points[-1]} GHz)"
-        )
-
-    def set_cluster_frequency(self, name: str, freq_ghz: float) -> float:
-        """Switch one cluster; return its transition cost in ns."""
-        target = self.validate(name, freq_ghz)
-        if target == self._current[name]:
-            return 0.0
-        self._current[name] = target
-        self.transitions += 1
-        self.transition_time_ns += self.spec.dvfs_transition_ns
-        return self.spec.dvfs_transition_ns
 
 
 def homogeneous(spec: MachineSpec = None, name: str = "all") -> ClusterTopology:

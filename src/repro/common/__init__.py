@@ -19,13 +19,7 @@ from repro.common.rng import rng_stream
 from repro.common.units import (
     GHZ,
     MHZ,
-    cycles_to_ns,
-    ns_to_cycles,
     ns_to_ms,
-    ns_to_s,
-    ms_to_ns,
-    s_to_ns,
-    us_to_ns,
 )
 
 __all__ = [
@@ -37,11 +31,5 @@ __all__ = [
     "rng_stream",
     "GHZ",
     "MHZ",
-    "cycles_to_ns",
-    "ns_to_cycles",
     "ns_to_ms",
-    "ns_to_s",
-    "ms_to_ns",
-    "s_to_ns",
-    "us_to_ns",
 ]

@@ -42,17 +42,3 @@ def rng_stream(seed: int, *keys: _Key) -> np.random.Generator:
     digest = hasher.digest()
     child_seed = int.from_bytes(digest[:8], "little")
     return np.random.default_rng(child_seed)
-
-
-def derive_seed(seed: int, *keys: _Key) -> int:
-    """Derive a child integer seed from a root seed and keys.
-
-    Useful when a component wants to store a seed (cheap, picklable) rather
-    than a generator object.
-    """
-    hasher = hashlib.sha256()
-    hasher.update(str(int(seed)).encode("ascii"))
-    for key in keys:
-        hasher.update(b"/")
-        hasher.update(str(key).encode("utf-8"))
-    return int.from_bytes(hasher.digest()[:8], "little")

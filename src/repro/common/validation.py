@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import os
-from typing import Iterable, Optional, Sequence
+from typing import Optional
 
 from repro.common.errors import ConfigError
 
@@ -60,19 +60,3 @@ def check_power_of_two(name: str, value: int) -> int:
     if value <= 0 or value & (value - 1) != 0:
         raise ConfigError(f"{name} must be a positive power of two, got {value!r}")
     return value
-
-
-def check_in(name: str, value: object, allowed: Iterable[object]) -> object:
-    """Validate that ``value`` is one of ``allowed``; return it."""
-    allowed = tuple(allowed)
-    if value not in allowed:
-        raise ConfigError(f"{name} must be one of {allowed!r}, got {value!r}")
-    return value
-
-
-def check_sorted(name: str, values: Sequence[float]) -> Sequence[float]:
-    """Validate that ``values`` is non-decreasing; return it."""
-    for left, right in zip(values, values[1:]):
-        if right < left:
-            raise ConfigError(f"{name} must be sorted non-decreasing, got {values!r}")
-    return values

@@ -34,7 +34,6 @@ from repro.core.mcrit import MCritPredictor
 from repro.core.coop import CoopPredictor
 from repro.core.model import TimeDecomposition, decompose
 from repro.core.predictors import make_predictor, predictor_names
-from repro.core.regression import RegressionPredictor
 from repro.core.stalltime import stall_time_nonscaling
 
 __all__ = [
@@ -42,7 +41,6 @@ __all__ = [
     "DepPredictor",
     "Epoch",
     "MCritPredictor",
-    "RegressionPredictor",
     "TimeDecomposition",
     "crit_nonscaling",
     "decompose",

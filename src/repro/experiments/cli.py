@@ -4,6 +4,7 @@ Installed as ``repro-experiments``::
 
     repro-experiments                    # everything, REPRO_SCALE honoured
     repro-experiments fig3 fig6          # a subset
+    repro-experiments claims             # the paper's claims; exit 1 on a failure
     REPRO_SCALE=0.3 repro-experiments table1
     repro-experiments --jobs 8           # fan ground truths out over 8 workers
     repro-experiments cache stats        # inspect the persistent result cache
@@ -28,6 +29,7 @@ from repro.common.errors import ConfigError
 from repro.common.profiling import UNSET, resolve_profile_path, run_maybe_profiled
 from repro.common.validation import resolve_jobs
 from repro.experiments import (
+    claims,
     fig1,
     fig3,
     fig4,
@@ -61,9 +63,11 @@ _EXPERIMENTS = {
     "hetero": hetero,
     "serve": serve_replay,
     "fleet": fleet_study,
+    "claims": claims,
 }
 
-#: Order that maximizes ground-truth cache reuse.
+#: Order that maximizes ground-truth cache reuse. ``claims`` only reads
+#: what the figures compute, so it runs when named.
 _DEFAULT_ORDER = (
     "table2", "table1", "sequential", "fig1", "fig3", "sensitivity",
     "fig4", "fig6", "fig7", "hetero", "serve", "fleet",
@@ -149,7 +153,7 @@ def main(argv=None) -> int:
         "experiments",
         nargs="*",
         default=list(_DEFAULT_ORDER),
-        help=f"subset of {sorted(_EXPERIMENTS)} (default: all)",
+        help=f"subset of {sorted(_EXPERIMENTS)} (default: all but claims)",
     )
     parser.add_argument(
         "--jobs",
@@ -234,10 +238,12 @@ def _run_suite(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
         report = execute(runner, grid, jobs=jobs, batch=args.batch)
         for item, error in report.recovered:
             print(f"# worker failed on {item} ({error}); recomputed serially")
+    failed = False
     for result in run_experiments(args.experiments, runner):
         print()
         print(result.to_text())
         sys.stdout.flush()
+        failed = failed or result.failed
     stats = runner.cache.stats if runner.cache is not None else None
     cache_note = (
         f", {stats.hits} cache hits" if stats is not None else ""
@@ -246,7 +252,7 @@ def _run_suite(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
         f"\n# done in {time.time() - started:.0f}s — "
         f"{runner.simulations} simulation(s) in-process{cache_note}"
     )
-    return 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

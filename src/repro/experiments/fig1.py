@@ -7,34 +7,23 @@ absolute error at 4 GHz) with DEP+BURST (6%).
 
 from __future__ import annotations
 
-from typing import Dict, List
-
-from repro.core.evaluate import prediction_error
-from repro.core.predictors import make_predictor
-from repro.experiments.report import ExperimentResult, mean_abs, pct_abs
+from repro.experiments import fig3
+from repro.experiments.report import ExperimentResult, pct_abs
 from repro.experiments.runner import ExperimentRunner
 
 #: Approximate paper values (average absolute error, base 1 GHz).
 PAPER_MCRIT = {2.0: 0.12, 3.0: 0.20, 4.0: 0.27}
 PAPER_DEPBURST = {2.0: 0.03, 3.0: 0.05, 4.0: 0.06}
 
-_BASE_GHZ = 1.0
-
 
 def work(config):
-    """Ground-truth grid Figure 1 needs (parallel prefetch hook)."""
-    from repro.experiments.parallel import fixed_items
-
-    return fixed_items(
-        config.benchmarks, sorted({_BASE_GHZ, *config.targets_up_ghz})
-    )
+    """Ground-truth grid Figure 1 needs: Figure 3's, whose errors it reads."""
+    return fig3.work(config)
 
 
 def run(runner: ExperimentRunner) -> ExperimentResult:
     """Regenerate Figure 1's two error-vs-frequency series."""
-    config = runner.config
-    mcrit = make_predictor("M+CRIT")
-    depburst = make_predictor("DEP+BURST")
+    data = fig3.collect(runner)
     result = ExperimentResult(
         experiment_id="Fig 1",
         title="Average absolute prediction error vs target (base 1 GHz)",
@@ -47,44 +36,13 @@ def run(runner: ExperimentRunner) -> ExperimentResult:
         ],
         notes="averaged over all benchmarks; paper values read from Figure 1",
     )
-    targets = list(config.targets_up_ghz)
-    # model -> benchmark -> target -> signed error. Sweep mode evaluates
-    # each benchmark's whole target grid from one shared decomposition.
-    per_bench: Dict[str, Dict[str, Dict[float, float]]] = {
-        "mcrit": {},
-        "depburst": {},
-    }
-    for benchmark in config.benchmarks:
-        actuals = {
-            t: runner.fixed_run(benchmark, t).total_ns for t in targets
-        }
-        for key, predictor in (("mcrit", mcrit), ("depburst", depburst)):
-            if runner.sweep:
-                sweep = runner.trace_sweep(benchmark, _BASE_GHZ)
-                estimates = sweep.predict(predictor, targets)
-            else:
-                base = runner.base_trace(benchmark, _BASE_GHZ)
-                estimates = [
-                    predictor.predict_total_ns(base, t) for t in targets
-                ]
-            per_bench[key][benchmark] = {
-                t: prediction_error(est, actuals[t])
-                for t, est in zip(targets, estimates)
-            }
-    for target in targets:
-        errors: Dict[str, List[float]] = {
-            key: [
-                per_bench[key][benchmark][target]
-                for benchmark in config.benchmarks
-            ]
-            for key in ("mcrit", "depburst")
-        }
+    for target in runner.config.targets_up_ghz:
         result.rows.append(
             (
                 f"{target:.0f}",
-                pct_abs(mean_abs(errors["mcrit"])),
+                pct_abs(data.mean_abs_at("up", "M+CRIT", target)),
                 pct_abs(PAPER_MCRIT.get(target, float("nan"))),
-                pct_abs(mean_abs(errors["depburst"])),
+                pct_abs(data.mean_abs_at("up", "DEP+BURST", target)),
                 pct_abs(PAPER_DEPBURST.get(target, float("nan"))),
             )
         )

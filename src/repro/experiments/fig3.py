@@ -60,27 +60,14 @@ def collect(runner: ExperimentRunner) -> Fig3Data:
             actuals = {
                 t: runner.fixed_run(benchmark, t).total_ns for t in targets
             }
-            if runner.sweep:
-                # One epoch decomposition per (benchmark, base), shared
-                # by all models and targets of this figure.
-                sweep = runner.trace_sweep(benchmark, base_freq)
-                for model in models:
-                    estimates = sweep.predict(make_predictor(model), targets)
-                    getattr(data, direction)[model][benchmark] = {
-                        t: prediction_error(est, actuals[t])
-                        for t, est in zip(targets, estimates)
-                    }
-                continue
-            base = runner.base_trace(benchmark, base_freq)
             for model in models:
-                predictor = make_predictor(model)
-                errors = {
-                    t: prediction_error(
-                        predictor.predict_total_ns(base, t), actuals[t]
-                    )
-                    for t in targets
+                estimates = runner.predict(
+                    benchmark, base_freq, make_predictor(model), targets
+                )
+                getattr(data, direction)[model][benchmark] = {
+                    t: prediction_error(est, actuals[t])
+                    for t, est in zip(targets, estimates)
                 }
-                getattr(data, direction)[model][benchmark] = errors
     return data
 
 

@@ -8,7 +8,7 @@ a key component of the model.
 
 from __future__ import annotations
 
-from typing import List
+from typing import Dict, List, Tuple
 
 from repro.core.evaluate import prediction_error
 from repro.core.predictors import make_predictor
@@ -30,11 +30,34 @@ def work(config):
     return fixed_items(config.benchmarks, (1.0, 4.0))
 
 
-def run(runner: ExperimentRunner) -> ExperimentResult:
-    """Regenerate Figure 4 (farthest target in each direction)."""
-    config = runner.config
+def collect(runner: ExperimentRunner) -> Dict[str, Tuple[float, ...]]:
+    """Signed DEP+BURST errors per benchmark: (1->4 across, 1->4
+    per-epoch, 4->1 across, 4->1 per-epoch)."""
     across = make_predictor("DEP+BURST", across_epoch_ctp=True)
     per = make_predictor("DEP+BURST", across_epoch_ctp=False)
+    errors: Dict[str, Tuple[float, ...]] = {}
+    for benchmark in runner.config.benchmarks:
+        # Both CTP policies share each base trace's decomposition.
+        row = []
+        for base, target in ((1.0, 4.0), (4.0, 1.0)):
+            actual = runner.fixed_run(benchmark, target).total_ns
+            for predictor in (across, per):
+                [estimate] = runner.predict(
+                    benchmark, base, predictor, [target]
+                )
+                row.append(prediction_error(estimate, actual))
+        errors[benchmark] = tuple(row)
+    return errors
+
+
+def mean_abs_columns(errors: Dict[str, Tuple[float, ...]]) -> List[float]:
+    """Average absolute error of each :func:`collect` column."""
+    return [mean_abs(column) for column in zip(*errors.values())]
+
+
+def run(runner: ExperimentRunner) -> ExperimentResult:
+    """Regenerate Figure 4 (farthest target in each direction)."""
+    errors = collect(runner)
     result = ExperimentResult(
         experiment_id="Fig 4",
         title="DEP+BURST: across-epoch vs per-epoch CTP (signed error)",
@@ -47,45 +70,10 @@ def run(runner: ExperimentRunner) -> ExperimentResult:
         ],
         notes="paper means: 1->4 6%/10%, 4->1 8%/14% (across/per-epoch)",
     )
-    summary = {"up_a": [], "up_p": [], "down_a": [], "down_p": []}
-    for benchmark in config.benchmarks:
-        actual4 = runner.fixed_run(benchmark, 4.0).total_ns
-        actual1 = runner.fixed_run(benchmark, 1.0).total_ns
-        if runner.sweep:
-            # Both CTP policies share each base trace's decomposition
-            # (the TraceSweep caches the clamped epoch arrays).
-            sweep1 = runner.trace_sweep(benchmark, 1.0)
-            sweep4 = runner.trace_sweep(benchmark, 4.0)
-            [est_up_a] = sweep1.predict(across, [4.0])
-            [est_up_p] = sweep1.predict(per, [4.0])
-            [est_down_a] = sweep4.predict(across, [1.0])
-            [est_down_p] = sweep4.predict(per, [1.0])
-        else:
-            base1 = runner.base_trace(benchmark, 1.0)
-            base4 = runner.base_trace(benchmark, 4.0)
-            est_up_a = across.predict_total_ns(base1, 4.0)
-            est_up_p = per.predict_total_ns(base1, 4.0)
-            est_down_a = across.predict_total_ns(base4, 1.0)
-            est_down_p = per.predict_total_ns(base4, 1.0)
-        up_a = prediction_error(est_up_a, actual4)
-        up_p = prediction_error(est_up_p, actual4)
-        down_a = prediction_error(est_down_a, actual1)
-        down_p = prediction_error(est_down_p, actual1)
-        summary["up_a"].append(up_a)
-        summary["up_p"].append(up_p)
-        summary["down_a"].append(down_a)
-        summary["down_p"].append(down_p)
-        result.rows.append(
-            (benchmark, pct(up_a), pct(up_p), pct(down_a), pct(down_p))
-        )
+    for benchmark, row in errors.items():
+        result.rows.append((benchmark, *(pct(e) for e in row)))
     result.rows.append(
-        (
-            "MEAN |err|",
-            pct_abs(mean_abs(summary["up_a"])),
-            pct_abs(mean_abs(summary["up_p"])),
-            pct_abs(mean_abs(summary["down_a"])),
-            pct_abs(mean_abs(summary["down_p"])),
-        )
+        ("MEAN |err|", *(pct_abs(m) for m in mean_abs_columns(errors)))
     )
     result.rows.append(
         (

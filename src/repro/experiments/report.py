@@ -17,6 +17,8 @@ class ExperimentResult:
     headers: Sequence[str]
     rows: List[Sequence[object]] = field(default_factory=list)
     notes: str = ""
+    #: Set by a driver whose checks did not hold; the CLI then exits 1.
+    failed: bool = False
 
     def to_text(self) -> str:
         """Render the result as a fixed-width table with notes."""

@@ -21,7 +21,7 @@ which is how tests assert that a warm cache performs zero new work.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.predictors import make_predictor
 from repro.core.sweep import TraceSweep
@@ -292,6 +292,23 @@ class ExperimentRunner:
             )
             self._sweeps[key] = sweep
         return sweep
+
+    def predict(
+        self,
+        benchmark: str,
+        base_freq_ghz: float,
+        predictor,
+        targets: Sequence[float],
+    ) -> List[float]:
+        """``predictor``'s total-time estimates at ``targets`` from the
+        base-frequency trace: through the shared :meth:`trace_sweep` in
+        sweep mode, else the scalar per-target loop (bit-identical)."""
+        if self.sweep:
+            return self.trace_sweep(benchmark, base_freq_ghz).predict(
+                predictor, targets
+            )
+        base = self.base_trace(benchmark, base_freq_ghz)
+        return [predictor.predict_total_ns(base, t) for t in targets]
 
     # ------------------------------------------------------------------
     # Managed runs

@@ -9,10 +9,7 @@ packages the invariants the test suite leans on as reusable checks:
   thread outruns an epoch;
 * **monotonicity** — counter snapshots never decrease;
 * **GC balance** — GC_START/GC_END alternate and sum to the recorded GC
-  time;
-* **cross-frequency conservation** — re-simulating the same program at
-  another frequency retires the same instructions and collections, and
-  the speedup stays within the physically possible band.
+  time.
 
 Each check returns a list of human-readable violations (empty = pass);
 :func:`check_trace` aggregates them. ``repro-trace verify`` exposes this
@@ -21,13 +18,11 @@ on archived traces.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 from repro.arch.counters import COUNTER_FIELDS
 from repro.core.epochs import extract_epochs, total_epoch_time
-from repro.sim.run import simulate
 from repro.sim.trace import EventKind, SimulationTrace
-from repro.workloads.program import Program
 
 _REL_EPS = 1e-6
 
@@ -129,35 +124,4 @@ def check_trace(trace: SimulationTrace, n_cores: int = 4) -> List[str]:
     violations += check_capacity(trace, n_cores)
     violations += check_counter_monotonicity(trace)
     violations += check_gc_balance(trace)
-    return violations
-
-
-def check_cross_frequency(
-    program: Program, freqs_ghz: Sequence[float] = (1.0, 4.0), **simulate_kwargs
-) -> List[str]:
-    """Conservation checks across re-simulations of one program.
-
-    Verifies that the logical work is frequency-invariant (instructions,
-    collections) and that speedups stay inside the physically possible
-    band ``[1, f_hi / f_lo]``.
-    """
-    violations: List[str] = []
-    results = {f: simulate(program, f, **simulate_kwargs) for f in freqs_ghz}
-    insns = {
-        f: sum(c.insns for c in r.trace.final_counters().values())
-        for f, r in results.items()
-    }
-    if max(insns.values()) - min(insns.values()) > 0.001 * max(insns.values()):
-        violations.append(f"instruction counts vary with frequency: {insns}")
-    gcs = {f: r.trace.gc_cycles for f, r in results.items()}
-    if len(set(gcs.values())) != 1:
-        violations.append(f"GC counts vary with frequency: {gcs}")
-    ordered = sorted(freqs_ghz)
-    for lo, hi in zip(ordered, ordered[1:]):
-        speedup = results[lo].total_ns / results[hi].total_ns
-        if not 1.0 - _REL_EPS <= speedup <= hi / lo + _REL_EPS:
-            violations.append(
-                f"speedup {speedup:.3f} from {lo} to {hi} GHz outside "
-                f"[1, {hi / lo:.2f}]"
-            )
     return violations

@@ -407,14 +407,6 @@ class SimulationTrace:
             if info.kind is ThreadKind.APPLICATION
         )
 
-    def service_tids(self) -> List[int]:
-        """Tids of GC/JIT service threads, ascending."""
-        return sorted(
-            tid
-            for tid, info in self.threads.items()
-            if info.kind is not ThreadKind.APPLICATION
-        )
-
     def final_counters(self) -> Dict[int, CounterSet]:
         """Last observed cumulative counters per thread.
 
@@ -434,12 +426,6 @@ class SimulationTrace:
             for tid, counters in event.snapshots.items():
                 latest[tid] = counters
         return latest
-
-    def events_between(self, start_ns: float, end_ns: float) -> List[TraceEvent]:
-        """Events with ``start_ns <= time < end_ns`` (time order preserved)."""
-        if end_ns < start_ns:
-            raise TraceError(f"bad window [{start_ns}, {end_ns})")
-        return [e for e in self.events if start_ns <= e.time_ns < end_ns]
 
     def validate(self) -> None:
         """Check trace invariants; raise :class:`TraceError` on violation."""

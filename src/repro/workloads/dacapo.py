@@ -25,7 +25,7 @@ Structural choices per benchmark:
   compute-intensive with good cache locality.
 
 Calibrated Table I targets are recorded in :data:`TABLE1_EXPECTED` and
-checked by the Table I benchmark (`benchmarks/test_table1.py`).
+checked by the ``Table I`` claims of :mod:`repro.experiments.claims`.
 """
 
 from __future__ import annotations

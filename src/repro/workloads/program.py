@@ -6,8 +6,7 @@ from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple
 
 from repro.common.errors import ConfigError
-from repro.workloads.items import Action, Allocate, Run
-from repro.arch.segments import ComputeSegment, MemorySegment, StoreBurstSegment
+from repro.workloads.items import Action, Allocate
 
 
 @dataclass(frozen=True)
@@ -20,23 +19,6 @@ class ThreadProgram:
     def __post_init__(self) -> None:
         if not self.actions:
             raise ConfigError(f"thread {self.name!r} has an empty program")
-
-    @property
-    def n_actions(self) -> int:
-        """Number of actions in this thread's program."""
-        return len(self.actions)
-
-    def total_instructions(self) -> int:
-        """Logical instruction count across Run segments (allocation excluded)."""
-        total = 0
-        for action in self.actions:
-            if isinstance(action, Run):
-                segment = action.segment
-                if isinstance(segment, (ComputeSegment, MemorySegment)):
-                    total += segment.insns
-                elif isinstance(segment, StoreBurstSegment):
-                    total += segment.n_stores
-        return total
 
     def total_allocated_bytes(self) -> int:
         """Total bytes this thread allocates from the managed heap."""

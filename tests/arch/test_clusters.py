@@ -1,9 +1,8 @@
-"""Cluster topologies: validation, ladders, per-cluster DVFS state."""
+"""Cluster topologies: validation, ladders, single-domain detection."""
 
 import pytest
 
 from repro.arch.clusters import (
-    ClusterDvfs,
     ClusterSpec,
     ClusterTopology,
     big_little,
@@ -111,57 +110,3 @@ def test_homogeneous_is_single_domain_and_big_little_is_not():
         ),
     )
     assert not clipped.is_single_domain
-
-
-def test_lookups_resolve_cores_and_names():
-    topology = big_little(SPEC)
-    assert topology.cluster_of_core(0).name == "big"
-    assert topology.cluster_of_core(SPEC.n_cores - 1).name == "little"
-    assert topology.cluster_named("little").max_freq_ghz == 2.0
-    with pytest.raises(ConfigError):
-        topology.cluster_of_core(SPEC.n_cores)
-    with pytest.raises(ConfigError):
-        topology.cluster_named("medium")
-
-
-# ----------------------------------------------------------------------
-# ClusterDvfs
-# ----------------------------------------------------------------------
-
-
-def test_dvfs_starts_at_cluster_maxima():
-    domains = ClusterDvfs(big_little(SPEC))
-    assert domains.current_freqs_ghz == {"big": 4.0, "little": 2.0}
-    assert domains.frequency_of(0) == 4.0
-    assert domains.frequency_of(SPEC.n_cores - 1) == 2.0
-    assert domains.frequency_of(None) == 4.0  # fastest cluster
-
-
-def test_dvfs_transition_accounting_per_cluster():
-    domains = ClusterDvfs(big_little(SPEC))
-    cost = domains.set_cluster_frequency("big", 2.0)
-    assert cost == SPEC.dvfs_transition_ns
-    assert domains.set_cluster_frequency("big", 2.0) == 0.0  # no-op
-    domains.set_cluster_frequency("little", 1.5)
-    assert domains.transitions == 2
-    assert domains.transition_time_ns == 2 * SPEC.dvfs_transition_ns
-    assert domains.frequency_of(0) == 2.0
-    assert domains.frequency_of(SPEC.n_cores - 1) == 1.5
-
-
-def test_dvfs_validates_against_the_cluster_ladder():
-    domains = ClusterDvfs(big_little(SPEC))
-    with pytest.raises(ConfigError):
-        domains.set_cluster_frequency("little", 3.0)  # beyond little's max
-    with pytest.raises(ConfigError):
-        domains.set_cluster_frequency("medium", 2.0)  # unknown cluster
-    # Float noise within tolerance resolves to the exact set point.
-    assert domains.set_cluster_frequency("big", 2.1250000001) > 0
-    assert domains.current_freqs_ghz["big"] == 2.125
-
-
-def test_dvfs_honours_initial_frequencies():
-    domains = ClusterDvfs(big_little(SPEC), {"big": 1.0})
-    assert domains.current_freqs_ghz == {"big": 1.0, "little": 2.0}
-    with pytest.raises(ConfigError):
-        ClusterDvfs(big_little(SPEC), {"little": 3.5})

@@ -5,11 +5,9 @@ import pytest
 from repro.common.errors import ConfigError
 from repro.common.validation import (
     check_fraction,
-    check_in,
     check_non_negative,
     check_positive,
     check_power_of_two,
-    check_sorted,
     require,
 )
 
@@ -48,15 +46,3 @@ def test_check_power_of_two():
     for bad in (0, 3, 6, -4):
         with pytest.raises(ConfigError):
             check_power_of_two("x", bad)
-
-
-def test_check_in():
-    assert check_in("x", "a", ("a", "b")) == "a"
-    with pytest.raises(ConfigError):
-        check_in("x", "c", ("a", "b"))
-
-
-def test_check_sorted():
-    assert check_sorted("x", [1, 2, 2, 3]) == [1, 2, 2, 3]
-    with pytest.raises(ConfigError):
-        check_sorted("x", [2, 1])

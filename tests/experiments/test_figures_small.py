@@ -1,7 +1,8 @@
 """All figure experiments on a miniature two-benchmark configuration.
 
-These validate the experiment *code paths* (the benchmarks/ suite runs them
-at full scale and checks the paper's quantitative bands).
+These validate the experiment *code paths*; ``repro-experiments claims``
+checks the paper's quantitative bands on the full suite
+(tests/experiments/test_claims.py at REPRO_SCALE=0.05, CI at 1.0).
 """
 
 import pytest

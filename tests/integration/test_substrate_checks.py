@@ -3,7 +3,8 @@
 import pytest
 
 from repro import get_benchmark, simulate
-from repro.sim.checks import check_cross_frequency, check_trace
+from repro.sim.checks import check_trace
+from tests.util import check_cross_frequency
 
 
 @pytest.mark.parametrize("name", ["xalan", "avrora"])

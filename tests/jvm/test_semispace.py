@@ -53,7 +53,7 @@ def test_semispace_simulation_runs_and_copies_more():
         return sum(
             c.stores
             for tid, c in result.trace.final_counters().items()
-            if tid in result.trace.service_tids()
+            if tid not in result.trace.app_tids()
         )
 
     assert gc_stores(semispace) > gc_stores(generational)

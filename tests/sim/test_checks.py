@@ -7,14 +7,18 @@ import pytest
 from repro.sim.checks import (
     check_capacity,
     check_counter_monotonicity,
-    check_cross_frequency,
     check_epoch_tiling,
     check_gc_balance,
     check_trace,
 )
 from repro.sim.run import simulate
 from repro.sim.trace import EventKind, TraceEvent
-from tests.util import allocating_program, barrier_program, lock_pair_program
+from tests.util import (
+    allocating_program,
+    barrier_program,
+    check_cross_frequency,
+    lock_pair_program,
+)
 
 
 @pytest.fixture(scope="module")

@@ -155,7 +155,7 @@ class TestGarbageCollection:
     def test_gc_workers_spawned_per_config(self):
         program = allocating_program()
         trace = simulate(program, 1.0).trace
-        assert len(trace.service_tids()) == 4
+        assert len(trace.threads) - len(trace.app_tids()) == 4
 
 
 class TestScheduling:

@@ -32,7 +32,7 @@ def test_epoch_boundary_kinds():
 def test_tid_partitions():
     trace = make_trace()
     assert trace.app_tids() == [0]
-    assert trace.service_tids() == [1]
+    assert sorted(set(trace.threads) - set(trace.app_tids())) == [1]
 
 
 def test_final_counters_uses_latest_snapshot():
@@ -42,16 +42,6 @@ def test_final_counters_uses_latest_snapshot():
     trace.events.append(make_event(1.0, 0, EventKind.SPAWN, (0,), early))
     trace.events.append(make_event(2.0, 0, EventKind.EXIT, (), late))
     assert trace.final_counters()[0].insns == 99
-
-
-def test_events_between():
-    trace = make_trace()
-    for t in (1.0, 2.0, 3.0):
-        trace.events.append(make_event(t, 0, EventKind.FUTEX_WAIT))
-    window = trace.events_between(1.5, 3.0)
-    assert [e.time_ns for e in window] == [2.0]
-    with pytest.raises(TraceError):
-        trace.events_between(3.0, 1.0)
 
 
 def test_validate_detects_out_of_order():

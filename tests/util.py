@@ -19,6 +19,7 @@ from repro.arch.segments import (
     MissCluster,
     StoreBurstSegment,
 )
+from repro.sim.run import simulate
 from repro.workloads.items import (
     Acquire,
     Action,
@@ -144,6 +145,38 @@ def sleeping_program(duration_ns: float = 2.0e6) -> Program:
 def random_chains(rng: np.random.Generator, n: int) -> List[float]:
     """Random plausible chain latencies."""
     return list(40.0 + 160.0 * rng.random(n))
+
+
+def check_cross_frequency(
+    program: Program, freqs_ghz: Sequence[float] = (1.0, 4.0), **simulate_kwargs
+) -> List[str]:
+    """Conservation checks across re-simulations of one program.
+
+    Verifies that the logical work is frequency-invariant (instructions,
+    collections) and that speedups stay inside the physically possible
+    band ``[1, f_hi / f_lo]``. Returns human-readable violations.
+    """
+    eps = 1e-6
+    violations: List[str] = []
+    results = {f: simulate(program, f, **simulate_kwargs) for f in freqs_ghz}
+    insns = {
+        f: sum(c.insns for c in r.trace.final_counters().values())
+        for f, r in results.items()
+    }
+    if max(insns.values()) - min(insns.values()) > 0.001 * max(insns.values()):
+        violations.append(f"instruction counts vary with frequency: {insns}")
+    gcs = {f: r.trace.gc_cycles for f, r in results.items()}
+    if len(set(gcs.values())) != 1:
+        violations.append(f"GC counts vary with frequency: {gcs}")
+    ordered = sorted(freqs_ghz)
+    for lo, hi in zip(ordered, ordered[1:]):
+        speedup = results[lo].total_ns / results[hi].total_ns
+        if not 1.0 - eps <= speedup <= hi / lo + eps:
+            violations.append(
+                f"speedup {speedup:.3f} from {lo} to {hi} GHz outside "
+                f"[1, {hi / lo:.2f}]"
+            )
+    return violations
 
 
 # ----------------------------------------------------------------------

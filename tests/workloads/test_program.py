@@ -5,21 +5,12 @@ import pytest
 from repro.common.errors import ConfigError
 from repro.workloads.items import Allocate
 from repro.workloads.program import Program, ThreadProgram, sequential_program
-from tests.util import compute, memory, store_burst
+from tests.util import compute
 
 
 def test_empty_thread_rejected():
     with pytest.raises(ConfigError):
         ThreadProgram(name="t", actions=())
-
-
-def test_total_instructions_counts_run_segments():
-    thread = ThreadProgram(
-        name="t",
-        actions=(compute(1000), memory(500, chains=[100.0]), store_burst(64)),
-    )
-    assert thread.total_instructions() == 1000 + 500 + 64
-    assert thread.n_actions == 3
 
 
 def test_total_allocated_bytes():

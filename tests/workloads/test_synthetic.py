@@ -6,7 +6,7 @@ import pytest
 
 from repro.workloads.items import Acquire, Allocate, BarrierWait, Release, Run
 from repro.workloads.synthetic import SyntheticWorkloadConfig, build_synthetic_program
-from repro.arch.segments import MemorySegment
+from repro.arch.segments import ComputeSegment, MemorySegment, StoreBurstSegment
 
 
 def tiny_config(**overrides):
@@ -23,11 +23,19 @@ def fingerprint(program):
     parts = []
     for thread in program.threads:
         total_chain = 0.0
+        insns = 0
         for action in thread.actions:
-            if isinstance(action, Run) and isinstance(action.segment, MemorySegment):
-                total_chain += action.segment.total_chain_ns
+            if not isinstance(action, Run):
+                continue
+            segment = action.segment
+            if isinstance(segment, MemorySegment):
+                total_chain += segment.total_chain_ns
+            if isinstance(segment, (ComputeSegment, MemorySegment)):
+                insns += segment.insns
+            elif isinstance(segment, StoreBurstSegment):
+                insns += segment.n_stores
         parts.append(
-            (thread.n_actions, thread.total_instructions(),
+            (len(thread.actions), insns,
              thread.total_allocated_bytes(), round(total_chain, 6))
         )
     return tuple(parts)
