@@ -30,7 +30,7 @@ scale-invariant, so ``REPRO_SCALE=0.3`` gives a quick faithful pass.
 from repro.experiments.setup import ExperimentConfig, default_config
 from repro.experiments.cache import ResultCache, default_cache_dir
 from repro.experiments.parallel import WorkItem, execute
-from repro.experiments.runner import ExperimentRunner, get_runner
+from repro.experiments.runner import ExperimentRunner
 
 __all__ = [
     "ExperimentConfig",
@@ -40,5 +40,4 @@ __all__ = [
     "default_cache_dir",
     "default_config",
     "execute",
-    "get_runner",
 ]

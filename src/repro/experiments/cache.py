@@ -69,36 +69,30 @@ def fixed_key(fingerprint: Dict[str, Any], freq_ghz: float, quantum_ns: float) -
     )
 
 
-def prediction_fingerprint(sweep: bool) -> Dict[str, Any]:
+def prediction_fingerprint() -> Dict[str, Any]:
     """Cache-key identity of the prediction engine driving a managed run.
 
-    Sweep-kernel and scalar predictions are bit-identical by contract,
-    but the cache must not *assume* the contract holds: a managed result
-    computed under one engine (or one kernel revision) must never alias
-    a lookup under another, or an engine bug could hide behind a stale
-    hit. Hence both the engine name and the kernel version participate
-    in :func:`managed_key`.
+    Managed runs predict through the sweep kernels, so a kernel revision
+    (:data:`~repro.core.sweep.KERNEL_VERSION`) must move every managed
+    key: a result computed under one revision never answers a lookup
+    under another. The ``"engine"`` field is kept so keys stay
+    byte-identical to those of earlier stores.
     """
     from repro.core.sweep import KERNEL_VERSION
 
-    return {
-        "engine": "sweep" if sweep else "scalar",
-        "kernel_version": KERNEL_VERSION if sweep else 0,
-    }
+    return {"engine": "sweep", "kernel_version": KERNEL_VERSION}
 
 
 def managed_key(
     fingerprint: Dict[str, Any],
     manager_config: Any,
     quantum_ns: float,
-    prediction: Optional[Dict[str, Any]] = None,
+    prediction: Dict[str, Any],
 ) -> str:
     """Content key of one energy-managed run.
 
     Keyed by the full manager config plus the prediction-engine
-    fingerprint (see :func:`prediction_fingerprint`); ``None`` marks a
-    caller that predates the engine split and hashes distinctly from
-    both engines.
+    fingerprint (see :func:`prediction_fingerprint`).
     """
     return stable_hash(
         {

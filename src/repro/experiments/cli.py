@@ -15,7 +15,11 @@ Ground-truth simulations are persisted in a content-addressed cache
 keyed by every input that determines the result, so a second invocation
 at the same configuration re-simulates nothing. ``--no-cache`` opts out;
 ``--jobs N`` (or ``REPRO_JOBS``) runs the needed grid in parallel worker
-processes before the tables and figures are rendered serially.
+processes before the tables and figures are rendered serially, and
+``--batch`` simulates each benchmark's fixed-frequency fan-out as one
+batched run. Predictions always go through the sweep kernels
+(:mod:`repro.core.sweep`); the scalar predictors they match bit for bit
+are reference oracles for the tests and ``repro-qa``.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from repro.experiments import (
 from repro.experiments.cache import ResultCache, default_cache_dir, describe
 from repro.experiments.parallel import WorkItem, execute
 from repro.experiments.report import ExperimentResult
-from repro.experiments.runner import ExperimentRunner, get_runner
+from repro.experiments.runner import ExperimentRunner
 from repro.experiments.setup import default_config
 
 #: Experiment name -> driver module (each exposes ``run`` and ``work``).
@@ -174,24 +178,6 @@ def main(argv=None) -> int:
         action="store_true",
         help="do not read or write the persistent result cache",
     )
-    sweep_group = parser.add_mutually_exclusive_group()
-    sweep_group.add_argument(
-        "--sweep",
-        dest="sweep",
-        action="store_true",
-        default=True,
-        help="evaluate prediction grids through the sweep kernels: one "
-        "epoch decomposition per benchmark trace shared across all "
-        "(predictor, target) pairs, each (predictor, target) lane "
-        "evaluated once per process (default)",
-    )
-    sweep_group.add_argument(
-        "--no-sweep",
-        dest="sweep",
-        action="store_false",
-        help="use the scalar per-frequency prediction loops "
-        "(bit-identical results, mainly for benchmarking)",
-    )
     batch_group = parser.add_mutually_exclusive_group()
     batch_group.add_argument(
         "--batch",
@@ -223,7 +209,7 @@ def _run_suite(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     cache = None
     if not args.no_cache:
         cache = ResultCache(args.cache_dir or default_cache_dir())
-    runner = get_runner(config=config, cache=cache, sweep=args.sweep)
+    runner = ExperimentRunner(config, cache=cache)
     print(
         f"# DEP+BURST reproduction — scale={runner.config.scale}, "
         f"benchmarks={', '.join(runner.config.benchmarks)}"

@@ -272,12 +272,12 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
     from repro.experiments.cache import ResultCache, default_cache_dir
-    from repro.experiments.runner import get_runner
+    from repro.experiments.runner import ExperimentRunner
 
     cache = None
     if not args.no_cache:
         cache = ResultCache(args.cache_dir or default_cache_dir())
-    runner = get_runner(cache=cache)
+    runner = ExperimentRunner(cache=cache)
     payload = write_figure(args.out, runner)
     n_cells = sum(len(cells) for cells in payload["benchmarks"].values())
     print(f"wrote {args.out}: {n_cells} grid cells")

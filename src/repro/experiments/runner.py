@@ -31,7 +31,7 @@ from repro.energy.power import PowerModel
 from repro.experiments import cache as cache_mod
 from repro.experiments.cache import ResultCache
 from repro.experiments.setup import ExperimentConfig, default_config
-from repro.sim.run import simulate, simulate_managed
+from repro.sim.run import SimulationResult, simulate, simulate_managed
 from repro.sim.trace import SimulationTrace
 from repro.workloads.registry import (
     BenchmarkBundle,
@@ -88,17 +88,9 @@ class ExperimentRunner:
         self,
         config: Optional[ExperimentConfig] = None,
         cache: Optional[ResultCache] = None,
-        sweep: bool = True,
     ) -> None:
         self.config = config or default_config()
         self.cache = cache
-        #: Evaluate predictions through the sweep kernels
-        #: (:mod:`repro.core.sweep`) — one decomposition per benchmark
-        #: trace shared across a whole figure's (predictor, target)
-        #: grid, and one kernel call per governor quantum. Results are
-        #: bit-identical either way; ``sweep=False`` keeps the scalar
-        #: per-frequency loops for benchmarking and differential runs.
-        self.sweep = sweep
         #: Simulations actually executed by this process (cache misses).
         self.simulations = 0
         self._bundles: Dict[str, BenchmarkBundle] = {}
@@ -138,19 +130,9 @@ class ExperimentRunner:
 
     def fixed_run(self, benchmark: str, freq_ghz: float) -> FixedRun:
         """Simulate (once) ``benchmark`` at a fixed frequency."""
-        key = (benchmark, round(freq_ghz, 6))
-        cached = self._fixed.get(key)
-        if cached is not None:
-            return cached
-        disk_key = None
-        if self.cache is not None:
-            disk_key = cache_mod.fixed_key(
-                self.fingerprint(benchmark), freq_ghz, self.config.quantum_ns
-            )
-            run = self.cache.load_fixed(disk_key, benchmark)
-            if run is not None:
-                self._fixed[key] = run
-                return run
+        disk_key, run = self._cached_fixed(benchmark, freq_ghz)
+        if run is not None:
+            return run
         bundle = self.bundle(benchmark)
         result = simulate(
             bundle.program,
@@ -160,24 +142,7 @@ class ExperimentRunner:
             gc_model=bundle.gc_model,
             quantum_ns=self.config.quantum_ns,
         )
-        self.simulations += 1
-        energy = compute_energy(
-            result.trace, bundle.spec, self.power_model(benchmark)
-        )
-        keep_trace = any(abs(freq_ghz - base) < 1e-9 for base in _BASE_FREQS)
-        run = FixedRun(
-            benchmark=benchmark,
-            freq_ghz=freq_ghz,
-            total_ns=result.total_ns,
-            gc_time_ns=result.trace.gc_time_ns,
-            gc_cycles=result.trace.gc_cycles,
-            energy_j=energy.total_j,
-            trace=result.trace if keep_trace else None,
-        )
-        if self.cache is not None and disk_key is not None:
-            self.cache.store_fixed(disk_key, run)
-        self._fixed[key] = run
-        return run
+        return self._record_fixed(benchmark, freq_ghz, disk_key, result)
 
     def fixed_runs_batch(
         self, benchmark: str, freqs_ghz: List[float]
@@ -197,23 +162,16 @@ class ExperimentRunner:
         """
         from repro.sim.batch import BatchInstance, run_batch
 
-        misses: List[Tuple[Tuple[str, float], float, Optional[str]]] = []
+        misses: List[Tuple[float, Optional[str]]] = []
         seen = set()
         for freq_ghz in freqs_ghz:
-            key = (benchmark, round(freq_ghz, 6))
-            if key in seen or key in self._fixed:
+            key = round(freq_ghz, 6)
+            if key in seen:
                 continue
-            disk_key = None
-            if self.cache is not None:
-                disk_key = cache_mod.fixed_key(
-                    self.fingerprint(benchmark), freq_ghz, self.config.quantum_ns
-                )
-                run = self.cache.load_fixed(disk_key, benchmark)
-                if run is not None:
-                    self._fixed[key] = run
-                    continue
             seen.add(key)
-            misses.append((key, freq_ghz, disk_key))
+            disk_key, run = self._cached_fixed(benchmark, freq_ghz)
+            if run is None:
+                misses.append((freq_ghz, disk_key))
         if misses:
             bundle = self.bundle(benchmark)
             results = run_batch(
@@ -227,30 +185,56 @@ class ExperimentRunner:
                         quantum_ns=self.config.quantum_ns,
                         label=f"{benchmark}@{freq_ghz}",
                     )
-                    for _, freq_ghz, _ in misses
+                    for freq_ghz, _ in misses
                 ]
             ).results
-            self.simulations += len(misses)
-            for (key, freq_ghz, disk_key), result in zip(misses, results):
-                energy = compute_energy(
-                    result.trace, bundle.spec, self.power_model(benchmark)
-                )
-                keep_trace = any(
-                    abs(freq_ghz - base) < 1e-9 for base in _BASE_FREQS
-                )
-                run = FixedRun(
-                    benchmark=benchmark,
-                    freq_ghz=freq_ghz,
-                    total_ns=result.total_ns,
-                    gc_time_ns=result.trace.gc_time_ns,
-                    gc_cycles=result.trace.gc_cycles,
-                    energy_j=energy.total_j,
-                    trace=result.trace if keep_trace else None,
-                )
-                if self.cache is not None and disk_key is not None:
-                    self.cache.store_fixed(disk_key, run)
-                self._fixed[key] = run
+            for (freq_ghz, disk_key), result in zip(misses, results):
+                self._record_fixed(benchmark, freq_ghz, disk_key, result)
         return [self.fixed_run(benchmark, freq_ghz) for freq_ghz in freqs_ghz]
+
+    def _cached_fixed(
+        self, benchmark: str, freq_ghz: float
+    ) -> Tuple[Optional[str], Optional[FixedRun]]:
+        """(disk key, run): the run from memory or disk, else ``None``."""
+        key = (benchmark, round(freq_ghz, 6))
+        run = self._fixed.get(key)
+        if run is not None or self.cache is None:
+            return None, run
+        disk_key = cache_mod.fixed_key(
+            self.fingerprint(benchmark), freq_ghz, self.config.quantum_ns
+        )
+        run = self.cache.load_fixed(disk_key, benchmark)
+        if run is not None:
+            self._fixed[key] = run
+        return disk_key, run
+
+    def _record_fixed(
+        self,
+        benchmark: str,
+        freq_ghz: float,
+        disk_key: Optional[str],
+        result: SimulationResult,
+    ) -> FixedRun:
+        """Summarize a fresh simulation, persist it and memoize it."""
+        self.simulations += 1
+        bundle = self.bundle(benchmark)
+        energy = compute_energy(
+            result.trace, bundle.spec, self.power_model(benchmark)
+        )
+        keep_trace = any(abs(freq_ghz - base) < 1e-9 for base in _BASE_FREQS)
+        run = FixedRun(
+            benchmark=benchmark,
+            freq_ghz=freq_ghz,
+            total_ns=result.total_ns,
+            gc_time_ns=result.trace.gc_time_ns,
+            gc_cycles=result.trace.gc_cycles,
+            energy_j=energy.total_j,
+            trace=result.trace if keep_trace else None,
+        )
+        if disk_key is not None:
+            self.cache.store_fixed(disk_key, run)
+        self._fixed[(benchmark, round(freq_ghz, 6))] = run
+        return run
 
     def base_trace(self, benchmark: str, base_freq_ghz: float) -> SimulationTrace:
         """The retained trace of a base-frequency run (1 or 4 GHz)."""
@@ -301,14 +285,14 @@ class ExperimentRunner:
         targets: Sequence[float],
     ) -> List[float]:
         """``predictor``'s total-time estimates at ``targets`` from the
-        base-frequency trace: through the shared :meth:`trace_sweep` in
-        sweep mode, else the scalar per-target loop (bit-identical)."""
-        if self.sweep:
-            return self.trace_sweep(benchmark, base_freq_ghz).predict(
-                predictor, targets
-            )
-        base = self.base_trace(benchmark, base_freq_ghz)
-        return [predictor.predict_total_ns(base, t) for t in targets]
+        base-frequency trace, through the shared :meth:`trace_sweep`.
+
+        Every figure driver predicts through this one method, so a test
+        can swap in a reference path (the scalar per-target loop) by
+        overriding it."""
+        return self.trace_sweep(benchmark, base_freq_ghz).predict(
+            predictor, targets
+        )
 
     # ------------------------------------------------------------------
     # Managed runs
@@ -327,14 +311,14 @@ class ExperimentRunner:
                 self.fingerprint(benchmark),
                 manager_config,
                 self.config.quantum_ns,
-                prediction=cache_mod.prediction_fingerprint(self.sweep),
+                prediction=cache_mod.prediction_fingerprint(),
             )
             run = self.cache.load_managed(disk_key, benchmark)
             if run is not None:
                 self._managed[key] = run
                 return run
         bundle = self.bundle(benchmark)
-        manager = EnergyManager(bundle.spec, manager_config, sweep=self.sweep)
+        manager = EnergyManager(bundle.spec, manager_config)
         result = simulate_managed(
             bundle.program,
             manager,
@@ -359,24 +343,3 @@ class ExperimentRunner:
         self._managed[key] = run
         return run
 
-
-_RUNNER: Optional[ExperimentRunner] = None
-
-
-def get_runner(
-    config: Optional[ExperimentConfig] = None,
-    cache: Optional[ResultCache] = None,
-    sweep: Optional[bool] = None,
-) -> ExperimentRunner:
-    """Process-wide runner so tests/benchmarks share ground-truth runs."""
-    global _RUNNER
-    if (
-        _RUNNER is None
-        or (config is not None and config != _RUNNER.config)
-        or (cache is not None and cache is not _RUNNER.cache)
-        or (sweep is not None and sweep != _RUNNER.sweep)
-    ):
-        _RUNNER = ExperimentRunner(
-            config, cache=cache, sweep=True if sweep is None else sweep
-        )
-    return _RUNNER

@@ -17,7 +17,8 @@ Expected structure (all from the literature the paper cites):
 
 from __future__ import annotations
 
-from typing import Dict, List
+from functools import lru_cache
+from typing import Dict
 
 from repro.core.evaluate import prediction_error
 from repro.core.predictors import SequentialPredictor
@@ -31,7 +32,16 @@ _MODELS = ("stall", "leading-loads", "crit", "crit+burst")
 
 
 def collect(units: int = 40) -> Dict[str, Dict[str, float]]:
-    """Signed 1→4 GHz error per (microbenchmark, sequential model)."""
+    """Signed 1→4 GHz error per (microbenchmark, sequential model).
+
+    Simulated once per process and ``units`` value (the table and the
+    claims read the same numbers); callers must not mutate the result.
+    """
+    return _collect(units)
+
+
+@lru_cache(maxsize=None)
+def _collect(units: int) -> Dict[str, Dict[str, float]]:
     errors: Dict[str, Dict[str, float]] = {}
     for name in micro_names():
         program = get_micro(name, units=units)
@@ -49,7 +59,8 @@ def collect(units: int = 40) -> Dict[str, Dict[str, float]]:
 
 
 def work(config):
-    """Microbenchmarks run in-process and uncached: nothing to prefetch."""
+    """Microbenchmarks run in-process, outside the result cache: nothing
+    to prefetch."""
     return ()
 
 

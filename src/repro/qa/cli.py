@@ -48,7 +48,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         artifact_dir=args.artifacts,
         serve=not args.no_serve,
         shrink_failures=not args.no_shrink,
-        batch_prefill=args.batch_prefill,
         log=print,
     )
     box = " (time-boxed)" if report.time_boxed else ""
@@ -136,10 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="comma-separated subset (default: all registered)")
     run.add_argument("--no-serve", action="store_true",
                      help="skip the serve differentials (no server needed)")
-    run.add_argument("--batch-prefill", action="store_true",
-                     help="fill every case's base/high fixed-frequency "
-                          "results from one batched simulation "
-                          "(repro.sim.batch) before evaluating invariants")
     run.add_argument("--no-shrink", action="store_true",
                      help="dump the failing case without minimizing it")
     run.set_defaults(func=_cmd_run)

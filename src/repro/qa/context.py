@@ -100,47 +100,6 @@ class CaseContext:
             self._managed[key] = (result.trace, list(manager.decisions))
         return self._managed[key]
 
-    @classmethod
-    def prefill(cls, contexts: List["CaseContext"], engine: str = "fast") -> int:
-        """Fill many contexts' base/high results from one batched call.
-
-        Simulates every (context, frequency) pair still missing from the
-        contexts' memo maps through :func:`repro.sim.batch.simulate_batch`
-        — one lane per pair, grouped per context's program — and stores
-        the results exactly where :meth:`result` would have. Subsequent
-        :meth:`result`/:meth:`epochs` calls at those frequencies are warm
-        hits, so a whole fuzz corpus costs one batched simulation instead
-        of two lazy ones per case. Returns the number of results filled.
-        """
-        from repro.sim.batch import BatchInstance, simulate_batch
-
-        wanted: List[Tuple["CaseContext", Tuple[float, str]]] = []
-        instances = []
-        for context in contexts:
-            freqs = dict.fromkeys(
-                (context.case.base_freq_ghz, context.case.high_freq_ghz)
-            )
-            for freq in freqs:
-                key = (freq, engine)
-                if key in context._results:
-                    continue
-                wanted.append((context, key))
-                instances.append(
-                    BatchInstance(
-                        program=context.program,
-                        freq_ghz=freq,
-                        spec=context.spec,
-                        quantum_ns=context.case.quantum_ns,
-                        engine=engine,
-                        label=f"seed{context.case.seed}@{freq}",
-                    )
-                )
-        if not instances:
-            return 0
-        for (context, key), result in zip(wanted, simulate_batch(instances)):
-            context._results[key] = result
-        return len(wanted)
-
     def target_ladder(self) -> List[float]:
         """Ascending target frequencies the prediction invariants sweep.
 

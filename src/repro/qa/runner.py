@@ -70,15 +70,9 @@ def evaluate_case(
     invariants: Sequence[Invariant],
     spec: Optional[MachineSpec] = None,
     serve_client=None,
-    context: Optional[CaseContext] = None,
 ) -> Tuple[List[Failure], List[str]]:
-    """Evaluate ``invariants`` on ``case``; return (failures, skipped).
-
-    ``context`` lets a caller reuse a prebuilt (possibly prefilled)
-    :class:`CaseContext` instead of simulating lazily from scratch.
-    """
-    if context is None:
-        context = CaseContext(case, spec=spec, serve_client=serve_client)
+    """Evaluate ``invariants`` on ``case``; return (failures, skipped)."""
+    context = CaseContext(case, spec=spec, serve_client=serve_client)
     failures: List[Failure] = []
     skipped: List[str] = []
     for invariant in invariants:
@@ -107,7 +101,6 @@ def run_qa(
     serve: bool = True,
     shrink_failures: bool = True,
     stop_on_failure: bool = True,
-    batch_prefill: bool = False,
     log: Callable[[str], None] = lambda line: None,
 ) -> QaReport:
     """Fuzz ``seeds`` through the invariant gate; shrink + dump failures.
@@ -115,14 +108,6 @@ def run_qa(
     ``serve=False`` (or a platform where the server cannot start) runs
     without the serve differentials — they are reported per-case under
     ``skipped``, never silently passed.
-
-    ``batch_prefill=True`` builds every seed's case up front and fills
-    the whole corpus's base/high fixed-frequency results from one
-    :func:`repro.sim.batch.simulate_batch` call
-    (:meth:`CaseContext.prefill`) before evaluation starts; the per-case
-    invariant walk then hits warm memo entries. Results are identical —
-    the ``batch-single-identity`` invariant is the proof — and the
-    prefill wall time counts against the time budget.
     """
     resolved = resolve_invariants(invariants)
     spec = spec or haswell_i7_4770k()
@@ -140,18 +125,6 @@ def run_qa(
             except Exception as exc:  # no loop/socket support on this box
                 log(f"serve harness unavailable ({exc}); serve diffs skipped")
         client = harness.client if harness is not None else None
-        contexts: dict = {}
-        if batch_prefill:
-            for seed in seeds:
-                case = fuzz_case(seed, spec=spec)
-                contexts[seed] = CaseContext(
-                    case, spec=spec, serve_client=client
-                )
-            filled = CaseContext.prefill(list(contexts.values()))
-            log(
-                f"prefilled {filled} result(s) for {len(contexts)} case(s) "
-                "from one batched simulation"
-            )
         for seed in seeds:
             if (
                 time_budget_s is not None
@@ -163,12 +136,10 @@ def run_qa(
                     f"{report.cases_run} case(s); stopping"
                 )
                 break
-            context = contexts.get(seed)
-            case = context.case if context is not None else fuzz_case(seed, spec=spec)
+            case = fuzz_case(seed, spec=spec)
             case_started = time.perf_counter()
             failures, skipped = evaluate_case(
-                case, resolved, spec=spec, serve_client=client,
-                context=context,
+                case, resolved, spec=spec, serve_client=client
             )
             outcome = CaseOutcome(
                 seed=seed,

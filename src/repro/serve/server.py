@@ -287,7 +287,9 @@ class Server:
             writer.close()
             try:
                 await writer.wait_closed()
-            except (ConnectionError, OSError):
+            except (ConnectionError, OSError, asyncio.CancelledError):
+                # A shutdown cancelling the task here must not skip the
+                # accounting below: the connection is closing anyway.
                 pass
             self.metrics.connections_active -= 1
             if task is not None:

@@ -21,26 +21,6 @@ from repro.workloads.items import (
 from repro.workloads.program import Program, ThreadProgram
 from repro.workloads.synthetic import SyntheticWorkloadConfig, build_synthetic_program
 
-
-def __getattr__(name):
-    """Lazily expose the benchmark registry.
-
-    The JVM substrate imports :mod:`repro.workloads.items`, while the
-    registry imports JVM configuration types; loading the registry eagerly
-    here would close an import cycle. PEP 562 lazy attributes keep
-    ``repro.workloads.get_benchmark`` on the public API regardless of
-    import order.
-    """
-    if name in ("benchmark_names", "get_benchmark", "BenchmarkBundle"):
-        from repro.workloads import registry
-
-        return getattr(registry, name)
-    if name in ("get_micro", "micro_names"):
-        from repro.workloads import micro
-
-        return getattr(micro, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 __all__ = [
     "Acquire",
     "Action",
@@ -52,7 +32,5 @@ __all__ = [
     "Sleep",
     "SyntheticWorkloadConfig",
     "ThreadProgram",
-    "benchmark_names",
     "build_synthetic_program",
-    "get_benchmark",
 ]

@@ -13,6 +13,7 @@ import re
 import pytest
 
 from repro.common.store import FileStore
+from repro.energy.manager import ManagerConfig
 from repro.experiments import cache as cache_mod
 from repro.experiments.cache import ResultCache
 from repro.experiments.runner import ExperimentRunner
@@ -201,63 +202,34 @@ def test_cli_cache_stats_and_clear(store, capsys):
     assert warm.simulations == 3
 
 
-def test_managed_key_separates_prediction_engines():
-    # The sweep and scalar engines claim bit-identical results, but the
-    # cache must not rely on that claim: a kernel bug would otherwise
-    # poison both engines' entries at once and hide from the
-    # sweep-scalar differential.
-    fingerprint = {"benchmark": "pmd_scale", "scale": 0.02}
-    manager = {"objective": "energy", "tolerable_slowdown": 0.10}
-    keys = {
-        engine: cache_mod.managed_key(
-            fingerprint,
-            manager,
-            2.0e5,
-            prediction=cache_mod.prediction_fingerprint(engine == "sweep"),
-        )
-        for engine in ("sweep", "scalar")
-    }
-    legacy = cache_mod.managed_key(fingerprint, manager, 2.0e5)
-    assert len({keys["sweep"], keys["scalar"], legacy}) == 3
-
-
 def test_prediction_fingerprint_tracks_kernel_version(monkeypatch):
     from repro.core import sweep as sweep_mod
 
-    before = cache_mod.prediction_fingerprint(True)
+    before = cache_mod.prediction_fingerprint()
     assert before == {
         "engine": "sweep",
         "kernel_version": sweep_mod.KERNEL_VERSION,
     }
     monkeypatch.setattr(sweep_mod, "KERNEL_VERSION", sweep_mod.KERNEL_VERSION + 1)
-    bumped = cache_mod.prediction_fingerprint(True)
+    bumped = cache_mod.prediction_fingerprint()
     assert bumped["kernel_version"] == before["kernel_version"] + 1
     fingerprint = {"benchmark": "pmd_scale", "scale": 0.02}
     manager = {"objective": "energy"}
     assert cache_mod.managed_key(
         fingerprint, manager, 2.0e5, prediction=before
     ) != cache_mod.managed_key(fingerprint, manager, 2.0e5, prediction=bumped)
-    # The scalar loop has no kernel to version; its fingerprint is inert.
-    assert cache_mod.prediction_fingerprint(False) == {
-        "engine": "scalar",
-        "kernel_version": 0,
-    }
 
 
-def test_runner_engines_do_not_alias_cache_entries(store):
-    # One managed ground truth per engine: the second engine must miss
-    # the first engine's entry and simulate again...
-    swept = ExperimentRunner(CONFIG, cache=store, sweep=True)
-    swept.managed_run("pmd_scale", 0.10)
-    scalar = ExperimentRunner(CONFIG, cache=store, sweep=False)
-    scalar.managed_run("pmd_scale", 0.10)
-    assert swept.simulations == 1
-    assert scalar.simulations == 1
-    # ...while a warm rerun of either engine hits its own entry.
-    for sweep in (True, False):
-        warm = ExperimentRunner(CONFIG, cache=ResultCache(store.root), sweep=sweep)
-        run = warm.managed_run("pmd_scale", 0.10)
-        assert warm.simulations == 0, sweep
-        assert run.total_ns == (swept if sweep else scalar).managed_run(
-            "pmd_scale", 0.10
-        ).total_ns
+def test_result_keys_are_pinned():
+    # Recorded before the prediction-engine switch was removed: a managed
+    # key still hashes the sweep fingerprint, so existing stores stay warm.
+    fingerprint = ExperimentRunner(CONFIG).fingerprint("pmd_scale")
+    assert cache_mod.fixed_key(fingerprint, 1.0, CONFIG.quantum_ns) == (
+        "c8acc6819aba1f09a55d9e6c356314f0a77fc7dd11f4993b02d097c6f609491e"
+    )
+    assert cache_mod.managed_key(
+        fingerprint,
+        ManagerConfig(tolerable_slowdown=0.10),
+        CONFIG.quantum_ns,
+        prediction=cache_mod.prediction_fingerprint(),
+    ) == "e561fa1366853cb254ec8543c564864e5f17b1e44f133b0c45decd2fca9c0757"

@@ -93,3 +93,24 @@ def test_holds_renders_and_evaluates_a_chain():
     )
     assert claims._holds("<=", 0.1, 0.1) == ("0.1000 <= 0.1000", True)
     assert claims._holds(">", 0.1, 0.2)[1] is False
+
+
+def test_sequential_microbenchmarks_simulate_once_per_process(
+    runner, monkeypatch
+):
+    from repro.experiments import sequential
+
+    calls = []
+    real = sequential.simulate
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sequential, "simulate", counting)
+    sequential._collect.cache_clear()
+    sequential.run(runner)
+    simulated = len(calls)
+    assert simulated > 0
+    claims.run(runner)
+    assert len(calls) == simulated  # the claims read the table's numbers

@@ -5,6 +5,7 @@ import pytest
 from repro.experiments import fig1
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.setup import ExperimentConfig
+from tests.util import ScalarOracleRunner
 
 CONFIG = ExperimentConfig(
     scale=0.04,
@@ -51,7 +52,8 @@ def test_depburst_beats_mcrit_at_the_highest_target(runner):
 
 
 def test_sweep_and_scalar_modes_agree(runner):
-    scalar_runner = ExperimentRunner(CONFIG, sweep=False)
-    scalar_runner._bundles = runner._bundles  # share ground truths
-    scalar_runner._fixed = runner._fixed
-    assert fig1.run(scalar_runner).rows == fig1.run(runner).rows
+    oracle = ScalarOracleRunner(CONFIG)
+    oracle._bundles = runner._bundles  # share ground truths
+    oracle._fixed = runner._fixed
+    assert fig1.run(oracle).rows == fig1.run(runner).rows
+    assert not oracle._sweeps

@@ -5,6 +5,7 @@ import pytest
 from repro.experiments import fig4
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.setup import ExperimentConfig
+from tests.util import ScalarOracleRunner
 
 
 @pytest.fixture(scope="module")
@@ -53,7 +54,7 @@ def test_table_shape_and_summary_rows(config):
 
 def test_sweep_and_direct_paths_agree(config):
     with_sweep = fig4.run(ExperimentRunner(config))
-    direct_runner = ExperimentRunner(config)
-    direct_runner.sweep = False
+    direct_runner = ScalarOracleRunner(config)
     direct = fig4.run(direct_runner)
     assert direct.rows == with_sweep.rows
+    assert not direct_runner._sweeps

@@ -53,17 +53,3 @@ def test_managed_run_cached_and_bounded(runner):
 def test_bundle_reuse(runner):
     assert runner.bundle("pmd_scale") is runner.bundle("pmd_scale")
     assert runner.power_model("pmd_scale") is runner.power_model("pmd_scale")
-
-
-def test_get_runner_singleton_and_config_swap():
-    from repro.experiments.runner import get_runner
-
-    first = get_runner()
-    assert get_runner() is first  # cached
-    other_config = ExperimentConfig(
-        scale=0.01, benchmarks=("avrora",), quantum_ns=1.0e5
-    )
-    swapped = get_runner(other_config)
-    assert swapped is not first
-    assert swapped.config.benchmarks == ("avrora",)
-    assert get_runner() is swapped  # new singleton sticks

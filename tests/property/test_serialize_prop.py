@@ -23,6 +23,7 @@ from repro.experiments.cache import (
     ResultCache,
     fixed_key,
     managed_key,
+    prediction_fingerprint,
     stable_hash,
 )
 from repro.sim.run import simulate
@@ -162,7 +163,9 @@ def test_key_changes_when_any_config_field_changes(config, data):
     # The run parameters themselves are part of the identity too.
     assert fixed_key(fingerprint, 2.5, 5.0e6) != baseline
     assert fixed_key(fingerprint, 2.0, 1.0e6) != baseline
-    assert managed_key(fingerprint, {"threshold": 0.05}, 5.0e6) != baseline
+    assert managed_key(
+        fingerprint, {"threshold": 0.05}, 5.0e6, prediction_fingerprint()
+    ) != baseline
 
 
 # ----------------------------------------------------------------------

@@ -60,33 +60,3 @@ def test_target_ladder_shape():
 def test_serve_client_defaults_to_none():
     context = CaseContext(fuzz_case(7))
     assert context.serve_client is None
-
-
-def test_prefill_fills_both_fixed_frequencies_per_context():
-    contexts = [CaseContext(fuzz_case(seed)) for seed in (8, 9)]
-    filled = CaseContext.prefill(contexts)
-    expected = sum(
-        len({c.case.base_freq_ghz, c.case.high_freq_ghz}) for c in contexts
-    )
-    assert filled == expected
-    for context in contexts:
-        for freq in (context.case.base_freq_ghz, context.case.high_freq_ghz):
-            assert (freq, "fast") in context._results
-
-
-def test_prefill_skips_warm_results_and_matches_lazy_path():
-    context = CaseContext(fuzz_case(8))
-    lazy = context.result()  # warms the base frequency lazily
-    filled = CaseContext.prefill([context])
-    assert filled == (
-        1 if context.case.high_freq_ghz != context.case.base_freq_ghz else 0
-    )
-    assert context.result() is lazy  # warm entry untouched
-    # A prefilled result is what the lazy path would have produced.
-    solo = CaseContext(fuzz_case(8))
-    assert (
-        context.result(context.case.high_freq_ghz).total_ns
-        == solo.result(solo.case.high_freq_ghz).total_ns
-    )
-    # Everything warm: a second prefill is a no-op.
-    assert CaseContext.prefill([context]) == 0

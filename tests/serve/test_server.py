@@ -624,3 +624,42 @@ def test_non_predict_frames_never_touch_the_cache(tmp_path, epochs):
     assert (cache["hits"], cache["misses"], cache["stores"]) == (0, 0, 0)
     for tier in tiers:
         assert (tier["hits"], tier["misses"], tier["stores"]) == (0, 0, 0)
+
+
+def test_cancel_while_closing_keeps_connection_accounting(tmp_path):
+    """A task cancelled in ``wait_closed`` still closes its books."""
+    import asyncio
+
+    from repro.serve.server import Server
+
+    class EofReader:
+        async def readline(self):
+            return b""
+
+    class StuckWriter:
+        def __init__(self):
+            self.closing = asyncio.Event()
+
+        def close(self):
+            self.closing.set()
+
+        async def wait_closed(self):
+            await asyncio.Event().wait()  # only a cancel ends this
+
+    async def scenario():
+        server = Server(ServeConfig(socket_path=str(tmp_path / "s.sock")))
+        writer = StuckWriter()
+        task = asyncio.ensure_future(
+            server._handle_connection(EofReader(), writer)
+        )
+        await writer.closing.wait()
+        await asyncio.sleep(0)  # now parked in wait_closed
+        assert server.metrics.connections_active == 1
+        task.cancel()
+        await task  # raises at the parent: CancelledError escaped
+        return server, task
+
+    server, task = asyncio.run(scenario())
+    assert not task.cancelled()
+    assert server.metrics.connections_active == 0
+    assert task not in server._conn_tasks

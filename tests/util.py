@@ -19,6 +19,7 @@ from repro.arch.segments import (
     MissCluster,
     StoreBurstSegment,
 )
+from repro.experiments.runner import ExperimentRunner
 from repro.sim.run import simulate
 from repro.workloads.items import (
     Acquire,
@@ -177,6 +178,20 @@ def check_cross_frequency(
                 f"[1, {hi / lo:.2f}]"
             )
     return violations
+
+
+class ScalarOracleRunner(ExperimentRunner):
+    """Reference runner: each prediction is the scalar per-target loop.
+
+    Every figure driver predicts through :meth:`ExperimentRunner.predict`,
+    so a figure rendered through this runner and through a stock one
+    compares the sweep kernels with the scalar predictors on real suite
+    output.
+    """
+
+    def predict(self, benchmark, base_freq_ghz, predictor, targets):
+        base = self.base_trace(benchmark, base_freq_ghz)
+        return [predictor.predict_total_ns(base, t) for t in targets]
 
 
 # ----------------------------------------------------------------------
