@@ -33,11 +33,7 @@ from repro.experiments.cache import ResultCache
 from repro.experiments.setup import ExperimentConfig, default_config
 from repro.sim.run import SimulationResult, simulate, simulate_managed
 from repro.sim.trace import SimulationTrace
-from repro.workloads.registry import (
-    BenchmarkBundle,
-    bundle_fingerprint,
-    get_benchmark,
-)
+from repro.workloads.registry import BenchmarkBundle, get_benchmark
 
 #: Frequencies whose traces are retained for offline prediction.
 _BASE_FREQS = (1.0, 4.0)
@@ -97,7 +93,6 @@ class ExperimentRunner:
         self._fixed: Dict[Tuple[str, float], FixedRun] = {}
         self._managed: Dict[Tuple[str, float], ManagedRun] = {}
         self._power_models: Dict[str, PowerModel] = {}
-        self._fingerprints: Dict[str, dict] = {}
         self._sweeps: Dict[Tuple[str, float], TraceSweep] = {}
 
     def bundle(self, benchmark: str) -> BenchmarkBundle:
@@ -118,11 +113,7 @@ class ExperimentRunner:
 
     def fingerprint(self, benchmark: str) -> dict:
         """Cache-key identity of a benchmark at the configured scale."""
-        fp = self._fingerprints.get(benchmark)
-        if fp is None:
-            fp = bundle_fingerprint(benchmark, scale=self.config.scale)
-            self._fingerprints[benchmark] = fp
-        return fp
+        return self.bundle(benchmark).fingerprint
 
     # ------------------------------------------------------------------
     # Ground-truth runs

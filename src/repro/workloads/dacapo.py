@@ -36,8 +36,7 @@ from typing import Callable, Dict, Tuple
 from repro.common.errors import ConfigError
 from repro.jvm.gc import GcConfig
 from repro.jvm.runtime import JvmConfig
-from repro.workloads.program import Program
-from repro.workloads.synthetic import SyntheticWorkloadConfig, build_synthetic_program
+from repro.workloads.synthetic import SyntheticWorkloadConfig
 
 
 @dataclass(frozen=True)
@@ -241,8 +240,3 @@ def dacapo_jvm_config(name: str) -> JvmConfig:
         imbalance=0.35,
     )
     return JvmConfig(gc=gc, zero_chunk_bytes=32_768, init_insns_per_chunk=900)
-
-
-def build_dacapo(name: str, scale: float = 1.0) -> Program:
-    """Build benchmark ``name``'s program."""
-    return build_synthetic_program(dacapo_config(name, scale))

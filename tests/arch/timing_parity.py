@@ -23,8 +23,9 @@ from typing import Iterator, List, Sequence, Tuple
 from repro.arch.core import CoreModel
 from repro.arch.segments import Segment, SegmentBatch
 from repro.arch.specs import haswell_i7_4770k
-from repro.workloads.dacapo import build_dacapo, dacapo_names
+from repro.workloads.dacapo import dacapo_names
 from repro.workloads.items import Run
+from repro.workloads.registry import get_benchmark
 
 #: Target frequencies, GHz: the paper's 1-4 GHz ladder in 0.5 GHz steps.
 FREQS: Tuple[float, ...] = (1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0)
@@ -81,7 +82,7 @@ def check_scale(scale: float) -> Iterator[Tuple[str, int, List[str]]]:
     """``(benchmark, n_segments, first mismatches)`` per DaCapo program."""
     core = CoreModel(haswell_i7_4770k())
     for name in dacapo_names():
-        segments = program_segments(build_dacapo(name, scale))
+        segments = program_segments(get_benchmark(name, scale).program)
         found: List[str] = []
         for message in mismatches(core, segments, FREQS):
             found.append(message)

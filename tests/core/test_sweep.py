@@ -22,7 +22,7 @@ from repro.core.sweep import (
 )
 from repro.energy.manager import interval_epochs
 from repro.sim.run import simulate
-from repro.workloads.dacapo import build_dacapo
+from repro.workloads.registry import get_benchmark
 from tests.util import barrier_program, lock_pair_program
 
 #: Two real benchmark models plus two hand-built programs; 1 GHz base.
@@ -34,7 +34,7 @@ BASE_GHZ = 1.0
 @pytest.fixture(scope="module")
 def benchmark_traces():
     return {
-        name: simulate(build_dacapo(name, scale=0.05), BASE_GHZ).trace
+        name: simulate(get_benchmark(name, scale=0.05).program, BASE_GHZ).trace
         for name in BENCHMARKS
     }
 

@@ -24,7 +24,7 @@ from repro.energy.manager import EnergyManager
 from repro.sim.batch import BatchInstance, run_batch, simulate_batch
 from repro.sim.run import simulate, simulate_managed
 from repro.sim.serialize import trace_to_dict
-from repro.workloads.dacapo import build_dacapo
+from repro.workloads.registry import get_benchmark
 from repro.workloads.synthetic import (
     SyntheticWorkloadConfig,
     build_synthetic_program,
@@ -48,8 +48,8 @@ def _build_families():
     allocation-free but lock- and barrier-laden.
     """
     return {
-        "xalan": build_dacapo("xalan", scale=0.02),
-        "lusearch": build_dacapo("lusearch", scale=0.02),
+        "xalan": get_benchmark("xalan", scale=0.02).program,
+        "lusearch": get_benchmark("lusearch", scale=0.02).program,
         "synth_gc": build_synthetic_program(
             SyntheticWorkloadConfig(
                 name="synth_gc",

@@ -17,7 +17,8 @@ from repro.energy.manager import EnergyManager
 from repro.sim.run import simulate, simulate_managed
 from repro.sim.serialize import trace_to_dict
 from repro.sim.trace import EventKind
-from repro.workloads.dacapo import build_dacapo, dacapo_jvm_config
+from repro.workloads.dacapo import dacapo_jvm_config
+from repro.workloads.registry import get_benchmark
 from repro.workloads.synthetic import (
     SyntheticWorkloadConfig,
     build_synthetic_program,
@@ -43,7 +44,7 @@ def _workload(name):
     """(program, JVM config) of a DaCapo model or the fill-cores program."""
     if name == _FILL_CORES.name:
         return build_synthetic_program(_FILL_CORES), None
-    return build_dacapo(name, scale=_SCALE), dacapo_jvm_config(name)
+    return get_benchmark(name, scale=_SCALE).program, dacapo_jvm_config(name)
 
 
 def _serialized(trace) -> bytes:
@@ -78,7 +79,7 @@ def test_energy_manager_decision_sequence_identical():
     for engine in ("fast", "classic"):
         manager = EnergyManager(spec=haswell_i7_4770k())
         result = simulate_managed(
-            build_dacapo("xalan", scale=_SCALE),
+            get_benchmark("xalan", scale=_SCALE).program,
             manager,
             jvm_config=jvm_config,
             quantum_ns=_QUANTUM,

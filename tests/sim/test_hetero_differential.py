@@ -30,7 +30,7 @@ from repro.serve import protocol
 from repro.serve.sessions import decision_to_wire
 from repro.sim.run import simulate, simulate_managed
 from repro.sim.serialize import trace_to_dict
-from repro.workloads.dacapo import build_dacapo
+from repro.workloads.registry import get_benchmark
 from repro.workloads.synthetic import (
     SyntheticWorkloadConfig,
     build_synthetic_program,
@@ -54,7 +54,7 @@ def _decision_bytes(decisions) -> bytes:
 
 def _build_families():
     return {
-        "xalan": build_dacapo("xalan", scale=0.02),
+        "xalan": get_benchmark("xalan", scale=0.02).program,
         "synth_gc": build_synthetic_program(
             SyntheticWorkloadConfig(
                 name="synth_gc",
@@ -278,7 +278,7 @@ def test_big_little_rescale_keeps_epoch_deltas_nonnegative(spec):
     # shrank below it and the next epoch's deltas went negative (the sweep
     # kernel then rejects the window). lusearch's phase mix trips this
     # within a few hundred quanta.
-    program = build_dacapo("lusearch", scale=0.02)
+    program = get_benchmark("lusearch", scale=0.02).program
     manager = ClusterManager(big_little(spec))
     result = simulate_managed(
         program, manager, spec=spec, quantum_ns=_QUANTUM, per_core_dvfs=True

@@ -19,9 +19,10 @@ import sys
 from typing import Any, Iterable, Sequence
 
 from repro.arch.segments import MemorySegment
-from repro.workloads.dacapo import build_dacapo, dacapo_names
+from repro.workloads.dacapo import dacapo_names
 from repro.workloads.items import Run
 from repro.workloads.program import Program
+from repro.workloads.registry import get_benchmark
 
 
 def _update_actions(digest: Any, actions: Iterable[object]) -> None:
@@ -71,7 +72,7 @@ def actions_digest(actions: Sequence[object]) -> str:
 def dacapo_digest_lines(scale: float) -> str:
     """One ``<benchmark> <sha256>`` line per DaCapo program at ``scale``."""
     return "".join(
-        f"{name} {program_digest(build_dacapo(name, scale))}\n"
+        f"{name} {program_digest(get_benchmark(name, scale).program)}\n"
         for name in dacapo_names()
     )
 

@@ -7,11 +7,11 @@ from repro.workloads.dacapo import (
     COMPUTE_INTENSIVE,
     MEMORY_INTENSIVE,
     TABLE1_EXPECTED,
-    build_dacapo,
     dacapo_config,
     dacapo_jvm_config,
     dacapo_names,
 )
+from repro.workloads.registry import get_benchmark
 
 
 def test_all_seven_benchmarks_present():
@@ -77,7 +77,7 @@ def test_unknown_benchmark_rejected():
 
 
 def test_build_dacapo_produces_program():
-    program = build_dacapo("pmd_scale", scale=0.02)
+    program = get_benchmark("pmd_scale", scale=0.02).program
     assert program.name == "pmd_scale"
     assert program.n_threads == 4
     assert program.total_allocated_bytes() > 0

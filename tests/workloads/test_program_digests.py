@@ -21,12 +21,12 @@ from repro.arch.specs import haswell_i7_4770k
 from repro.jvm.gc import GcModel
 from repro.jvm.jit import JitConfig, build_jit_program
 from repro.workloads.dacapo import (
-    build_dacapo,
     dacapo_config,
     dacapo_jvm_config,
     dacapo_names,
 )
 from repro.workloads.micro import get_micro, micro_names
+from repro.workloads.registry import get_benchmark
 from tests.workloads.program_digests import (
     actions_digest,
     program_digest,
@@ -109,7 +109,7 @@ def test_every_generator_is_pinned():
 
 @pytest.mark.parametrize("name", sorted(DACAPO))
 def test_dacapo_program_matches_pinned_digest(name):
-    assert program_digest(build_dacapo(name, SCALE)) == DACAPO[name]
+    assert program_digest(get_benchmark(name, SCALE).program) == DACAPO[name]
 
 
 @pytest.mark.parametrize("name", sorted(MICRO))
@@ -133,7 +133,8 @@ def test_flush_size_does_not_change_programs(monkeypatch, flush_draws):
     """Batching is arithmetic only: flushing after every segment, at the
     default size or once per thread yields the same programs."""
     monkeypatch.setattr(dram_module, "_FLUSH_DRAWS", flush_draws)
-    assert program_digest(build_dacapo("lusearch", SCALE)) == DACAPO["lusearch"]
+    program = get_benchmark("lusearch", SCALE).program
+    assert program_digest(program) == DACAPO["lusearch"]
     assert program_digest(get_micro("mixed")) == MICRO["mixed"]
     assert _jit_digest() == JIT
     key = ("spec", "xalan", LARGE)

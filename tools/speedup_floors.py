@@ -65,7 +65,7 @@ from repro.sim.batch import BatchInstance, run_batch  # noqa: E402
 from repro.sim.run import simulate, simulate_managed  # noqa: E402
 from repro.sim.serialize import trace_to_dict  # noqa: E402
 from repro.sim.system import System  # noqa: E402
-from repro.workloads.dacapo import build_dacapo  # noqa: E402
+from repro.workloads.registry import get_benchmark  # noqa: E402
 from repro.workloads.synthetic import (  # noqa: E402
     SyntheticWorkloadConfig,
     build_synthetic_program,
@@ -155,7 +155,7 @@ def sweep_floors() -> List[Reading]:
         (1.0, (1.5, 2.0, 2.5, 3.0, 3.5, 4.0)),
         (4.0, (1.0, 1.5, 2.0, 2.5, 3.0, 3.5)),
     )
-    programs = [build_dacapo(benchmark, scale) for benchmark in benchmarks]
+    programs = [get_benchmark(benchmark, scale).program for benchmark in benchmarks]
     predictors = [make_predictor(name) for name in predictor_names()]
     traces = [
         (simulate(program, base).trace, list(targets))
