@@ -16,7 +16,10 @@ results. This module exploits that:
   parent rehydrates them from disk, so no large trace ever crosses the
   pipe;
 * ``--jobs N`` on the CLI (or ``REPRO_JOBS``) picks the width; ``N=1``
-  is a plain serial loop with no pool and no extra processes.
+  is a plain serial loop with no pool and no extra processes;
+* the serial loop, each worker and the parent's final pass all go
+  through :func:`_run_benchmarks`, one benchmark at a time, releasing
+  each benchmark's program once its runs are done.
 
 Failures are contained: a work item that dies in a worker — by raising,
 or by taking the worker process down with it (an OOM kill, a hard
@@ -117,31 +120,57 @@ def _group_fixed(
     return fixed, rest
 
 
+def _run_benchmarks(
+    runner: ExperimentRunner,
+    items: Iterable[WorkItem],
+    use_batch: bool = False,
+    contain: bool = False,
+) -> List[Tuple[WorkItem, Optional[str]]]:
+    """Compute ``items`` one benchmark at a time; ``(item, error)`` pairs.
+
+    Each benchmark runs its fixed items (one ``fixed_runs_batch`` call
+    under ``use_batch``), then its managed items, then releases its
+    bundle, so one benchmark's program and GC cycles are resident at a
+    time. With ``contain`` a failure is reported, not raised: a failed
+    batched call falls back to per-item runs, and a failed item carries
+    its error for the parent to recompute.
+    """
+    by_benchmark: Dict[str, List[WorkItem]] = {}
+    for item in sorted(items, key=lambda i: (i.benchmark, i.kind, i.value)):
+        by_benchmark.setdefault(item.benchmark, []).append(item)
+    results: List[Tuple[WorkItem, Optional[str]]] = []
+    for bench, todo in by_benchmark.items():
+        if use_batch:
+            fixed, todo = _group_fixed(todo)
+            if fixed:
+                try:
+                    runner.fixed_runs_batch(
+                        bench, [item.value for item in fixed[bench]]
+                    )
+                    results.extend((item, None) for item in fixed[bench])
+                except Exception:  # contained: retry the lanes one by one
+                    if not contain:
+                        raise
+                    todo = fixed[bench] + todo
+        for item in todo:
+            try:
+                _apply(runner, item)
+                results.append((item, None))
+            except Exception as exc:  # contained: the parent recomputes
+                if not contain:
+                    raise
+                results.append((item, f"{type(exc).__name__}: {exc}"))
+        runner.bundle(bench).release()
+    return results
+
+
 def _run_batch(
     batch: Sequence[WorkItem],
     use_batch: bool = False,
 ) -> List[Tuple[WorkItem, Optional[str]]]:
     """Compute one batch in a worker; results travel via the shared cache."""
     assert _WORKER_RUNNER is not None, "worker used before initialization"
-    results: List[Tuple[WorkItem, Optional[str]]] = []
-    if use_batch:
-        fixed, batch = _group_fixed(batch)
-        for bench in sorted(fixed):
-            items = fixed[bench]
-            try:
-                _WORKER_RUNNER.fixed_runs_batch(
-                    bench, [item.value for item in items]
-                )
-                results.extend((item, None) for item in items)
-            except Exception:  # contained: retry the lanes one by one
-                batch = items + list(batch)
-    for item in batch:
-        try:
-            _apply(_WORKER_RUNNER, item)
-            results.append((item, None))
-        except Exception as exc:  # contained: the parent recomputes
-            results.append((item, f"{type(exc).__name__}: {exc}"))
-    return results
+    return _run_benchmarks(_WORKER_RUNNER, batch, use_batch, contain=True)
 
 
 def _partition(grid: Sequence[WorkItem], jobs: int) -> List[List[WorkItem]]:
@@ -188,6 +217,11 @@ def execute(
     maps (and on disk when caching): drivers hit warm lookups only. With
     ``jobs=1`` — or a single item — everything runs serially in-process.
 
+    Every process works one benchmark at a time: its fixed runs, then its
+    managed runs, then its bundle is released (``BenchmarkBundle.release``),
+    so only one benchmark's program and GC cycles are resident at once.
+    Cells are independent, so this order changes no result.
+
     With ``batch=True``, each benchmark's fixed-frequency fan-out goes
     through :meth:`~repro.experiments.runner.ExperimentRunner.fixed_runs_batch`
     — one batched simulation per benchmark instead of one run per
@@ -205,17 +239,7 @@ def execute(
     report = ExecutionReport(items=len(grid), jobs=jobs)
     if jobs == 1 or len(grid) <= 1:
         report.jobs = 1
-        if batch:
-            fixed, rest = _group_fixed(grid)
-            for bench in sorted(fixed):
-                runner.fixed_runs_batch(
-                    bench, [item.value for item in fixed[bench]]
-                )
-            grid_serial = rest
-        else:
-            grid_serial = grid
-        for item in grid_serial:
-            _apply(runner, item)
+        _run_benchmarks(runner, grid, batch)
         return report
 
     if runner.cache is None:
@@ -244,9 +268,8 @@ def execute(
         for item in grid:
             if item not in finished:
                 failures[item] = f"BrokenProcessPool: {exc}"
-    for item in grid:
-        error = failures.get(item)
-        if error is not None:
-            report.recovered.append((item, error))
-        _apply(runner, item)  # cache hit for worker-computed items
+    report.recovered = [
+        (item, failures[item]) for item in grid if item in failures
+    ]
+    _run_benchmarks(runner, grid)  # cache hits for worker-computed items
     return report

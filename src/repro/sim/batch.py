@@ -23,16 +23,25 @@ what is computed:
   *timings* stay lane-private: a System evicts them, at every
   frequency, when the cycle ends.
 
-Lanes then execute their event loops against the warmed store. Divergence
-needs no special handling by construction: each lane owns its event
-queue, scheduler, and runtime, so instances of different lengths, with
-different GC schedules, or under different governors simply run to
-completion and *park* (their lane state flips to ``"parked"``; see
-:class:`BatchReport.lane_states`). The shared state is exactly the part
-of the simulation that is a pure function of ``(segment, frequency)``,
-plus GC cycle programs, a pure function of (GC config, DRAM config,
-program seed, cycle arguments) on which a group's lanes agree except
-for the cycle arguments the model's cache keys on.
+The batch runs one group at a time: a group's lanes are built, its store
+pre-warmed, its lanes run against it, and all of it dropped before the
+next group starts, so a batch over many programs holds one group's
+simulation state at a time. Groups are independent — they share no
+state — so neither this order nor the interleaving of their lanes in
+the input can change a result (``tests/property/test_batch_prop.py``
+pins the permutation and split laws).
+
+Within a group, lanes execute their event loops against the warmed
+store. Divergence needs no special handling by construction: each lane
+owns its event queue, scheduler, and runtime, so instances of different
+lengths, with different GC schedules, or under different governors
+simply run to completion and *park* (their lane state flips to
+``"parked"``; see :class:`BatchReport.lane_states`). The shared state
+is exactly the part of the simulation that is a pure function of
+``(segment, frequency)``, plus GC cycle programs, a pure function of
+(GC config, DRAM config, program seed, cycle arguments) on which a
+group's lanes agree except for the cycle arguments the model's cache
+keys on.
 
 ``engine="classic"`` lanes never share: the classic engine is the
 per-segment oracle and runs untouched, one plain :class:`System` (and
@@ -183,17 +192,22 @@ class _Lane:
     store: Optional[SharedTimingStore] = None
 
 
-def _build_lanes(
-    instances: Sequence[BatchInstance],
-) -> Tuple[List[_Lane], Dict[Tuple[int, int], SharedTimingStore]]:
+def _single_engine(instances: Sequence[BatchInstance]) -> str:
+    """The one engine every lane uses; a mixed batch is a ConfigError."""
     engines = {instance.engine for instance in instances}
     if len(engines) > 1:
         raise ConfigError(
             f"a batch must use a single engine, got {sorted(engines)}; "
             "run classic oracle lanes as their own batch"
         )
-    engine = engines.pop()
-    default_spec: Optional[MachineSpec] = None
+    return engines.pop()
+
+
+def _build_lanes(
+    instances: Sequence[BatchInstance],
+    default_spec: Optional[MachineSpec] = None,
+) -> Tuple[List[_Lane], Dict[Tuple[int, int], SharedTimingStore]]:
+    engine = _single_engine(instances)
     stores: Dict[Tuple[int, int], SharedTimingStore] = {}
     lanes: List[_Lane] = []
     for instance in instances:
@@ -233,35 +247,48 @@ def _build_lanes(
     return lanes, stores
 
 
-def run_batch(instances: Sequence[BatchInstance]) -> BatchReport:
-    """Simulate every instance; return results plus batch diagnostics.
+def _sharing_groups(
+    instances: Sequence[BatchInstance], engine: str
+) -> List[List[int]]:
+    """Lane indices per sharing group, groups in first-seen order.
 
-    All lanes are constructed first (so each group's full static-segment
-    union — including per-lane JIT programs — is known), then each
-    group's store is pre-warmed at the group's distinct starting
-    frequencies in one multi-frequency pass, then lanes execute in input
-    order against the warmed stores. A governor lane that later visits a
-    frequency the store has not seen warms it on demand, exactly as a
-    solo System would — and later lanes of the group inherit that too.
+    Fast lanes group by ``(program, spec)`` identity, as :func:`_build_lanes`
+    keys its stores (every ``spec=None`` lane gets the batch's one
+    default spec); classic lanes never share, so each is its own group.
     """
-    instances = list(instances)
-    if not instances:
-        return BatchReport(results=[], lane_states=[])
-    lanes, stores = _build_lanes(instances)
+    groups: Dict[object, List[int]] = {}
+    for index, instance in enumerate(instances):
+        key = (
+            (id(instance.program), id(instance.spec))
+            if engine == "fast"
+            else index
+        )
+        groups.setdefault(key, []).append(index)
+    return list(groups.values())
+
+
+def _run_group(
+    instances: Sequence[BatchInstance], default_spec: Optional[MachineSpec]
+) -> BatchReport:
+    """Build, pre-warm and run the lanes of one sharing group, in order.
+
+    The lanes, their Systems and the group's store are locals, so they
+    are unreachable once this returns; only the results outlive it.
+    """
+    lanes, stores = _build_lanes(instances, default_spec)
     prewarmed = 0
     for store in stores.values():
-        group = [lane for lane in lanes if lane.store is store]
         freqs = list(
-            dict.fromkeys(lane.system.dvfs.current_freq_ghz for lane in group)
+            dict.fromkeys(lane.system.dvfs.current_freq_ghz for lane in lanes)
         )
         # Union of the group's static segments by identity: lanes share
         # the program's segment objects, but each System builds its own
         # (deterministic) JIT thread whose segments are lane-private.
         union: Dict[int, Segment] = {}
-        for lane in group:
+        for lane in lanes:
             for segment in lane.system._static_segments:
                 union.setdefault(id(segment), segment)
-        store.prewarm(group[0].system.core_model, list(union.values()), freqs)
+        store.prewarm(lanes[0].system.core_model, list(union.values()), freqs)
         prewarmed += len(store.prewarmed)
     states = [LANE_PENDING] * len(lanes)
     results: List[SimulationResult] = []
@@ -276,6 +303,45 @@ def run_batch(instances: Sequence[BatchInstance]) -> BatchReport:
         groups=len(stores),
         prewarmed_freqs=prewarmed,
     )
+
+
+def run_batch(instances: Sequence[BatchInstance]) -> BatchReport:
+    """Simulate every instance; return results plus batch diagnostics.
+
+    The batch runs one sharing group at a time, groups in first-seen
+    order and lanes in input order within a group. A group's lanes are
+    all constructed first (so its full static-segment union — including
+    per-lane JIT programs — is known), then its store is pre-warmed at
+    the group's distinct starting frequencies in one multi-frequency
+    pass, then its lanes execute against the warmed store, and the
+    group's Systems and store are dropped before the next group is
+    built. A governor lane that later visits a frequency the store has
+    not seen warms it on demand, exactly as a solo System would — and
+    later lanes of the group inherit that too. Lanes are independent,
+    so this order changes no result; results and lane states come back
+    in input order.
+    """
+    instances = list(instances)
+    if not instances:
+        return BatchReport(results=[], lane_states=[])
+    engine = _single_engine(instances)
+    default_spec = None
+    if any(instance.spec is None for instance in instances):
+        default_spec = haswell_i7_4770k()
+    report = BatchReport(
+        results=[None] * len(instances),
+        lane_states=[LANE_PENDING] * len(instances),
+    )
+    for indices in _sharing_groups(instances, engine):
+        group = _run_group([instances[i] for i in indices], default_spec)
+        for index, result, state in zip(
+            indices, group.results, group.lane_states
+        ):
+            report.results[index] = result
+            report.lane_states[index] = state
+        report.groups += group.groups
+        report.prewarmed_freqs += group.prewarmed_freqs
+    return report
 
 
 def simulate_batch(instances: Sequence[BatchInstance]) -> List[SimulationResult]:

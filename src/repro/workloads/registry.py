@@ -7,7 +7,9 @@ the GC model's per-cycle program cache.
 
 Constructing a bundle is cheap: it holds the workload config, and the
 generated ``program`` and its ``gc_model`` are built on first access and
-kept. The Table I label, the machine spec and the cache-key
+kept until :meth:`~BenchmarkBundle.release` drops them; the next access
+rebuilds them bit-identically, since both are pure functions of the
+configs. The Table I label, the machine spec and the cache-key
 :attr:`~BenchmarkBundle.fingerprint` come from the configs alone, so a
 run served entirely from the result cache generates no program.
 """
@@ -53,6 +55,15 @@ class BenchmarkBundle:
         from repro.jvm.gc import GcModel
 
         return GcModel(self.jvm_config.gc, self.spec.dram, self.config.seed)
+
+    def release(self) -> None:
+        """Drop the built ``program`` and ``gc_model``, if any.
+
+        Call it after a benchmark's last simulation: the memory goes
+        back, and a later access rebuilds both from the configs.
+        """
+        self.__dict__.pop("program", None)
+        self.__dict__.pop("gc_model", None)
 
     @property
     def type_label(self) -> str:

@@ -15,6 +15,7 @@ from repro.sim.batch import (
     simulate_batch,
 )
 from repro.sim.run import simulate
+from repro.sim.system import System
 from repro.sim.trace import EventKind
 from repro.workloads.synthetic import (
     SyntheticWorkloadConfig,
@@ -183,6 +184,48 @@ def test_simulate_batch_returns_results_in_order():
         ]
     )
     assert [r.trace.base_freq_ghz for r in results] == [4.0, 1.0]
+
+
+def test_finished_group_is_dropped_before_the_next_group_starts(monkeypatch):
+    import gc
+    import weakref
+
+    import repro.sim.batch as batch
+
+    systems = []  # (program id, weakref to its System)
+    alive_at_build = []
+
+    class RecordingSystem(System):
+        def __init__(self, program, **kwargs):
+            gc.collect()
+            alive_at_build.append(
+                sum(
+                    1
+                    for owner, system in systems
+                    if owner != id(program) and system() is not None
+                )
+            )
+            super().__init__(program, **kwargs)
+            systems.append((id(program), weakref.ref(self)))
+
+    monkeypatch.setattr(batch, "System", RecordingSystem)
+    spec = haswell_i7_4770k()
+    first, second = _program(seed=3), _program(seed=4)
+    lanes = [(first, 1.0), (second, 1.0), (first, 4.0), (second, 4.0)]
+    report = run_batch(
+        [
+            BatchInstance(program=program, freq_ghz=freq, spec=spec)
+            for program, freq in lanes
+        ]
+    )
+    assert report.groups == 2
+    # No System of another group was reachable when any lane was built.
+    assert alive_at_build == [0] * len(lanes)
+    assert report.lane_states == [LANE_PARKED] * len(lanes)
+    for (program, freq), result in zip(lanes, report.results):
+        solo = simulate(program, freq, spec=spec)
+        assert result.trace.base_freq_ghz == freq
+        assert result.total_ns == solo.total_ns
 
 
 # ----------------------------------------------------------------------

@@ -112,6 +112,17 @@ def test_dacapo_program_matches_pinned_digest(name):
     assert program_digest(get_benchmark(name, SCALE).program) == DACAPO[name]
 
 
+def test_released_bundle_rebuilds_the_pinned_program():
+    bundle = get_benchmark("sunflow", SCALE)
+    bundle.release()  # nothing built yet: a no-op
+    program, gc_model = bundle.program, bundle.gc_model
+    bundle.release()
+    assert bundle.program is not program
+    assert bundle.gc_model is not gc_model
+    assert program_digest(bundle.program) == DACAPO["sunflow"]
+    assert program_digest(program) == DACAPO["sunflow"]
+
+
 @pytest.mark.parametrize("name", sorted(MICRO))
 def test_micro_program_matches_pinned_digest(name):
     assert program_digest(get_micro(name)) == MICRO[name]
