@@ -230,9 +230,10 @@ def execute(
     failed batched call falls back to per-item runs before the parent's
     serial recovery kicks in.
 
-    A runner without a persistent cache gets an ephemeral one for the
-    life of the process (under the system temp dir), since workers and
-    parent need a common store to exchange results through.
+    A runner without a persistent cache gets an ephemeral one under the
+    system temp dir for the life of the pool, since workers and parent
+    need a common store to exchange results through; the parent reads
+    every result back into memory before the directory is removed.
     """
     grid = sorted(set(items))
     jobs = resolve_jobs(jobs)
@@ -242,34 +243,39 @@ def execute(
         _run_benchmarks(runner, grid, batch)
         return report
 
+    ephemeral = None
     if runner.cache is None:
-        runner.cache = ResultCache(
-            tempfile.mkdtemp(prefix="repro-ephemeral-cache-")
-        )
-    batches = _partition(grid, jobs)
-    failures = {}
-    finished = set()
+        ephemeral = tempfile.TemporaryDirectory(prefix="repro-ephemeral-cache-")
+        runner.cache = ResultCache(ephemeral.name)
     try:
-        with ProcessPoolExecutor(
-            max_workers=min(jobs, len(batches)),
-            initializer=_init_worker,
-            initargs=(runner.config, str(runner.cache.root)),
-        ) as pool:
-            run_one = partial(_run_batch, use_batch=batch)
-            for results in pool.map(run_one, batches, chunksize=1):
-                for item, error in results:
-                    finished.add(item)
-                    if error is not None:
-                        failures[item] = error
-    except BrokenProcessPool as exc:
-        # A worker died outright and the pool dropped every pending
-        # batch: recompute each unreported item in the parent (a cache
-        # hit where a worker had already published it).
-        for item in grid:
-            if item not in finished:
-                failures[item] = f"BrokenProcessPool: {exc}"
-    report.recovered = [
-        (item, failures[item]) for item in grid if item in failures
-    ]
-    _run_benchmarks(runner, grid)  # cache hits for worker-computed items
+        batches = _partition(grid, jobs)
+        failures = {}
+        finished = set()
+        try:
+            with ProcessPoolExecutor(
+                max_workers=min(jobs, len(batches)),
+                initializer=_init_worker,
+                initargs=(runner.config, str(runner.cache.root)),
+            ) as pool:
+                run_one = partial(_run_batch, use_batch=batch)
+                for results in pool.map(run_one, batches, chunksize=1):
+                    for item, error in results:
+                        finished.add(item)
+                        if error is not None:
+                            failures[item] = error
+        except BrokenProcessPool as exc:
+            # A worker died outright and the pool dropped every pending
+            # batch: recompute each unreported item in the parent (a cache
+            # hit where a worker had already published it).
+            for item in grid:
+                if item not in finished:
+                    failures[item] = f"BrokenProcessPool: {exc}"
+        report.recovered = [
+            (item, failures[item]) for item in grid if item in failures
+        ]
+        _run_benchmarks(runner, grid)  # cache hits for worker-computed items
+    finally:
+        if ephemeral is not None:  # results are in memory now
+            runner.cache = None
+            ephemeral.cleanup()
     return report

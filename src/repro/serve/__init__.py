@@ -9,8 +9,9 @@ JSON protocol over a unix socket or TCP:
 
 * ``predict`` — counter-delta epochs in, per-frequency predicted
   durations out, for any registered predictor (DEP+BURST, M+CRIT, COOP,
-  ...). Concurrent requests are coalesced into vectorized batches
-  (:mod:`repro.core.vectorized`) under a max-batch/max-delay window.
+  ...). Requests that arrive within one event-loop turn are coalesced
+  into vectorized batches (:mod:`repro.core.vectorized`) of at most
+  ``max_batch`` jobs; no request waits on a timer.
 * ``govern`` — stateful energy-manager sessions
   (:class:`repro.energy.manager.EnergyManagerSession` held server-side):
   open a session with a :class:`~repro.energy.manager.ManagerConfig`,

@@ -1,12 +1,14 @@
 """Request coalescing for the ``predict`` hot path.
 
 Concurrent predict requests are gathered into one
-:func:`repro.core.vectorized.evaluate_predict_jobs` call under a
-max-batch/max-delay window: the first job to arrive arms a flush timer
-(``max_delay_s``); hitting ``max_batch`` pending jobs flushes
-immediately. Batch results are bit-identical to per-request scalar
-evaluation (the kernel's contract), so batching is purely a throughput
-knob — never a semantics knob.
+:func:`repro.core.vectorized.evaluate_predict_jobs` call: the first job
+to arrive schedules a flush for the event loop's next turn
+(``loop.call_soon``), so a batch is every job submitted before that
+turn, and reaching ``max_batch`` pending jobs flushes at once. No job
+waits on a timer: under load, requests pile up while a batch is being
+evaluated and the next turn picks them all up. Batch results are
+bit-identical to per-request scalar evaluation (the kernel's contract),
+so batching is purely a throughput knob — never a semantics knob.
 
 A failing job must not sink its batch: if the vectorized call raises,
 the batch is re-evaluated job by job on the scalar path and only the
@@ -27,27 +29,24 @@ from repro.serve.metrics import MetricsRegistry
 
 
 class PredictBatcher:
-    """Coalesces predict jobs; owner of the max-batch/max-delay window."""
+    """Coalesces the predict jobs submitted within one event-loop turn."""
 
     def __init__(
         self,
         max_batch: int = 64,
-        max_delay_s: float = 0.002,
         metrics: Optional[MetricsRegistry] = None,
         evaluate=evaluate_predict_jobs,
     ) -> None:
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         self.max_batch = max_batch
-        self.max_delay_s = max_delay_s
         self.metrics = metrics
         self.evaluate = evaluate
         self._pending: List[Tuple[PredictJob, asyncio.Future]] = []
-        self._timer: Optional[asyncio.TimerHandle] = None
 
     @property
     def pending(self) -> int:
-        """Jobs currently waiting for the window to close."""
+        """Jobs currently waiting for the next flush."""
         return len(self._pending)
 
     async def submit(self, job: PredictJob) -> List[float]:
@@ -57,15 +56,12 @@ class PredictBatcher:
         self._pending.append((job, future))
         if len(self._pending) >= self.max_batch:
             self.flush()
-        elif self._timer is None:
-            self._timer = loop.call_later(self.max_delay_s, self.flush)
+        elif len(self._pending) == 1:
+            loop.call_soon(self.flush)
         return await future
 
     def flush(self) -> None:
-        """Evaluate everything pending right now (idempotent)."""
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
+        """Evaluate everything pending right now (a no-op when empty)."""
         pending, self._pending = self._pending, []
         if not pending:
             return

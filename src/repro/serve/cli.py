@@ -3,7 +3,7 @@
 Examples::
 
     repro-serve --socket /tmp/repro.sock
-    repro-serve --host 127.0.0.1 --port 7091 --max-batch 128 --max-delay-ms 1
+    repro-serve --host 127.0.0.1 --port 7091 --max-batch 128
     repro-serve --socket /tmp/repro.sock --log-interval 10
     repro-serve --socket /tmp/repro.sock --workers 4 --shared-predict-cache
 
@@ -52,9 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="TCP port (default: ephemeral)")
     parser.add_argument("--max-batch", type=int, default=64,
                         help="max predict requests per vectorized batch")
-    parser.add_argument("--max-delay-ms", type=float, default=2.0,
-                        help="max milliseconds a predict request waits for "
-                        "its batch window to fill")
     parser.add_argument("--queue-depth", type=int, default=64,
                         help="per-connection in-flight predict cap; excess "
                         "is shed with 'overloaded' replies")
@@ -98,7 +95,6 @@ def config_from_args(args: argparse.Namespace) -> ServeConfig:
         host=args.host,
         port=args.port,
         max_batch=args.max_batch,
-        max_delay_s=args.max_delay_ms / 1000.0,
         max_frame_bytes=args.max_frame_kb * 1024,
         queue_depth=args.queue_depth,
         max_sessions=args.max_sessions,

@@ -73,9 +73,8 @@ class ServeConfig:
     #: TCP host (None disables TCP; port 0 picks an ephemeral port).
     host: Optional[str] = None
     port: int = 0
-    #: Batching window of the predict hot path.
+    #: Most predict jobs one vectorized batch evaluates.
     max_batch: int = 64
-    max_delay_s: float = 0.002
     #: Hard cap on one frame's size (bytes).
     max_frame_bytes: int = protocol.MAX_FRAME_BYTES
     #: Per-connection in-flight predict cap; excess is shed as overloaded.
@@ -110,8 +109,6 @@ class ServeConfig:
             raise ConfigError("serve config needs a socket_path and/or a host")
         if self.max_batch < 1:
             raise ConfigError("max_batch must be >= 1")
-        if self.max_delay_s < 0:
-            raise ConfigError("max_delay_s must be >= 0")
         if self.queue_depth < 1:
             raise ConfigError("queue_depth must be >= 1")
         if self.n_workers < 1:
@@ -139,9 +136,7 @@ class Server:
         self.frequencies = config.spec.frequencies()
         self.metrics = MetricsRegistry(max_batch=config.max_batch)
         self.batcher = PredictBatcher(
-            max_batch=config.max_batch,
-            max_delay_s=config.max_delay_s,
-            metrics=self.metrics,
+            max_batch=config.max_batch, metrics=self.metrics
         )
         self.sessions = SessionStore(
             config.spec,
@@ -576,10 +571,7 @@ class Server:
             "frequencies_ghz": list(self.frequencies),
             "predictors": predictor_names(),
             "sessions_active": len(self.sessions),
-            "batch": {
-                "max_batch": self.config.max_batch,
-                "max_delay_s": self.config.max_delay_s,
-            },
+            "batch": {"max_batch": self.config.max_batch},
         }
         if self.config.worker_id is not None:
             result["worker_id"] = self.config.worker_id

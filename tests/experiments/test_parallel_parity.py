@@ -11,6 +11,7 @@ dependence, shared-state leakage) fails the exact equality below.
 """
 
 import os
+import tempfile
 
 from repro.experiments.cache import ResultCache
 from repro.experiments.parallel import execute, fixed_items, managed_items
@@ -85,3 +86,29 @@ def test_serial_jobs1_uses_no_pool_and_no_cache(tmp_path):
     assert report.jobs == 1
     assert runner.cache is None
     assert runner.simulations == len(set(GRID[:3]))
+
+
+def test_cacheless_pool_leaves_no_ephemeral_cache(tmp_path, monkeypatch):
+    """jobs>1 without a cache shares a temp store and removes it after."""
+    monkeypatch.setenv("TMPDIR", str(tmp_path))
+    monkeypatch.setattr(tempfile, "tempdir", None)  # re-read TMPDIR
+    items = fixed_items(CONFIG.benchmarks, (1.0, 4.0)) + managed_items(
+        CONFIG.benchmarks, (0.10,)
+    )
+    serial = ExperimentRunner(CONFIG)
+    pooled = ExperimentRunner(CONFIG)
+    execute(serial, items, jobs=1)
+    report = execute(pooled, items, jobs=2)
+    assert report.jobs == 2 and report.recovered == []
+    assert pooled.cache is None
+    assert list(tmp_path.glob("repro-ephemeral-cache-*")) == []
+    for item in items:
+        if item.kind == "fixed":
+            a = serial.fixed_run(item.benchmark, item.value)
+            b = pooled.fixed_run(item.benchmark, item.value)
+        else:
+            a = serial.managed_run(item.benchmark, item.value)
+            b = pooled.managed_run(item.benchmark, item.value)
+            assert a.decisions == b.decisions, item
+        assert (a.total_ns, a.energy_j) == (b.total_ns, b.energy_j), item
+    assert pooled.simulations == 0  # every result came back from workers

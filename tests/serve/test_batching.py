@@ -1,4 +1,4 @@
-"""Batch coalescing window: size/delay triggers and poison isolation."""
+"""Batch coalescing: one batch per loop turn, the size cap, poison isolation."""
 
 import asyncio
 
@@ -7,7 +7,11 @@ import pytest
 from repro.common.errors import PredictionError
 from repro.core.epochs import Epoch, extract_epochs
 from repro.core.predictors import get_predictor
-from repro.core.vectorized import PredictJob, scalar_results
+from repro.core.vectorized import (
+    PredictJob,
+    evaluate_predict_jobs,
+    scalar_results,
+)
 from repro.serve.batching import PredictBatcher
 from repro.serve.metrics import MetricsRegistry
 from repro.sim.run import simulate
@@ -42,7 +46,7 @@ def _poison_job():
 
 def test_concurrent_submits_coalesce_into_one_batch(epochs):
     metrics = MetricsRegistry(max_batch=64)
-    batcher = PredictBatcher(max_batch=64, max_delay_s=0.01, metrics=metrics)
+    batcher = PredictBatcher(max_batch=64, metrics=metrics)
 
     async def run():
         jobs = [_job(epochs) for _ in range(5)]
@@ -56,33 +60,46 @@ def test_concurrent_submits_coalesce_into_one_batch(epochs):
 
 
 def test_max_batch_flushes_without_waiting(epochs):
-    metrics = MetricsRegistry(max_batch=2)
-    # A delay long enough that hitting it would blow the test timeout:
-    # proof that the size trigger fired, not the timer.
-    batcher = PredictBatcher(max_batch=2, max_delay_s=30.0, metrics=metrics)
+    sizes = []
+
+    def evaluate(jobs):
+        sizes.append(len(jobs))
+        return evaluate_predict_jobs(jobs)
+
+    batcher = PredictBatcher(max_batch=2, evaluate=evaluate)
 
     async def run():
-        return await asyncio.gather(
-            batcher.submit(_job(epochs)), batcher.submit(_job(epochs))
-        )
+        jobs = [_job(epochs) for _ in range(5)]
+        return await asyncio.gather(*(batcher.submit(j) for j in jobs)), jobs
 
-    results = asyncio.run(asyncio.wait_for(run(), timeout=5.0))
-    assert len(results) == 2
-    assert metrics.batch_sizes.total == 1
+    results, jobs = asyncio.run(asyncio.wait_for(run(), timeout=5.0))
+    assert sizes == [2, 2, 1]
+    for job, result in zip(jobs, results):
+        assert result == scalar_results(job)
 
 
-def test_delay_timer_flushes_a_lone_job(epochs):
-    batcher = PredictBatcher(max_batch=64, max_delay_s=0.005)
+def test_lone_job_resolves_after_one_loop_turn(epochs, monkeypatch):
+    batcher = PredictBatcher(max_batch=64)
+
+    def no_timers(*args, **kwargs):
+        raise AssertionError("the batcher armed a timer")
 
     async def run():
-        return await batcher.submit(_job(epochs))
+        monkeypatch.setattr(asyncio.get_running_loop(), "call_later", no_timers)
+        task = asyncio.ensure_future(batcher.submit(_job(epochs)))
+        await asyncio.sleep(0)  # the task submits and schedules a flush
+        assert batcher.pending == 1
+        await asyncio.sleep(0)  # one turn later the flush has run
+        assert batcher.pending == 0
+        return await task
 
+    # wait_for arms its own timeout before run() patches call_later.
     result = asyncio.run(asyncio.wait_for(run(), timeout=5.0))
     assert result == scalar_results(_job(epochs))
 
 
 def test_poison_job_does_not_sink_its_batch(epochs):
-    batcher = PredictBatcher(max_batch=64, max_delay_s=0.005)
+    batcher = PredictBatcher(max_batch=64)
 
     async def run():
         good = batcher.submit(_job(epochs))
@@ -95,7 +112,7 @@ def test_poison_job_does_not_sink_its_batch(epochs):
 
 
 def test_flush_with_nothing_pending_is_a_noop():
-    batcher = PredictBatcher(max_batch=4, max_delay_s=0.01)
+    batcher = PredictBatcher(max_batch=4)
     batcher.flush()
     assert batcher.pending == 0
 

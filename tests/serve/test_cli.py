@@ -55,9 +55,7 @@ class TestFlagParsing:
         assert config.predict_cache_enabled
 
     def test_units_convert_on_the_flag_boundary(self):
-        config = _config("--socket", "/tmp/x.sock", "--max-delay-ms", "1.5",
-                         "--max-frame-kb", "64")
-        assert config.max_delay_s == pytest.approx(0.0015)
+        config = _config("--socket", "/tmp/x.sock", "--max-frame-kb", "64")
         assert config.max_frame_bytes == 64 * 1024
 
     def test_shared_predict_cache_is_a_driver_flag_not_config(self):
@@ -101,9 +99,7 @@ def test_pool_mode_serves_and_shuts_down_gracefully(tmp_path):
     """``--workers 2`` answers on its worker sockets; SIGTERM exits 0."""
     pool_path = str(tmp_path / "serve.sock")
     workers = [pool_path + ".w0", pool_path + ".w1"]
-    process = _spawn_serve(
-        "--socket", pool_path, "--workers", "2", "--max-delay-ms", "1"
-    )
+    process = _spawn_serve("--socket", pool_path, "--workers", "2")
     try:
         banner = _wait_ready(process)
         assert "repro-serve ready" in banner

@@ -31,8 +31,7 @@ def epochs():
 @pytest.fixture(scope="module")
 def pool(tmp_path_factory):
     base = ServeConfig(
-        socket_path=str(tmp_path_factory.mktemp("pool") / "serve.sock"),
-        max_delay_s=0.001,
+        socket_path=str(tmp_path_factory.mktemp("pool") / "serve.sock")
     )
     with WorkerPool(base, n_workers=2, shared_cache=True) as pool:
         yield pool
@@ -156,9 +155,7 @@ def test_shared_cache_spans_workers(pool, epochs):
 
 
 def test_stop_reaps_workers_and_cleans_the_filesystem(tmp_path):
-    base = ServeConfig(
-        socket_path=str(tmp_path / "serve.sock"), max_delay_s=0.001
-    )
+    base = ServeConfig(socket_path=str(tmp_path / "serve.sock"))
     pool = WorkerPool(base, n_workers=1)
     own_dir = pool._own_dir
     pool.start()

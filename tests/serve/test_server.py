@@ -15,6 +15,7 @@ import pytest
 from repro.common.errors import ConfigError
 from repro.core.epochs import extract_epochs
 from repro.core.predictors import get_predictor
+from repro.core.vectorized import PredictJob, scalar_results
 from repro.serve import protocol
 from repro.serve.background import BackgroundServer
 from repro.serve.client import (
@@ -41,7 +42,6 @@ def server(tmp_path):
         socket_path=str(tmp_path / "serve.sock"),
         host="127.0.0.1",
         port=0,
-        max_delay_s=0.001,
         max_frame_bytes=64 * 1024,
         queue_depth=4,
     )
@@ -320,19 +320,22 @@ def test_overload_sheds_with_explicit_replies(tmp_path, epochs):
     config = ServeConfig(
         socket_path=str(tmp_path / "overload.sock"),
         max_batch=256,
-        max_delay_s=0.2,  # hold the window open during the burst
         queue_depth=2,
     )
     burst = 12
     with BackgroundServer(config) as server:
         with ServeClient.connect(socket_path=config.socket_path) as client:
             wire_epochs = [protocol.epoch_to_wire(e) for e in epochs]
-            for i in range(burst):
-                client.send_raw(protocol.encode_frame({
+            # One write: the server reads the whole burst in one pass,
+            # before the loop turns and its first batch can flush.
+            client.send_raw(b"".join(
+                protocol.encode_frame({
                     "v": 1, "id": i, "kind": "predict",
                     "base_freq_ghz": 1.0, "target_freqs_ghz": [2.0],
                     "epochs": wire_epochs,
-                }))
+                })
+                for i in range(burst)
+            ))
             replies = [client.read_reply() for _ in range(burst)]
             # Every request is answered exactly once.
             assert sorted(r["id"] for r in replies) == list(range(burst))
@@ -361,7 +364,6 @@ def test_slow_reader_never_grows_server_queues(tmp_path, epochs):
     config = ServeConfig(
         socket_path=str(tmp_path / "slow.sock"),
         max_batch=256,
-        max_delay_s=0.2,
         queue_depth=3,
     )
     with BackgroundServer(config) as server:
@@ -391,6 +393,38 @@ def test_slow_reader_never_grows_server_queues(tmp_path, epochs):
         # And the server is still healthy for well-behaved clients.
         with ServeClient.connect(socket_path=config.socket_path) as client:
             assert client.health()["status"] == "ok"
+
+
+@requires_af_unix
+def test_one_write_of_predicts_coalesces_without_a_timer(tmp_path, epochs):
+    """Predicts read in one pass share batches; no flush timer is needed."""
+    config = ServeConfig(socket_path=str(tmp_path / "coalesce.sock"))
+    wire_epochs = [protocol.epoch_to_wire(e) for e in epochs]
+    bases = [1.0 + 0.125 * i for i in range(16)]
+    with BackgroundServer(config):
+        with ServeClient.connect(socket_path=config.socket_path) as client:
+            client.send_raw(b"".join(
+                protocol.encode_frame({
+                    "v": 1, "id": i, "kind": "predict",
+                    "base_freq_ghz": base, "target_freqs_ghz": [2.0, 4.0],
+                    "epochs": wire_epochs,
+                })
+                for i, base in enumerate(bases)
+            ))
+            replies = [client.read_reply() for _ in bases]
+            batches = client.stats()["batch_size"]
+    predictor = get_predictor("DEP+BURST")
+    assert sorted(r["id"] for r in replies) == list(range(len(bases)))
+    for reply in replies:
+        job = PredictJob(
+            predictor=predictor,
+            epochs=tuple(epochs),
+            base_freq_ghz=bases[reply["id"]],
+            target_freqs_ghz=(2.0, 4.0),
+        )
+        assert reply["result"]["predicted_ns"] == scalar_results(job)
+    assert batches["sum"] == len(bases)
+    assert batches["count"] < len(bases)
 
 
 @requires_af_unix
@@ -501,16 +535,13 @@ def test_cache_hit_replies_are_byte_identical(tmp_path, epochs):
     ]
     cached = ServeConfig(
         socket_path=str(tmp_path / "cached.sock"),
-        max_delay_s=0.001,
         predict_cache_mem=256,
     )
     with BackgroundServer(cached) as server:
         replies = _raw_replies(cached.socket_path, frames)
         with ServeClient.connect(socket_path=cached.socket_path) as client:
             cache_stats = client.stats()["predict_cache"]
-    plain = ServeConfig(
-        socket_path=str(tmp_path / "plain.sock"), max_delay_s=0.001
-    )
+    plain = ServeConfig(socket_path=str(tmp_path / "plain.sock"))
     with BackgroundServer(plain):
         expected = _raw_replies(plain.socket_path, frames)
     assert replies == expected
@@ -524,7 +555,6 @@ def test_cache_hit_replies_are_byte_identical(tmp_path, epochs):
 def test_stats_reports_cache_tiers_and_raw_memo(tmp_path, epochs):
     config = ServeConfig(
         socket_path=str(tmp_path / "stats.sock"),
-        max_delay_s=0.001,
         predict_cache_mem=256,
         predict_cache_dir=str(tmp_path / "shared"),
     )
@@ -549,8 +579,7 @@ def test_file_tier_hit_is_served_without_decoding(
     configs = [
         ServeConfig(
             socket_path=str(tmp_path / f"w{i}.sock"),
-            max_delay_s=0.001,
-            predict_cache_mem=64,
+                predict_cache_mem=64,
             predict_cache_dir=shared,
         )
         for i in range(2)
@@ -585,7 +614,6 @@ def test_invalid_predict_is_never_stored(tmp_path, epochs):
     )
     config = ServeConfig(
         socket_path=str(tmp_path / "bad.sock"),
-        max_delay_s=0.001,
         predict_cache_mem=64,
     )
     with BackgroundServer(config):
@@ -605,7 +633,6 @@ def test_non_predict_frames_never_touch_the_cache(tmp_path, epochs):
 
     config = ServeConfig(
         socket_path=str(tmp_path / "govern.sock"),
-        max_delay_s=0.001,
         predict_cache_mem=64,
         predict_cache_dir=str(tmp_path / "shared"),
     )

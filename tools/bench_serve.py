@@ -385,14 +385,12 @@ def run_load(args, n_workers: int) -> dict:
             serve_config = ServeConfig(
                 host="127.0.0.1",
                 max_batch=args.max_batch,
-                max_delay_s=args.max_delay_ms / 1000.0,
                 predict_cache_mem=args.cache_mem,
             )
         else:
             serve_config = ServeConfig(
                 socket_path=os.path.join(tmp, "serve.sock"),
                 max_batch=args.max_batch,
-                max_delay_s=args.max_delay_ms / 1000.0,
                 predict_cache_mem=args.cache_mem,
             )
         pool = WorkerPool(serve_config, n_workers,
@@ -450,7 +448,6 @@ def run_load(args, n_workers: int) -> dict:
             "duration_s": args.duration,
             "predictor": args.predictor,
             "max_batch": args.max_batch,
-            "max_delay_ms": args.max_delay_ms,
             "epochs_per_request": args.epochs,
             "unique_payloads": args.unique,
             "cache_mem": args.cache_mem,
@@ -590,7 +587,6 @@ def main(argv=None) -> int:
                         help="per-worker prediction-cache LRU entries "
                         "(0 disables caching)")
     parser.add_argument("--max-batch", type=int, default=64)
-    parser.add_argument("--max-delay-ms", type=float, default=1.0)
     parser.add_argument("--out", default="BENCH_serve.json",
                         help="output JSON path")
     parser.add_argument("--min-rps", type=float, default=None,
