@@ -20,12 +20,18 @@ Quick start::
     error = predicted_ns / actual.total_ns - 1.0
 """
 
-from repro.core.predictors import get_predictor, make_predictor, predictor_names
-from repro.core.evaluate import prediction_error
-from repro.sim.run import SimulationResult, simulate, simulate_managed
-from repro.workloads.registry import BenchmarkBundle, benchmark_names, get_benchmark
+from repro.common.lazy import lazy_exports
 
 __version__ = "1.0.0"
+
+# Re-exports load on first access, so an entry point that needs none of
+# them (``repro-serve``) never imports the simulator.
+__getattr__ = lazy_exports(__name__, {
+    "repro.core.predictors": ("get_predictor", "make_predictor", "predictor_names"),
+    "repro.core.evaluate": ("prediction_error",),
+    "repro.sim.run": ("SimulationResult", "simulate", "simulate_managed"),
+    "repro.workloads.registry": ("BenchmarkBundle", "benchmark_names", "get_benchmark"),
+})
 
 __all__ = [
     "BenchmarkBundle",

@@ -17,8 +17,6 @@ boundaries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 #: Counter field names, in declaration order (used by tests and reports).
 COUNTER_FIELDS = (
     "active_ns",
@@ -31,22 +29,59 @@ COUNTER_FIELDS = (
 )
 
 
-@dataclass(slots=True)
 class CounterSet:
     """Additive bundle of one thread's (or core's) performance counters.
 
-    The arithmetic methods spell fields out explicitly instead of using
-    ``dataclasses.fields`` — counter updates sit on the simulator's hottest
-    path (one per completed segment, several per trace event).
+    Counter updates sit on the simulator's hottest path (one per completed
+    segment, several per trace event, hundreds of thousands of instances),
+    so the class is slotted and its arithmetic methods spell fields out.
+    It is a plain class because ``@dataclass(slots=True)`` needs Python
+    3.10; ``__init__``, ``__eq__`` and ``__repr__`` are the ones that
+    dataclass would generate.
     """
 
-    active_ns: float = 0.0
-    crit_ns: float = 0.0
-    leading_ns: float = 0.0
-    stall_ns: float = 0.0
-    sqfull_ns: float = 0.0
-    insns: int = 0
-    stores: int = 0
+    __slots__ = COUNTER_FIELDS
+
+    def __init__(
+        self,
+        active_ns: float = 0.0,
+        crit_ns: float = 0.0,
+        leading_ns: float = 0.0,
+        stall_ns: float = 0.0,
+        sqfull_ns: float = 0.0,
+        insns: int = 0,
+        stores: int = 0,
+    ) -> None:
+        self.active_ns = active_ns
+        self.crit_ns = crit_ns
+        self.leading_ns = leading_ns
+        self.stall_ns = stall_ns
+        self.sqfull_ns = sqfull_ns
+        self.insns = insns
+        self.stores = stores
+
+    def _values(self) -> tuple:
+        return (
+            self.active_ns,
+            self.crit_ns,
+            self.leading_ns,
+            self.stall_ns,
+            self.sqfull_ns,
+            self.insns,
+            self.stores,
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={value!r}"
+            for name, value in zip(COUNTER_FIELDS, self._values())
+        )
+        return f"CounterSet({fields})"
 
     def copy(self) -> "CounterSet":
         """Return an independent copy."""

@@ -30,6 +30,7 @@ import time
 from typing import Iterable, List
 
 from repro.common.errors import ConfigError
+from repro.common.lazy import LazyModules
 from repro.common.profiling import UNSET, resolve_profile_path, run_maybe_profiled
 from repro.common.validation import resolve_jobs
 from repro.experiments import (
@@ -39,11 +40,9 @@ from repro.experiments import (
     fig4,
     fig6,
     fig7,
-    fleet_study,
     hetero,
     sensitivity,
     sequential,
-    serve_replay,
     table1,
     table2,
 )
@@ -54,7 +53,9 @@ from repro.experiments.runner import ExperimentRunner
 from repro.experiments.setup import default_config
 
 #: Experiment name -> driver module (each exposes ``run`` and ``work``).
-_EXPERIMENTS = {
+#: The paper's drivers load with the CLI; ``serve`` and ``fleet`` pull in
+#: the server and fleet layers, so they load when first looked up.
+_EXPERIMENTS = LazyModules({
     "table1": table1,
     "table2": table2,
     "sequential": sequential,
@@ -65,10 +66,10 @@ _EXPERIMENTS = {
     "fig6": fig6,
     "fig7": fig7,
     "hetero": hetero,
-    "serve": serve_replay,
-    "fleet": fleet_study,
+    "serve": "repro.experiments.serve_replay",
+    "fleet": "repro.experiments.fleet_study",
     "claims": claims,
-}
+})
 
 #: Order that maximizes ground-truth cache reuse. ``claims`` only reads
 #: what the figures compute, so it runs when named.

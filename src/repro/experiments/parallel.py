@@ -30,8 +30,6 @@ an optimization.
 from __future__ import annotations
 
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from functools import partial
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -242,6 +240,10 @@ def execute(
         report.jobs = 1
         _run_benchmarks(runner, grid, batch)
         return report
+
+    # Only the fan-out needs the process pool (and multiprocessing).
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
     ephemeral = None
     if runner.cache is None:

@@ -22,18 +22,20 @@ import functools
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, Optional
+from typing import TYPE_CHECKING, Any, Dict, Optional
 
 from repro.arch.dram import DramConfig
 from repro.common.errors import ConfigError
 from repro.common.units import check_frequency
 from repro.energy.manager import ManagerConfig
-from repro.qa.fuzzer import FuzzCase
 from repro.workloads.program import Program
 from repro.workloads.synthetic import (
     SyntheticWorkloadConfig,
     build_synthetic_program,
 )
+
+if TYPE_CHECKING:  # the adapter's one use; importing it loads all of repro.qa
+    from repro.qa.fuzzer import FuzzCase
 
 #: Bump when the tenant spec schema changes; loaders refuse other versions.
 TENANT_FORMAT_VERSION = 1

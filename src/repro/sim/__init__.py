@@ -12,12 +12,18 @@ Ground truth for predictor evaluation is obtained by re-simulating the same
 program at the target frequency (:func:`repro.sim.run.simulate`).
 """
 
-from repro.sim.batch import BatchInstance, BatchReport, run_batch, simulate_batch
-from repro.sim.run import SimulationResult, simulate
-from repro.sim.serialize import load_trace, save_trace
-from repro.sim.system import System
-from repro.sim.trace import EventKind, SimulationTrace, ThreadInfo, TraceEvent
-from repro.sim.intervals import IntervalRecord
+from repro.common.lazy import lazy_exports
+
+# Re-exports load on first access: importing one submodule (say
+# ``repro.sim.trace``) does not load the engine, the JVM or the workloads.
+__getattr__ = lazy_exports(__name__, {
+    "repro.sim.batch": ("BatchInstance", "BatchReport", "run_batch", "simulate_batch"),
+    "repro.sim.run": ("SimulationResult", "simulate"),
+    "repro.sim.serialize": ("load_trace", "save_trace"),
+    "repro.sim.system": ("System",),
+    "repro.sim.trace": ("EventKind", "SimulationTrace", "ThreadInfo", "TraceEvent"),
+    "repro.sim.intervals": ("IntervalRecord",),
+})
 
 __all__ = [
     "BatchInstance",

@@ -48,3 +48,22 @@ def test_is_zero():
 def test_delta_of_self_is_zero():
     a = sample()
     assert a.delta_since(a).is_zero()
+
+
+def test_dataclass_style_init_eq_and_repr():
+    assert CounterSet() == CounterSet(0.0, 0.0, 0.0, 0.0, 0.0, 0, 0)
+    assert CounterSet(insns=3) != CounterSet(stores=3)
+    assert sample() != tuple(getattr(sample(), f) for f in COUNTER_FIELDS)
+    assert repr(CounterSet(crit_ns=2.5, insns=4)) == (
+        "CounterSet(active_ns=0.0, crit_ns=2.5, leading_ns=0.0, "
+        "stall_ns=0.0, sqfull_ns=0.0, insns=4, stores=0)"
+    )
+
+
+def test_slotted_and_unhashable():
+    counters = sample()
+    assert not hasattr(counters, "__dict__")
+    with pytest.raises(AttributeError):
+        counters.extra = 1
+    with pytest.raises(TypeError):
+        hash(counters)

@@ -23,7 +23,8 @@ pair diverges, so every reading is pure mechanics.
 ``batch corpus``
     32 instances (4 synthetic memory-heavy families x 8 set points):
     one :func:`~repro.sim.run.simulate` per instance vs one
-    :func:`~repro.sim.batch.run_batch`, best of 3 reps each.
+    :func:`~repro.sim.batch.run_batch`, best of 3 reps each, the two
+    sides alternating rep by rep.
 ``fleet cold`` / ``fleet warm``
     One drawn fleet's profile build: naive per-tenant vs deduplicated
     serial batch (cold), serial batch vs a rebuild from the store it
@@ -96,22 +97,26 @@ Reading = Tuple[str, float, float, str, str]
 
 
 def _best(
-    run: Callable[[object], object],
+    *runs: Callable[[object], object],
     reps: int,
     setup: Callable[[], object] = lambda: None,
-) -> Tuple[float, object]:
-    """(minimum wall of ``reps`` timed ``run(setup())`` calls, last result).
+) -> List[Tuple[float, object]]:
+    """(minimum wall, last result) of each of ``runs`` over ``reps`` reps.
 
-    ``setup`` runs outside the timed region, once per rep.
+    Each rep times ``run(setup())`` once per run, in turn, so the sides
+    of a ratio alternate rep by rep and a drift in host speed lands on
+    both rather than on one. ``setup`` runs outside the timed region,
+    once per timed call.
     """
-    walls = []
-    result = None
+    walls: List[List[float]] = [[] for _ in runs]
+    results: List[object] = [None] * len(runs)
     for _ in range(reps):
-        state = setup()
-        start = time.perf_counter()
-        result = run(state)
-        walls.append(time.perf_counter() - start)
-    return min(walls), result
+        for i, run in enumerate(runs):
+            state = setup()
+            start = time.perf_counter()
+            results[i] = run(state)
+            walls[i].append(time.perf_counter() - start)
+    return [(min(w), result) for w, result in zip(walls, results)]
 
 
 def _diverged(what: str) -> NoReturn:
@@ -137,7 +142,7 @@ def hotpath_floor() -> List[Reading]:
         phase_amplitude=0.4, phase_periods=6.0, memory_skew=0.2,
         heap_mb=64, nursery_mb=16, survival_rate=0.1,
     ))
-    wall, trace = _best(
+    [(wall, trace)] = _best(
         lambda system: system.run(), reps=5,
         setup=lambda: System(program, freq_ghz=2.5, engine="fast"),
     )
@@ -162,13 +167,13 @@ def sweep_floors() -> List[Reading]:
         for program in programs
         for base, targets in directions
     ]
-    scalar_s, scalar_out = _best(lambda _: [
+    [(scalar_s, scalar_out)] = _best(lambda _: [
         [[p.predict_total_ns(trace, t) for t in targets] for p in predictors]
         for trace, targets in traces
     ], reps=3)
     # A fresh TraceSweep per rep: each rep pays one full decomposition
     # per trace, the cost a figure driver pays on its first request.
-    sweep_s, sweep_out = _best(lambda _: [
+    [(sweep_s, sweep_out)] = _best(lambda _: [
         [TraceSweep(trace).predict(p, targets) for p in predictors]
         for trace, targets in traces
     ], reps=3)
@@ -198,7 +203,7 @@ def sweep_floors() -> List[Reading]:
 
     walls, logs = {}, {}
     for sweep in (False, True):
-        walls[sweep], session = _best(govern, reps=3, setup=lambda: (
+        [(walls[sweep], session)] = _best(govern, reps=3, setup=lambda: (
             EnergyManagerSession(
                 spec, config, predictor=make_predictor("DEP+BURST"),
                 sweep=sweep,
@@ -264,13 +269,14 @@ def batch_floor() -> List[Reading]:
         for program in map(build_synthetic_program, families)
         for freq in (1.0, 1.375, 1.875, 2.25, 2.625, 3.0, 3.5, 4.0)
     ]
-    sequential_s, sequential = _best(lambda _: [
-        simulate(inst.program, inst.freq_ghz, spec=spec,
-                 quantum_ns=inst.quantum_ns)
-        for inst in instances
-    ], reps=3)
-    batched_s, batched = _best(
-        lambda _: run_batch(instances).results, reps=3
+    (sequential_s, sequential), (batched_s, batched) = _best(
+        lambda _: [
+            simulate(inst.program, inst.freq_ghz, spec=spec,
+                     quantum_ns=inst.quantum_ns)
+            for inst in instances
+        ],
+        lambda _: run_batch(instances).results,
+        reps=3,
     )
     for inst, seq, bat in zip(instances, sequential, batched):
         if _trace_bytes(seq.trace) != _trace_bytes(bat.trace):
@@ -287,11 +293,13 @@ def fleet_floors() -> List[Reading]:
     specs = draw_tenants(builtin_templates(), tenants, seed)
     with tempfile.TemporaryDirectory(prefix="repro-speedup-floors-") as tmp:
         naive = ProfileStore()
-        naive_s, _ = _best(lambda _: naive.build(specs, batch=False), reps=1)
+        [(naive_s, _)] = _best(
+            lambda _: naive.build(specs, batch=False), reps=1
+        )
         serial = ProfileStore(cache=ProfileCache(tmp))
-        serial_s, built = _best(lambda _: serial.build(specs), reps=1)
+        [(serial_s, built)] = _best(lambda _: serial.build(specs), reps=1)
         warm = ProfileStore(cache=ProfileCache(tmp))
-        warm_s, hit = _best(lambda _: warm.build(specs), reps=1)
+        [(warm_s, hit)] = _best(lambda _: warm.build(specs), reps=1)
         if hit["cache_hits"] != built["profiles_total"]:
             raise SystemExit(
                 f"FATAL: the warm build hit {hit['cache_hits']} of "
