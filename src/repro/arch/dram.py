@@ -36,8 +36,6 @@ class DramConfig:
     row_conflict_ns: float = 72.0
     #: Extra queueing delay per in-flight request ahead of this one.
     queue_ns_per_request: float = 6.0
-    #: Rows per bank used for the synthetic address mapping.
-    rows_per_bank: int = 4096
     #: Bytes per DRAM column burst (one cache line).
     line_bytes: int = 64
     #: Sustainable per-core drain interval for an isolated cache line of
@@ -56,7 +54,6 @@ class DramConfig:
         check_positive("row_miss_ns", self.row_miss_ns)
         check_positive("row_conflict_ns", self.row_conflict_ns)
         check_non_negative("queue_ns_per_request", self.queue_ns_per_request)
-        check_positive("rows_per_bank", self.rows_per_bank)
         check_positive("line_bytes", self.line_bytes)
         check_positive("store_line_drain_ns", self.store_line_drain_ns)
 

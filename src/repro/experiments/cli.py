@@ -15,11 +15,10 @@ Ground-truth simulations are persisted in a content-addressed cache
 keyed by every input that determines the result, so a second invocation
 at the same configuration re-simulates nothing. ``--no-cache`` opts out;
 ``--jobs N`` (or ``REPRO_JOBS``) runs the needed grid in parallel worker
-processes before the tables and figures are rendered serially, and
-``--batch`` simulates each benchmark's fixed-frequency fan-out as one
-batched run. Predictions always go through the sweep kernels
-(:mod:`repro.core.sweep`); the scalar predictors they match bit for bit
-are reference oracles for the tests and ``repro-qa``.
+processes before the tables and figures are rendered serially.
+Predictions always go through the sweep kernels (:mod:`repro.core.sweep`);
+the scalar predictors they match bit for bit are reference oracles for
+the tests and ``repro-qa``.
 """
 
 from __future__ import annotations
@@ -179,23 +178,6 @@ def main(argv=None) -> int:
         action="store_true",
         help="do not read or write the persistent result cache",
     )
-    batch_group = parser.add_mutually_exclusive_group()
-    batch_group.add_argument(
-        "--batch",
-        dest="batch",
-        action="store_true",
-        default=False,
-        help="simulate each benchmark's fixed-frequency fan-out as one "
-        "batched run (repro.sim.batch): the program is pre-timed once "
-        "per frequency in a single columnar pass; bit-identical results",
-    )
-    batch_group.add_argument(
-        "--no-batch",
-        dest="batch",
-        action="store_false",
-        help="one simulation per (benchmark, frequency) grid cell "
-        "(default)",
-    )
     args = parser.parse_args(argv)
     profile_path = resolve_profile_path(args.profile, "repro-experiments.pstats")
     return run_maybe_profiled(lambda: _run_suite(parser, args), profile_path)
@@ -222,7 +204,7 @@ def _run_suite(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
             f"# ground truths: {len(grid)} runs, {jobs} job(s), "
             f"cache {'off' if cache is None else cache.root}"
         )
-        report = execute(runner, grid, jobs=jobs, batch=args.batch)
+        report = execute(runner, grid, jobs=jobs)
         for item, error in report.recovered:
             print(f"# worker failed on {item} ({error}); recomputed serially")
     failed = False

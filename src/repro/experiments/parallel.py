@@ -30,8 +30,7 @@ an optimization.
 from __future__ import annotations
 
 import tempfile
-from dataclasses import dataclass
-from functools import partial
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigError
@@ -87,11 +86,7 @@ class ExecutionReport:
     jobs: int = 1
     #: Items whose worker raised or died; they were recomputed in the
     #: parent.
-    recovered: List[Tuple[WorkItem, str]] = None  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        if self.recovered is None:
-            self.recovered = []
+    recovered: List[Tuple[WorkItem, str]] = field(default_factory=list)
 
 
 # One runner per worker process, built by the pool initializer so every
@@ -104,52 +99,23 @@ def _init_worker(config: ExperimentConfig, cache_root: str) -> None:
     _WORKER_RUNNER = ExperimentRunner(config, cache=ResultCache(cache_root))
 
 
-def _group_fixed(
-    items: Sequence[WorkItem],
-) -> Tuple[Dict[str, List[WorkItem]], List[WorkItem]]:
-    """(fixed items per benchmark, everything else) — batchable split."""
-    fixed: Dict[str, List[WorkItem]] = {}
-    rest: List[WorkItem] = []
-    for item in items:
-        if item.kind == "fixed":
-            fixed.setdefault(item.benchmark, []).append(item)
-        else:
-            rest.append(item)
-    return fixed, rest
-
-
 def _run_benchmarks(
     runner: ExperimentRunner,
     items: Iterable[WorkItem],
-    use_batch: bool = False,
     contain: bool = False,
 ) -> List[Tuple[WorkItem, Optional[str]]]:
     """Compute ``items`` one benchmark at a time; ``(item, error)`` pairs.
 
-    Each benchmark runs its fixed items (one ``fixed_runs_batch`` call
-    under ``use_batch``), then its managed items, then releases its
-    bundle, so one benchmark's program and GC cycles are resident at a
-    time. With ``contain`` a failure is reported, not raised: a failed
-    batched call falls back to per-item runs, and a failed item carries
-    its error for the parent to recompute.
+    Each benchmark runs its fixed items, then its managed items, then
+    releases its bundle, so one benchmark's program and GC cycles are
+    resident at a time. With ``contain`` a failure is reported, not
+    raised: a failed item carries its error for the parent to recompute.
     """
     by_benchmark: Dict[str, List[WorkItem]] = {}
     for item in sorted(items, key=lambda i: (i.benchmark, i.kind, i.value)):
         by_benchmark.setdefault(item.benchmark, []).append(item)
     results: List[Tuple[WorkItem, Optional[str]]] = []
     for bench, todo in by_benchmark.items():
-        if use_batch:
-            fixed, todo = _group_fixed(todo)
-            if fixed:
-                try:
-                    runner.fixed_runs_batch(
-                        bench, [item.value for item in fixed[bench]]
-                    )
-                    results.extend((item, None) for item in fixed[bench])
-                except Exception:  # contained: retry the lanes one by one
-                    if not contain:
-                        raise
-                    todo = fixed[bench] + todo
         for item in todo:
             try:
                 _apply(runner, item)
@@ -162,13 +128,10 @@ def _run_benchmarks(
     return results
 
 
-def _run_batch(
-    batch: Sequence[WorkItem],
-    use_batch: bool = False,
-) -> List[Tuple[WorkItem, Optional[str]]]:
+def _run_batch(batch: Sequence[WorkItem]) -> List[Tuple[WorkItem, Optional[str]]]:
     """Compute one batch in a worker; results travel via the shared cache."""
     assert _WORKER_RUNNER is not None, "worker used before initialization"
-    return _run_benchmarks(_WORKER_RUNNER, batch, use_batch, contain=True)
+    return _run_benchmarks(_WORKER_RUNNER, batch, contain=True)
 
 
 def _partition(grid: Sequence[WorkItem], jobs: int) -> List[List[WorkItem]]:
@@ -207,7 +170,6 @@ def execute(
     runner: ExperimentRunner,
     items: Sequence[WorkItem],
     jobs: Optional[int] = None,
-    batch: bool = False,
 ) -> ExecutionReport:
     """Materialize every item in ``runner``, fanning out over ``jobs`` processes.
 
@@ -218,15 +180,10 @@ def execute(
     Every process works one benchmark at a time: its fixed runs, then its
     managed runs, then its bundle is released (``BenchmarkBundle.release``),
     so only one benchmark's program and GC cycles are resident at once.
-    Cells are independent, so this order changes no result.
-
-    With ``batch=True``, each benchmark's fixed-frequency fan-out goes
-    through :meth:`~repro.experiments.runner.ExperimentRunner.fixed_runs_batch`
-    — one batched simulation per benchmark instead of one run per
-    frequency; results are byte-identical (managed items are governor
-    runs with per-quantum feedback and stay per-item). In workers a
-    failed batched call falls back to per-item runs before the parent's
-    serial recovery kicks in.
+    Cells are independent, so this order changes no result. Each cell
+    is one :meth:`~repro.experiments.runner.ExperimentRunner.fixed_run`
+    or :meth:`~repro.experiments.runner.ExperimentRunner.managed_run`
+    call, whichever process computes it.
 
     A runner without a persistent cache gets an ephemeral one under the
     system temp dir for the life of the pool, since workers and parent
@@ -238,7 +195,7 @@ def execute(
     report = ExecutionReport(items=len(grid), jobs=jobs)
     if jobs == 1 or len(grid) <= 1:
         report.jobs = 1
-        _run_benchmarks(runner, grid, batch)
+        _run_benchmarks(runner, grid)
         return report
 
     # Only the fan-out needs the process pool (and multiprocessing).
@@ -259,8 +216,7 @@ def execute(
                 initializer=_init_worker,
                 initargs=(runner.config, str(runner.cache.root)),
             ) as pool:
-                run_one = partial(_run_batch, use_batch=batch)
-                for results in pool.map(run_one, batches, chunksize=1):
+                for results in pool.map(_run_batch, batches, chunksize=1):
                     for item, error in results:
                         finished.add(item)
                         if error is not None:

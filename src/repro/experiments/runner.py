@@ -31,7 +31,7 @@ from repro.energy.power import PowerModel
 from repro.experiments import cache as cache_mod
 from repro.experiments.cache import ResultCache
 from repro.experiments.setup import ExperimentConfig, default_config
-from repro.sim.run import SimulationResult, simulate, simulate_managed
+from repro.sim.run import simulate, simulate_managed
 from repro.sim.trace import SimulationTrace
 from repro.workloads.registry import BenchmarkBundle, get_benchmark
 
@@ -121,9 +121,19 @@ class ExperimentRunner:
 
     def fixed_run(self, benchmark: str, freq_ghz: float) -> FixedRun:
         """Simulate (once) ``benchmark`` at a fixed frequency."""
-        disk_key, run = self._cached_fixed(benchmark, freq_ghz)
-        if run is not None:
-            return run
+        key = (benchmark, round(freq_ghz, 6))
+        cached = self._fixed.get(key)
+        if cached is not None:
+            return cached
+        disk_key = None
+        if self.cache is not None:
+            disk_key = cache_mod.fixed_key(
+                self.fingerprint(benchmark), freq_ghz, self.config.quantum_ns
+            )
+            run = self.cache.load_fixed(disk_key, benchmark)
+            if run is not None:
+                self._fixed[key] = run
+                return run
         bundle = self.bundle(benchmark)
         result = simulate(
             bundle.program,
@@ -133,82 +143,7 @@ class ExperimentRunner:
             gc_model=bundle.gc_model,
             quantum_ns=self.config.quantum_ns,
         )
-        return self._record_fixed(benchmark, freq_ghz, disk_key, result)
-
-    def fixed_runs_batch(
-        self, benchmark: str, freqs_ghz: List[float]
-    ) -> List[FixedRun]:
-        """Simulate a benchmark's whole frequency fan-out in one batch.
-
-        Byte-identical to calling :meth:`fixed_run` per frequency — same
-        memo keys, same disk keys, same energy accounting — but the
-        frequencies still missing from both cache levels are simulated
-        through :func:`repro.sim.batch.run_batch` as one lane group, so
-        the program is pre-timed once per distinct frequency in a single
-        columnar pass instead of once per run. Sharing the bundle's
-        ``gc_model`` across lanes is safe for the same reason it is safe
-        across sequential :meth:`fixed_run` calls: its cycle programs are
-        keyed by (cycle index, traced bytes, copied bytes) and do not
-        depend on call order.
-        """
-        from repro.sim.batch import BatchInstance, run_batch
-
-        misses: List[Tuple[float, Optional[str]]] = []
-        seen = set()
-        for freq_ghz in freqs_ghz:
-            key = round(freq_ghz, 6)
-            if key in seen:
-                continue
-            seen.add(key)
-            disk_key, run = self._cached_fixed(benchmark, freq_ghz)
-            if run is None:
-                misses.append((freq_ghz, disk_key))
-        if misses:
-            bundle = self.bundle(benchmark)
-            results = run_batch(
-                [
-                    BatchInstance(
-                        program=bundle.program,
-                        freq_ghz=freq_ghz,
-                        spec=bundle.spec,
-                        jvm_config=bundle.jvm_config,
-                        gc_model=bundle.gc_model,
-                        quantum_ns=self.config.quantum_ns,
-                        label=f"{benchmark}@{freq_ghz}",
-                    )
-                    for freq_ghz, _ in misses
-                ]
-            ).results
-            for (freq_ghz, disk_key), result in zip(misses, results):
-                self._record_fixed(benchmark, freq_ghz, disk_key, result)
-        return [self.fixed_run(benchmark, freq_ghz) for freq_ghz in freqs_ghz]
-
-    def _cached_fixed(
-        self, benchmark: str, freq_ghz: float
-    ) -> Tuple[Optional[str], Optional[FixedRun]]:
-        """(disk key, run): the run from memory or disk, else ``None``."""
-        key = (benchmark, round(freq_ghz, 6))
-        run = self._fixed.get(key)
-        if run is not None or self.cache is None:
-            return None, run
-        disk_key = cache_mod.fixed_key(
-            self.fingerprint(benchmark), freq_ghz, self.config.quantum_ns
-        )
-        run = self.cache.load_fixed(disk_key, benchmark)
-        if run is not None:
-            self._fixed[key] = run
-        return disk_key, run
-
-    def _record_fixed(
-        self,
-        benchmark: str,
-        freq_ghz: float,
-        disk_key: Optional[str],
-        result: SimulationResult,
-    ) -> FixedRun:
-        """Summarize a fresh simulation, persist it and memoize it."""
         self.simulations += 1
-        bundle = self.bundle(benchmark)
         energy = compute_energy(
             result.trace, bundle.spec, self.power_model(benchmark)
         )
@@ -224,7 +159,7 @@ class ExperimentRunner:
         )
         if disk_key is not None:
             self.cache.store_fixed(disk_key, run)
-        self._fixed[(benchmark, round(freq_ghz, 6))] = run
+        self._fixed[key] = run
         return run
 
     def base_trace(self, benchmark: str, base_freq_ghz: float) -> SimulationTrace:

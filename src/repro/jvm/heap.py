@@ -124,23 +124,6 @@ class HeapState:
         self.commit_full(live)
         return live
 
-    def commit_semispace(self, live_after: int) -> None:
-        """Apply a semi-space collection: survivors stay in the (flipped)
-        allocation space rather than being promoted.
-
-        Used by the semi-space collector variant: the nursery models the
-        from-space, the mature space is unused, and every collection copies
-        all live data into the to-space, which then becomes the new
-        allocation region with ``live_after`` bytes already occupied.
-        """
-        if not 0 <= live_after <= self.nursery_bytes:
-            raise SimulationError(
-                f"semi-space survivors {live_after} B exceed the space "
-                f"({self.nursery_bytes} B)"
-            )
-        self.nursery_used = live_after
-        self.full_gcs += 1
-
     @property
     def gc_count(self) -> int:
         """Total collections so far."""

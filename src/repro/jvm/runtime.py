@@ -51,17 +51,6 @@ class JvmConfig:
     full_gc_threshold: float = 0.8
     #: Fraction of the mature space still live at a full GC.
     mature_live_fraction: float = 0.35
-    #: Collector algorithm: "generational" (the paper's default Jikes
-    #: configuration) or "semispace" (full-heap copying every cycle —
-    #: far more copy traffic, a stress test for BURST).
-    collector: str = "generational"
-
-    def __post_init__(self) -> None:
-        if self.collector not in ("generational", "semispace"):
-            raise SimulationError(
-                f"collector must be 'generational' or 'semispace', "
-                f"got {self.collector!r}"
-            )
 
 
 @dataclass
@@ -157,22 +146,7 @@ class JvmRuntime:
             min(2.0, max(0.25, rng.lognormal(mean=0.0, sigma=cfg.survival_jitter)))
         )
         survival = min(1.0, self.program.survival_rate * jitter)
-        if cfg.collector == "semispace":
-            # Full-heap copying collection: every live byte is traced AND
-            # copied into the to-space on every cycle.
-            live = int(self.heap.nursery_used * survival)
-            traced = max(1024, int(live * cfg.gc.trace_expansion))
-            plan = GcPlan(
-                kind="semispace",
-                index=index,
-                traced_bytes=traced,
-                copied_bytes=max(1, live),
-                commit_value=live,
-                worker_actions=self.gc_model.build_cycle(
-                    index, traced, max(1, live)
-                ),
-            )
-        elif self.heap.needs_full_gc():
+        if self.heap.needs_full_gc():
             live_after = self.heap.plan_full(survival, cfg.mature_live_fraction)
             # Tracing visits live objects only; dead space is swept cheaply.
             traced = max(1024, int(live_after * cfg.gc.trace_expansion))
@@ -207,8 +181,6 @@ class JvmRuntime:
             raise SimulationError("finishing a GC cycle that was not planned")
         if plan.kind == "minor":
             self.heap.commit_minor(plan.commit_value)
-        elif plan.kind == "semispace":
-            self.heap.commit_semispace(plan.commit_value)
         else:
             self.heap.commit_full(plan.commit_value)
         self._pending_plan = None

@@ -17,11 +17,10 @@ what is computed:
   distinct lane frequencies are evaluated in one cache-blocked columnar
   pass over the concatenated cluster arrays, instead of streaming them
   from memory once per frequency;
-* the group's lanes without their own ``gc_model`` share one
-  :class:`~repro.jvm.gc.GcModel` per GC config, so each GC cycle
-  program is built once for the group instead of once per lane. Cycle
-  *timings* stay lane-private: a System evicts them, at every
-  frequency, when the cycle ends.
+* the group's lanes share one :class:`~repro.jvm.gc.GcModel` per GC
+  config, so each GC cycle program is built once for the group instead
+  of once per lane. Cycle *timings* stay lane-private: a System evicts
+  them, at every frequency, when the cycle ends.
 
 The batch runs one group at a time: a group's lanes are built, its store
 pre-warmed, its lanes run against it, and all of it dropped before the
@@ -80,9 +79,9 @@ class BatchInstance:
     frequency) and :func:`~repro.sim.run.simulate_managed` (``governor``
     set, ``freq_ghz`` optionally overriding the initial frequency).
     Fast-engine lanes that pass the *same* ``program`` and ``spec``
-    objects share a timing store and, per GC config, one GC model (a
-    lane's own ``gc_model`` wins); value-equal copies simulate
-    identically but warm and build cycles separately.
+    objects share a timing store and, per GC config, one GC model;
+    value-equal copies simulate identically but warm and build cycles
+    separately.
     """
 
     program: Program
@@ -90,7 +89,6 @@ class BatchInstance:
     governor: Optional[Governor] = None
     spec: Optional[MachineSpec] = None
     jvm_config: Optional[JvmConfig] = None
-    gc_model: Optional[GcModel] = None
     quantum_ns: float = 5.0e6
     max_ns: Optional[float] = None
     engine: str = "fast"
@@ -216,8 +214,7 @@ def _build_lanes(
             if default_spec is None:
                 default_spec = haswell_i7_4770k()
             spec = default_spec
-        store = None
-        gc_model = instance.gc_model
+        store = gc_model = None
         if engine == "fast":
             # Timing is a pure function of (segment, frequency) given a
             # spec; identity (not equality) keys keep sharing exact.
@@ -225,13 +222,12 @@ def _build_lanes(
             store = stores.get(key)
             if store is None:
                 store = stores[key] = SharedTimingStore()
+            gc = (instance.jvm_config or JvmConfig()).gc
+            gc_model = store.gc_models.get(gc)
             if gc_model is None:
-                gc = (instance.jvm_config or JvmConfig()).gc
-                gc_model = store.gc_models.get(gc)
-                if gc_model is None:
-                    gc_model = store.gc_models[gc] = GcModel(
-                        gc, spec.dram, instance.program.seed
-                    )
+                gc_model = store.gc_models[gc] = GcModel(
+                    gc, spec.dram, instance.program.seed
+                )
         system = System(
             instance.program,
             spec=spec,

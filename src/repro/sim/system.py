@@ -436,9 +436,8 @@ class System:
                 if segments is None:
                     # Nursery full: this thread triggers a collection and
                     # retries the allocation after the world restarts. If
-                    # collecting does not make room (e.g. a semi-space heap
-                    # whose live data leaves no headroom), fail loudly
-                    # instead of collecting forever.
+                    # collecting does not make room, fail loudly instead of
+                    # collecting forever.
                     retries = self._alloc_retries.get(tid, 0)
                     if retries >= 3:
                         raise SimulationError(

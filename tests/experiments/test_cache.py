@@ -221,15 +221,15 @@ def test_prediction_fingerprint_tracks_kernel_version(monkeypatch):
 
 
 def test_result_keys_are_pinned():
-    # Recorded before the prediction-engine switch was removed: a managed
-    # key still hashes the sweep fingerprint, so existing stores stay warm.
+    # A managed key also hashes the sweep fingerprint. A pin moves only
+    # when a hashed input changes, and every stored result goes cold.
     fingerprint = ExperimentRunner(CONFIG).fingerprint("pmd_scale")
     assert cache_mod.fixed_key(fingerprint, 1.0, CONFIG.quantum_ns) == (
-        "c8acc6819aba1f09a55d9e6c356314f0a77fc7dd11f4993b02d097c6f609491e"
+        "da36d9a5d642a36048e27073ed40baa39fcb306b549f9717de384dc4de354039"
     )
     assert cache_mod.managed_key(
         fingerprint,
         ManagerConfig(tolerable_slowdown=0.10),
         CONFIG.quantum_ns,
         prediction=cache_mod.prediction_fingerprint(),
-    ) == "e561fa1366853cb254ec8543c564864e5f17b1e44f133b0c45decd2fca9c0757"
+    ) == "69213a31fc294182e263f410d229836767c04bc41c9a41faa3b0804473a816c0"

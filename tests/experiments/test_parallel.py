@@ -2,9 +2,8 @@
 
 The end-to-end bit-parity of the pooled path is pinned separately in
 ``test_parallel_parity.py``; this file covers the pieces — work-item
-validation, job resolution, grid partitioning, the fixed/managed split —
-the ``batch=True`` route through ``fixed_runs_batch``, and recovery
-from a worker that dies outright.
+validation, job resolution, grid partitioning, and recovery from a
+worker that dies outright.
 """
 
 import multiprocessing
@@ -18,7 +17,6 @@ from repro.experiments import parallel
 from repro.experiments.cache import ResultCache
 from repro.experiments.parallel import (
     WorkItem,
-    _group_fixed,
     _partition,
     execute,
     fixed_items,
@@ -69,14 +67,6 @@ def test_resolve_jobs_explicit_env_and_errors(monkeypatch):
         resolve_jobs(0)
 
 
-def test_group_fixed_splits_by_benchmark():
-    grid = fixed_items(("a", "b"), (1.0, 2.0)) + managed_items(("a",), (0.1,))
-    fixed, rest = _group_fixed(grid)
-    assert sorted(fixed) == ["a", "b"]
-    assert [item.value for item in fixed["a"]] == [1.0, 2.0]
-    assert [item.kind for item in rest] == ["managed"]
-
-
 def test_partition_keeps_benchmarks_together_when_jobs_are_few():
     grid = sorted(fixed_items(("a", "b"), (1.0, 2.0, 3.0)))
     batches = _partition(grid, jobs=2)
@@ -96,27 +86,6 @@ def test_partition_splits_largest_batch_for_spare_workers():
 def test_partition_never_splits_single_items():
     grid = [WorkItem("fixed", "a", 1.0)]
     assert _partition(grid, jobs=8) == [grid]
-
-
-def test_serial_batch_path_matches_per_item_runs():
-    grid = fixed_items(CONFIG.benchmarks, (1.0, 4.0)) + managed_items(
-        CONFIG.benchmarks, CONFIG.thresholds
-    )
-    per_item = ExperimentRunner(CONFIG)
-    batched = ExperimentRunner(CONFIG)
-    execute(per_item, grid, jobs=1)
-    report = execute(batched, grid, jobs=1, batch=True)
-    assert report.jobs == 1
-    assert report.recovered == []
-    for item in grid:
-        if item.kind == "fixed":
-            a = per_item.fixed_run(item.benchmark, item.value)
-            b = batched.fixed_run(item.benchmark, item.value)
-        else:
-            a = per_item.managed_run(item.benchmark, item.value)
-            b = batched.managed_run(item.benchmark, item.value)
-        assert a.total_ns == b.total_ns, item
-        assert a.energy_j == b.energy_j, item
 
 
 @pytest.mark.skipif(

@@ -12,8 +12,6 @@ import collections
 import gc
 import weakref
 
-import pytest
-
 import repro.workloads.registry as registry
 from repro.experiments.cache import ResultCache
 from repro.experiments.cli import run_experiments, suite_work
@@ -52,7 +50,8 @@ def test_cold_runner_builds_each_program_once(monkeypatch):
     runner = ExperimentRunner(config)
     for benchmark in config.benchmarks:
         runner.fixed_run(benchmark, 1.0)
-        runner.fixed_runs_batch(benchmark, [2.0, 3.0])
+        runner.fixed_run(benchmark, 2.0)
+        runner.fixed_run(benchmark, 3.0)
         runner.managed_run(benchmark, 0.10)
     assert runner.simulations == 4 * len(config.benchmarks)
     assert builds == {benchmark: 1 for benchmark in config.benchmarks}
@@ -97,8 +96,7 @@ def _track_lifetimes(monkeypatch):
     return made, alive_at_build, programs
 
 
-@pytest.mark.parametrize("batch", [False, True], ids=["per-item", "batch"])
-def test_cold_execute_keeps_one_program_resident(monkeypatch, batch):
+def test_cold_execute_keeps_one_program_resident(monkeypatch):
     config = ExperimentConfig(
         scale=0.02,
         benchmarks=("pmd_scale", "sunflow", "lusearch_fix"),
@@ -110,7 +108,7 @@ def test_cold_execute_keeps_one_program_resident(monkeypatch, batch):
     grid += managed_items(config.benchmarks, config.thresholds)
     made, alive_at_build, programs = _track_lifetimes(monkeypatch)
     runner = ExperimentRunner(config)
-    execute(runner, grid, jobs=1, batch=batch)
+    execute(runner, grid, jobs=1)
     assert runner.simulations == len(grid)
     assert made == {benchmark: 1 for benchmark in config.benchmarks}
     assert alive_at_build == [[]] * len(config.benchmarks)

@@ -29,12 +29,12 @@ from repro.qa.fuzzer import fuzz_case
 #: Built-in family -> (profile key, workload fingerprint) of its first
 #: (base frequency, quantum) point.
 PINNED = {
-    "compute": ("3739e6451a5bfe6e", "5de176dc5dd16b82"),
-    "memstream": ("92d6e6a3d0ff7bd8", "ed988ab170c99167"),
-    "phased": ("04469692fe311529", "cc3363907c780203"),
-    "locky": ("5994daec6ec0d3fa", "deed1c7d63b22377"),
-    "barrier": ("a020114578305eb3", "a754022dfe9d2d2e"),
-    "gcheavy": ("9f391025f6310acb", "21f2da9846d0e96f"),
+    "compute": ("538b04bb8df75c8f", "c4ad574947263fd9"),
+    "memstream": ("450625df9ae85254", "181fadd0abad7524"),
+    "phased": ("fd5db16e438657f2", "552aeff85a693b31"),
+    "locky": ("e7de6ac2ef10d2ab", "c3a9a673234e0bd8"),
+    "barrier": ("d162f069d66bac21", "6282290c3ea49de6"),
+    "gcheavy": ("0d4642ef469d0365", "3830ca92cee4596c"),
 }
 
 

@@ -22,20 +22,20 @@ TENANTS = 256
 
 #: (seed, policy, power cap W) -> sha256 of the canonical report.
 DIGESTS = {
-    (3, "static-max", 400.0): "0550bbca46d9744866a2f982a249b36934a28f443074afee598bd62711fb9cad",
-    (3, "paper-governor", 400.0): "749639e09a367120172b29925e59163b731e4c6e10333aca97b7f11eabceaaee",
-    (3, "static-oracle", 400.0): "a5b6a830103c39b2645735b1d3c5dcaae365dadab2d7146be56f89b2112ec855",
-    (3, "predictive-admission", 400.0): "880fac06a6b61d640e7067de016e075473daaf469020b52360881072ca6ab029",
-    (3, "tail-allocator", 400.0): "8fa867766707ba3406bbf2bc194ba986e7e80b27975f30f4d12cbc741e1aebd5",
-    (1234, "static-max", 400.0): "67a9f24af4aff5e623c9b0c53d2fcb1a379861d140bb34fb3ec19ee8ca244ef0",
-    (1234, "paper-governor", 400.0): "20fc81bf4bf0b6ad953f4c4bb3b0bf5abc8ecb083e3d766a874215ef7e13304c",
-    (1234, "static-oracle", 400.0): "b1ba2abf7d7e290b1bad4fdd1793e561f4b04b78a05dc75f63416ba9b039d7bb",
-    (1234, "predictive-admission", 400.0): "10c27aa7e70f1a2661c12fc82b8f844b21385e1e43c865f03ebe0b76717e802f",
-    (1234, "tail-allocator", 400.0): "02cd3daa1313c75e6a289a47a79491f5c1c049377f3544e43c06df5860ccf0c2",
-    (3, "tail-allocator", 150.0): "0e65fc7b9b50813dec1ceca30742bfaf2b1ec2e31c299dfcaf91262ba0d439b5",
-    (3, "predictive-admission", 150.0): "d377a90057628bc114fe4384987a07402f062615748edd3c9622dd2b09467430",
-    (1234, "tail-allocator", 150.0): "5b9c6a5e073fb951a43adc2c38fb8d95829d40d07e665cd77321d1926f93d213",
-    (1234, "predictive-admission", 150.0): "3ddce86a4f460c069a79c17e1e6406ceb858d0fbe37e8bf4e2cba84a2efd56f6",
+    (3, "static-max", 400.0): "77f1fa8a8f52389a06fa6b4ffc9f9562d90c93a3cb45a3ef826c09800ca05f42",
+    (3, "paper-governor", 400.0): "f9204a2f5dc4729d406a696ba2fd6cf1bd57a420766db2e17db59d7ad1b7c51e",
+    (3, "static-oracle", 400.0): "c9533231e35545282f55ea909ad43a151b673600c18b239b586db949c7ab1b19",
+    (3, "predictive-admission", 400.0): "9f377ee53d4145b0796c26c8d9bac7c4097e8b67012d3d49d0c80d75d6abad95",
+    (3, "tail-allocator", 400.0): "12ed261fe763dbbe381959e9e2afb2946062147ac2bec4ecbb621aeacdd0826a",
+    (1234, "static-max", 400.0): "ccd629ed56964d3bca72b67ed1ee73dc6c8d93be1872309355bd28fdb4ccdfa4",
+    (1234, "paper-governor", 400.0): "0c1afa17bec344c05c42dabaddb05b22583e29f04e6faf3e517b3e417fd80c82",
+    (1234, "static-oracle", 400.0): "f1951a384710d2976ee51d4cf275185ca1827626e5ec615a7e7688f0b029e241",
+    (1234, "predictive-admission", 400.0): "9548ca7f2f9e222392adbc2e0fdfc5c0781671909ea189283d4fb8b4b85530db",
+    (1234, "tail-allocator", 400.0): "15052b3862a7e4cbac3d4bfb941f571c4809ed335b587ff700c9f90b69d743e4",
+    (3, "tail-allocator", 150.0): "d941daf2c302c02a8aa337dc0513ebe3503b2523b41d9e773d8c991a309fd497",
+    (3, "predictive-admission", 150.0): "afe639951850f5011aac09be9a6e6ec7c9d7b478d4fd31bb3013c7c206c5b5d5",
+    (1234, "tail-allocator", 150.0): "9abb1f62abf9e5406a6f3a01f95d5019f3af33ebf9f459b73c4b99f7e718a17e",
+    (1234, "predictive-admission", 150.0): "dc7a3771c7b1087eb77484042be96363fedb15cc6188fe53c3791dce4c52043c",
 }
 
 

@@ -349,22 +349,6 @@ def test_gc_models_are_keyed_by_gc_config_value():
     assert models[1].config == other.gc
 
 
-def test_explicit_gc_model_is_kept():
-    program = allocating_program()
-    spec = haswell_i7_4770k()
-    mine = GcModel(GcConfig(), spec.dram, program.seed)
-    models = _gc_models(
-        [
-            BatchInstance(
-                program=program, freq_ghz=1.0, spec=spec, gc_model=mine
-            ),
-            BatchInstance(program=program, freq_ghz=2.0, spec=spec),
-        ]
-    )
-    assert models[0] is mine
-    assert models[1] is not mine
-
-
 def test_classic_lanes_keep_private_gc_models():
     program = allocating_program()
     spec = haswell_i7_4770k()

@@ -8,7 +8,9 @@ Takes no options and writes no files. Runs six pinned measurements and
 prints one line per floor: the reading and its pass line. Exits 1 when
 any reading falls below its line. Each speedup compares two computations
 whose outputs must be identical; the run aborts (exit 1) as soon as a
-pair diverges, so every reading is pure mechanics.
+pair diverges, so every reading is pure mechanics. Each group of floors
+below is measured in a fresh interpreter of its own, so no group's heap
+and caches weigh on the next one's reading.
 
 ``hotpath``
     DES core throughput (events/s) of the fast engine on the GC-free,
@@ -40,6 +42,7 @@ pair diverges, so every reading is pure mechanics.
 from __future__ import annotations
 
 import json
+import subprocess
 import sys
 import tempfile
 import time
@@ -326,10 +329,38 @@ def fleet_floors() -> List[Reading]:
     ]
 
 
-def main() -> int:
+FLOORS = {
+    floor.__name__: floor
+    for floor in (hotpath_floor, sweep_floors, batch_floor, fleet_floors)
+}
+
+#: Internal first argument: measure one floor group and print its
+#: readings as JSON (how :func:`main` runs each group in a child).
+_MEASURE_ONE = "--measure-one"
+
+
+def _measure_in_child(name: str) -> List[Reading]:
+    """The readings of ``FLOORS[name]``, measured in a fresh interpreter.
+
+    A child that fails (a divergence, a crash) has printed why on
+    stderr; the whole run stops with its exit status.
+    """
+    child = subprocess.run(
+        [sys.executable, __file__, _MEASURE_ONE, name],
+        stdout=subprocess.PIPE, text=True,
+    )
+    if child.returncode:
+        raise SystemExit(child.returncode)
+    return [tuple(reading) for reading in json.loads(child.stdout)]
+
+
+def main(argv: List[str]) -> int:
+    if argv[:1] == [_MEASURE_ONE]:
+        json.dump(FLOORS[argv[1]](), sys.stdout)
+        return 0
     failed = 0
-    for floor in (hotpath_floor, sweep_floors, batch_floor, fleet_floors):
-        for name, value, line, unit, detail in floor():
+    for floor in FLOORS:
+        for name, value, line, unit, detail in _measure_in_child(floor):
             ok = value >= line
             failed += not ok
             print(
@@ -341,4 +372,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(main(sys.argv[1:]))
