@@ -73,10 +73,10 @@ class BatchTiming:
 class CoreModel:
     """Timing model of one out-of-order core at an adjustable frequency."""
 
-    #: Cluster elements per chunk of the multi-frequency memory pass.
-    #: Chunks are cut at segment boundaries near this size so the
-    #: ``(n_freqs x chunk)`` working buffers stay cache-resident while a
-    #: chunk's cluster latencies are reused across every frequency.
+    #: Cluster elements per chunk of the batched memory pass. Chunks are
+    #: cut at segment boundaries near this size so the ``(n_freqs x
+    #: chunk)`` working buffers stay cache-resident while a chunk's
+    #: cluster latencies are reused across every frequency.
     _MULTI_CHUNK = 32_768
 
     def __init__(self, spec: MachineSpec) -> None:
@@ -177,126 +177,32 @@ class CoreModel:
         return SegmentTiming(wall_ns=timing.wall_ns, counters=counters)
 
     # ------------------------------------------------------------------
-    # Batched timing (the merged-plan hot path)
+    # Batched timing
     # ------------------------------------------------------------------
-
-    def time_batch(self, batch: SegmentBatch, freq_ghz: float) -> BatchTiming:
-        """Time every segment of ``batch`` at ``freq_ghz`` in one pass.
-
-        Bit-compatibility contract: each wall time and counter value equals
-        the scalar :meth:`time_segment` result for the same segment — the
-        vectorized expressions perform the identical IEEE-754 operations
-        elementwise, and per-segment cluster reductions sum each run of
-        equal-count segments (:attr:`SegmentBatch.m_runs`) as one row
-        block, whose rows are the segments' contiguous slices (the same
-        pairwise summation NumPy applies to each standalone array).
-        """
-        n = batch.n
-        walls: List[float] = [0.0] * n
-        counters: List[CounterSet] = [None] * n  # type: ignore[list-item]
-
-        if batch.c_pos:
-            wall_arr = batch.c_insns_f * batch.c_cpi / freq_ghz
-            for pos, wall, insns in zip(
-                batch.c_pos, wall_arr.tolist(), batch.c_insns
-            ):
-                walls[pos] = wall
-                counters[pos] = CounterSet(wall, 0.0, 0.0, 0.0, 0.0, insns, 0)
-
-        if batch.s_pos:
-            produce_rate = self._sq_model.store_issue_per_cycle * freq_ghz
-            entries = self._sq_model.config.entries
-            with np.errstate(all="ignore"):
-                drain_rate = 1.0 / batch.s_drain
-                issue = batch.s_stores_f / produce_rate
-                fill = entries / (produce_rate - drain_rate)
-                issued_at_fill = produce_rate * fill
-                remaining = batch.s_stores_f - issued_at_fill
-                full = remaining * batch.s_drain
-                stalled = (drain_rate < produce_rate) & (fill < issue)
-                wall_arr = np.where(stalled, fill + full, issue)
-                sq_full_arr = np.where(stalled, full, 0.0)
-            for pos, wall, sq_full, n_stores in zip(
-                batch.s_pos, wall_arr.tolist(), sq_full_arr.tolist(),
-                batch.s_stores,
-            ):
-                walls[pos] = wall
-                counters[pos] = CounterSet(
-                    wall, 0.0, 0.0, 0.0, sq_full, n_stores, n_stores
-                )
-
-        if batch.m_pos:
-            queue_factor = self.queue_factor(freq_ghz)
-            compute_arr = batch.m_insns_f * batch.m_cpi / freq_ghz
-            total_chain_arr = batch.m_total_chain * queue_factor
-            leading_arr = batch.m_leading * queue_factor
-            hide_arr = self._rob_hide_insns * batch.m_cpi / freq_ghz
-            commit_under_arr = (
-                self.spec.core.commit_under_miss_insns * batch.m_cpi / freq_ghz
-            )
-            counts = batch.m_cluster_counts
-            offsets = batch.m_cluster_offsets
-            exposed_all = np.maximum(
-                batch.m_clusters * queue_factor - np.repeat(hide_arr, counts),
-                0.0,
-            )
-            stall_all = np.maximum(
-                exposed_all - np.repeat(commit_under_arr, counts), 0.0
-            )
-            n_m = len(batch.m_pos)
-            exposed_sums = np.zeros(n_m)
-            stall_sums = np.zeros(n_m)
-            # Per-segment cluster sums, one row-block sum per run of
-            # equal-count segments: each row is one segment's contiguous
-            # slice, summed by the same pairwise kernel as the scalar
-            # path's ``.sum()``.
-            for lo, hi, n_clusters in batch.m_runs:
-                clo = offsets[lo]
-                chi = offsets[hi]
-                exposed_sums[lo:hi] = (
-                    exposed_all[clo:chi].reshape(hi - lo, n_clusters).sum(axis=1)
-                )
-                stall_sums[lo:hi] = (
-                    stall_all[clo:chi].reshape(hi - lo, n_clusters).sum(axis=1)
-                )
-            clustered = counts > 0
-            hidden = np.minimum(total_chain_arr - exposed_sums, compute_arr)
-            wall_arr = np.where(
-                clustered, compute_arr - hidden + total_chain_arr, compute_arr
-            )
-            stall_arr = np.where(clustered, stall_sums, 0.0)
-            for pos, wall, total, leading, stall, insns in zip(
-                batch.m_pos, wall_arr.tolist(), total_chain_arr.tolist(),
-                leading_arr.tolist(), stall_arr.tolist(), batch.m_insns,
-            ):
-                walls[pos] = wall
-                counters[pos] = CounterSet(
-                    wall, total, leading, stall, 0.0, insns, 0
-                )
-
-        return BatchTiming(walls=walls, counters=counters)
 
     def time_batch_multi(
         self, batch: SegmentBatch, freqs_ghz: Sequence[float]
     ) -> List[BatchTiming]:
-        """Time every segment of ``batch`` at every frequency in one pass.
+        """Time every segment of ``batch`` at each of ``freqs_ghz``.
 
-        Returns one :class:`BatchTiming` per entry of ``freqs_ghz``, each
-        bit-identical to ``time_batch(batch, f)`` — and therefore to the
-        scalar :meth:`time_segment`. The win over calling ``time_batch``
-        per frequency is cache locality: the concatenated cluster array
-        (the dominant traffic for memory-heavy programs) is walked in
-        chunks of ~:data:`_MULTI_CHUNK` elements, and each chunk is timed
-        at *all* frequencies while it is cache-hot, instead of streaming
-        the full array from DRAM once per frequency.
+        Returns one :class:`BatchTiming` per entry of ``freqs_ghz``; the
+        DES pre-times a program at one frequency (``[f]``), a batch group
+        at all of its set points in one call. Every wall time and counter
+        value equals the scalar :meth:`time_segment` result for the same
+        segment: the vectorized expressions perform the identical
+        IEEE-754 operations elementwise.
 
-        Bit-compatibility rests on two facts the tests pin: elementwise
-        ufunc chains produce the identical IEEE-754 value per element no
-        matter how the array is chunked, and a run's row block of the
-        ``(frequencies, clusters)`` buffer sums along its last axis
-        (pairwise) to the same bits as each standalone 1-D slice. Chunks
-        are cut only at segment boundaries, so a run split across chunks
-        is summed chunk by chunk over whole segments.
+        The concatenated cluster array (the dominant traffic for
+        memory-heavy programs) is walked in chunks of about
+        :data:`_MULTI_CHUNK` elements, cut at segment boundaries, and each
+        chunk is timed at every frequency while it is cache-hot. The
+        per-segment hide and commit terms are divided by the frequency
+        before they are repeated over the chunk's clusters, so no buffer
+        the length of the whole cluster array is ever built. Per-segment
+        sums take one row-block ``sum`` per run of equal-count segments
+        (:attr:`SegmentBatch.m_runs`, split at chunk edges): each row is
+        one segment's contiguous slice, summed pairwise to the same bits
+        as the scalar path's ``.sum()`` of the standalone array.
         """
         freqs = [float(f) for f in freqs_ghz]
         nf = len(freqs)
@@ -306,7 +212,7 @@ class CoreModel:
         ]
 
         if batch.c_pos:
-            # time_batch evaluates (insns_f * cpi) / f left to right; the
+            # time_segment evaluates (insns * cpi) / f left to right; the
             # frequency-invariant product is hoisted, the division stays
             # per frequency — the same two operations per element.
             prod = batch.c_insns_f * batch.c_cpi
@@ -359,11 +265,6 @@ class CoreModel:
             exposed_sums = np.zeros((nf, n_m))
             stall_sums = np.zeros((nf, n_m))
             if int(offsets[-1]):
-                # repeat(a * b) / f applies the same scalar operations per
-                # element as repeat(a * b / f): hoist the repeat, divide
-                # inside the frequency loop.
-                hide_rep = np.repeat(hide_num, counts)
-                commit_rep = np.repeat(commit_num, counts)
                 clusters = batch.m_clusters
                 runs = batch.m_runs
                 run = 0
@@ -378,25 +279,32 @@ class CoreModel:
                         lo_seg = hi_seg
                         continue
                     chunk = clusters[clo:chi]
-                    chunk_hide = hide_rep[clo:chi]
-                    chunk_commit = commit_rep[clo:chi]
-                    clen = chi - clo
-                    exposed = np.empty((nf, clen))
-                    stall = np.empty((nf, clen))
-                    scratch = np.empty(clen)
+                    chunk_counts = counts[lo_seg:hi_seg]
+                    chunk_hide = hide_num[lo_seg:hi_seg]
+                    chunk_commit = commit_num[lo_seg:hi_seg]
+                    exposed = np.empty((nf, chi - clo))
+                    stall = np.empty((nf, chi - clo))
                     for fi, freq_ghz in enumerate(freqs):
+                        # (a * cpi) / f per segment, then repeated per
+                        # cluster: the scalar path's operations, in order.
                         row_e = exposed[fi]
                         row_s = stall[fi]
                         np.multiply(chunk, queue_factors[fi], out=row_e)
-                        np.divide(chunk_hide, freq_ghz, out=scratch)
-                        np.subtract(row_e, scratch, out=row_e)
+                        np.subtract(
+                            row_e,
+                            np.repeat(chunk_hide / freq_ghz, chunk_counts),
+                            out=row_e,
+                        )
                         np.maximum(row_e, 0.0, out=row_e)
-                        np.divide(chunk_commit, freq_ghz, out=scratch)
-                        np.subtract(row_e, scratch, out=row_s)
+                        np.subtract(
+                            row_e,
+                            np.repeat(chunk_commit / freq_ghz, chunk_counts),
+                            out=row_s,
+                        )
                         np.maximum(row_s, 0.0, out=row_s)
                     # Per-segment reductions, all frequencies at once: one
                     # row-block sum per run of equal-count segments (or the
-                    # part of a run inside this chunk), as in time_batch.
+                    # part of a run inside this chunk).
                     while run < len(runs) and runs[run][0] < hi_seg:
                         lo, hi, n_clusters = runs[run]
                         lo = max(lo, lo_seg)

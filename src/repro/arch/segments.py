@@ -142,18 +142,17 @@ Segment = Union[ComputeSegment, MemorySegment, StoreBurstSegment]
 
 
 class SegmentBatch:
-    """Columnar view of a run of consecutive segments, for vectorized timing.
+    """Columnar view of a sequence of segments, for vectorized timing.
 
-    The discrete-event core merges runs of back-to-back segments (long
-    allocation zero-init bursts, GC trace/copy chunk sequences) into one
-    scheduled "plan"; this class regroups the plan's segments by kind into
-    flat NumPy columns so :meth:`~repro.arch.core.CoreModel.time_batch` can
-    time a whole run with a handful of array expressions instead of one
+    The discrete-event core pre-times a whole program (or a GC cycle)
+    before it runs; this class regroups its segments by kind into flat
+    NumPy columns so :meth:`~repro.arch.core.CoreModel.time_batch_multi`
+    can time them all with a handful of array expressions instead of one
     Python dispatch per segment.
 
     Memory segments are ordered by cluster count (a stable sort, so equal
-    counts keep their plan order) and ``m_pos`` maps each back to its
-    plan position. Their cluster latencies are concatenated into a single
+    counts keep their input order) and ``m_pos`` maps each back to its
+    input position. Their cluster latencies are concatenated into a single
     array with CSR-style ``m_cluster_offsets``, so each run of equal-count
     segments, ``m_runs`` entry ``(lo, hi, n_clusters)``, is one
     ``(hi - lo, n_clusters)`` block. Summing a block along its rows is

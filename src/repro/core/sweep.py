@@ -23,7 +23,7 @@ the whole sweep as array kernels:
   counter timeline, phase split) across every predictor and target, and
   folding every DEP lane it is told to expect in one CTP pass.
 
-Bit-compatibility contract (the discipline ``CoreModel.time_batch`` and
+Bit-compatibility contract (the discipline ``CoreModel.time_batch_multi`` and
 :mod:`repro.core.vectorized` established): results are **bit-identical**
 to the scalar paths because the kernels perform the identical IEEE-754
 operations in the identical order. Only the per-(entry, target)

@@ -5,11 +5,11 @@ The online prediction service (:mod:`repro.serve`) coalesces concurrent
 costs one :func:`~repro.core.model.decompose` per (epoch, thread) entry
 and one Python-level multiply-add per target frequency; this module
 flattens every entry of every request in a batch into column arrays —
-the same idiom as :meth:`repro.arch.core.CoreModel.time_batch` — and
+the same idiom as :meth:`repro.arch.core.CoreModel.time_batch_multi` — and
 performs the decomposition and frequency scaling as elementwise NumPy
 expressions.
 
-Bit-compatibility contract (mirroring ``time_batch``): every predicted
+Bit-compatibility contract (mirroring ``time_batch_multi``): every predicted
 duration equals the scalar ``predictor.predict_epochs`` result for the
 same job, because the vectorized expressions perform the identical
 IEEE-754 operations elementwise:

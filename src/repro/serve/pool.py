@@ -170,18 +170,23 @@ class WorkerPool:
     # ------------------------------------------------------------------
 
     def start(self, ready_timeout: float = 60.0) -> None:
-        """Spawn every worker and wait until each answers ``health``."""
+        """Spawn every worker and wait until each answers ``health``.
+
+        If a spawn or the wait fails, the workers already spawned are
+        stopped and the pool's own directory is removed before the error
+        propagates.
+        """
         if self._processes:
             raise RuntimeError("pool already started")
         context = multiprocessing.get_context("spawn")
-        for config in self.worker_configs:
-            process = context.Process(
-                target=_worker_main, args=(config,), daemon=True,
-                name=f"repro-serve-w{config.worker_id}",
-            )
-            process.start()
-            self._processes.append(process)
         try:
+            for config in self.worker_configs:
+                process = context.Process(
+                    target=_worker_main, args=(config,), daemon=True,
+                    name=f"repro-serve-w{config.worker_id}",
+                )
+                process.start()
+                self._processes.append(process)
             self._wait_ready(ready_timeout)
         except Exception:
             self.stop()

@@ -13,10 +13,10 @@ what is computed:
   so the static program is pre-timed **once per frequency for the whole
   group** instead of once per lane;
 * the pre-timing itself runs through
-  :meth:`~repro.arch.core.CoreModel.time_batch_multi`: all of a group's
-  distinct lane frequencies are evaluated in one cache-blocked columnar
-  pass over the concatenated cluster arrays, instead of streaming them
-  from memory once per frequency;
+  :meth:`~repro.arch.core.CoreModel.time_batch_multi`, the kernel a solo
+  System calls with its one frequency: all of a group's distinct lane
+  frequencies are evaluated in one cache-blocked columnar pass over the
+  concatenated cluster arrays, instead of one pass per frequency;
 * the group's lanes share one :class:`~repro.jvm.gc.GcModel` per GC
   config, so each GC cycle program is built once for the group instead
   of once per lane. Cycle *timings* stay lane-private: a System evicts
@@ -156,10 +156,10 @@ class SharedTimingStore:
 
         ``segments`` is the union of the group's static segments (each
         lane's application + JIT programs). Frequencies already present
-        in the store are skipped; the rest are filled through
-        :meth:`~repro.arch.core.CoreModel.time_batch_multi`, which is
-        bit-identical per segment to the per-frequency warm a solo
-        System performs in ``_freq_cache``.
+        in the store are skipped; the rest are filled by one
+        :meth:`~repro.arch.core.CoreModel.time_batch_multi` call over all
+        of them, bit-identical per segment to the one-frequency call a
+        solo System makes in ``_warm_cache``.
         """
         todo = [f for f in dict.fromkeys(freqs_ghz) if f not in self.caches]
         if not todo:

@@ -522,8 +522,8 @@ class System:
         Application segments are unique instances, so per-plan caching
         never hits for them; but the programs are pre-materialized, so all
         their segments can be timed in one vectorized batch up front.
-        ``time_batch`` is bit-identical to ``time_segment`` by contract,
-        which makes warming purely an optimization.
+        ``time_batch_multi`` is bit-identical to ``time_segment`` by
+        contract, which makes warming purely an optimization.
         """
         cache = self._timing_cache.get(freq)
         if cache is None:
@@ -540,7 +540,7 @@ class System:
         misses = [s for s in segments if id(s) not in cache]
         if not misses:
             return
-        batch = self.core_model.time_batch(SegmentBatch(misses), freq)
+        (batch,) = self.core_model.time_batch_multi(SegmentBatch(misses), [freq])
         for segment, wall, counters in zip(misses, batch.walls, batch.counters):
             cache[id(segment)] = (segment, wall, counters)
 
@@ -571,53 +571,18 @@ class System:
             self.segments_timed += 1
             return
         cache = self._freq_cache(freq)
-        if len(pending) == 1:
-            # Lock/allocation-heavy programs produce mostly single-segment
-            # plans; skip the batch machinery for them.
-            segment = pending.popleft()
+        count = min(len(pending), limit)
+        segments = [pending.popleft() for _ in range(count)]
+        walls: List[float] = []
+        counters: List[CounterSet] = []
+        for segment in segments:
             hit = cache.get(id(segment))
             if hit is None:
                 timing = self.core_model.time_segment(segment, freq)
                 hit = (segment, timing.wall_ns, timing.counters)
                 cache[id(segment)] = hit
-            wall = hit[1]
-            end = start + wall
-            thread.set_plan(start, [end], [wall], [hit[2]], [segment])
-            self._plans_inflight[tid] = thread
-            self._queue.push(end, ("seg", tid, self._bump_token(tid)))
-            self.segments_timed += 1
-            return
-        count = min(len(pending), limit)
-        segments = [pending.popleft() for _ in range(count)]
-        walls: List[float] = [0.0] * count
-        counters: List[CounterSet] = [None] * count  # type: ignore[list-item]
-        miss_pos: List[int] = []
-        for k, segment in enumerate(segments):
-            hit = cache.get(id(segment))
-            if hit is not None:
-                walls[k] = hit[1]
-                counters[k] = hit[2]
-            else:
-                miss_pos.append(k)
-        n_miss = len(miss_pos)
-        if n_miss:
-            if n_miss <= 8:
-                # Too small to amortize the vectorized path's setup.
-                for k in miss_pos:
-                    segment = segments[k]
-                    timing = self.core_model.time_segment(segment, freq)
-                    walls[k] = timing.wall_ns
-                    counters[k] = timing.counters
-                    cache[id(segment)] = (segment, timing.wall_ns, timing.counters)
-            else:
-                misses = [segments[k] for k in miss_pos]
-                batch = self.core_model.time_batch(SegmentBatch(misses), freq)
-                for k, segment, wall, cs in zip(
-                    miss_pos, misses, batch.walls, batch.counters
-                ):
-                    walls[k] = wall
-                    counters[k] = cs
-                    cache[id(segment)] = (segment, wall, cs)
+            walls.append(hit[1])
+            counters.append(hit[2])
         ends: List[float] = []
         t = start
         n_take = count

@@ -164,7 +164,7 @@ def test_time_batch_multi_bitwise_matches_per_frequency_batch():
     multi = core.time_batch_multi(batch, freqs)
     assert len(multi) == len(freqs)
     for freq, timing in zip(freqs, multi):
-        single = core.time_batch(batch, freq)
+        (single,) = core.time_batch_multi(batch, [freq])
         assert timing.walls == single.walls  # exact, not approx
         assert timing.counters == single.counters
 
@@ -266,7 +266,7 @@ def test_run_block_sums_match_time_segment_in_every_band():
     for freq, multi in zip(freqs, core.time_batch_multi(batch, freqs)):
         _assert_matches_time_segment(core, segments, freq, multi)
         _assert_matches_time_segment(
-            core, segments, freq, core.time_batch(batch, freq)
+            core, segments, freq, core.time_batch_multi(batch, [freq])[0]
         )
 
 
@@ -283,3 +283,37 @@ def test_runs_straddling_multi_chunks_stay_bit_identical(monkeypatch, chunk):
     freqs = [1.5, 3.5]
     for freq, multi in zip(freqs, core.time_batch_multi(batch, freqs)):
         _assert_matches_time_segment(core, segments, freq, multi)
+
+
+def test_time_batch_multi_working_memory_stays_below_the_cluster_array():
+    """The kernel works chunk by chunk: timing ~400 k clusters at one
+    frequency allocates less than the batch's own cluster array, so no
+    buffer the length of that array is built."""
+    import tracemalloc
+
+    import numpy as np
+
+    from repro.arch.segments import SegmentBatch
+
+    rng = np.random.default_rng(35)
+    segments = []
+    for _ in range(2000):
+        chains = rng.uniform(30.0, 600.0, size=int(rng.integers(100, 300)))
+        segments.append(
+            MemorySegment(
+                insns=int(rng.integers(1000, 50_000)),
+                cpi=float(rng.uniform(0.3, 1.2)),
+                chain_ns=chains,
+                leading_total_ns=float(chains.sum() / 2),
+            )
+        )
+    core = CoreModel(haswell_i7_4770k())
+    batch = SegmentBatch(segments)
+    assert len(batch.m_clusters) > 350_000
+    tracemalloc.start()
+    try:
+        core.time_batch_multi(batch, [2.0])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < batch.m_clusters.nbytes

@@ -1,4 +1,4 @@
-"""Batched timing kernels equal ``time_segment`` on every DaCapo segment.
+"""The batched timing kernel equals ``time_segment`` on every DaCapo segment.
 
 Runs :mod:`tests.arch.timing_parity` at reduced scale; CI's ``lint`` job
 runs the same check over the full-scale programs.

@@ -1,10 +1,11 @@
-"""Batched timing kernels against ``time_segment`` on the DaCapo programs.
+"""The batched timing kernel against ``time_segment`` on the DaCapo programs.
 
 Times every static segment of the seven DaCapo programs (the segment of
 every ``Run`` action of every thread) with
-:meth:`~repro.arch.core.CoreModel.time_batch` and
 :meth:`~repro.arch.core.CoreModel.time_batch_multi` at every frequency of
-:data:`FREQS`, and compares each wall time and counter set with the
+:data:`FREQS`, called both ways the simulator calls it: one frequency at
+a time (``[f]``, the DES's warm) and all of them at once (a batch
+group's warm). Each wall time and counter set is compared with the
 scalar :meth:`~repro.arch.core.CoreModel.time_segment` bit for bit.
 ``tests/arch/test_timing_parity.py`` runs it at reduced scale; run this
 module to check another scale::
@@ -56,25 +57,26 @@ def _bits(wall: float, counters) -> str:
 def mismatches(
     core: CoreModel, segments: Sequence[Segment], freqs: Sequence[float]
 ) -> Iterator[str]:
-    """One message per (segment, frequency, kernel) that differs from
+    """One message per (segment, frequency, call) that differs from
     ``time_segment``, in segment order."""
     for lo in range(0, len(segments), GROUP):
         group = segments[lo : lo + GROUP]
         batch = SegmentBatch(group)
         multi = core.time_batch_multi(batch, freqs)
         for freq, multi_timing in zip(freqs, multi):
-            single = core.time_batch(batch, freq)
+            (single,) = core.time_batch_multi(batch, [freq])
             for i, segment in enumerate(group):
                 solo = core.time_segment(segment, freq)
                 want = _bits(solo.wall_ns, solo.counters)
-                for kernel, timing in (
-                    ("time_batch", single), ("time_batch_multi", multi_timing)
+                for call, timing in (
+                    ("[f]", single), ("all frequencies", multi_timing)
                 ):
                     got = _bits(timing.walls[i], timing.counters[i])
                     if got != want:
                         yield (
-                            f"segment {lo + i} at {freq} GHz: {kernel} "
-                            f"gives {got}, time_segment {want}"
+                            f"segment {lo + i} at {freq} GHz: "
+                            f"time_batch_multi ({call}) gives {got}, "
+                            f"time_segment {want}"
                         )
 
 

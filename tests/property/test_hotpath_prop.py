@@ -5,7 +5,7 @@ Two guarantees the fast engine rests on:
 * a mid-flight DVFS rescale preserves the completed fraction of the
   in-flight segment and its final counters *exactly* — the re-anchored
   plan lands on the closed-form single-segment answer bit for bit;
-* :meth:`CoreModel.time_batch` is bit-identical to per-segment
+* :meth:`CoreModel.time_batch_multi` is bit-identical to per-segment
   :meth:`CoreModel.time_segment` calls, including the per-cluster
   reductions around NumPy's pairwise-summation block thresholds (8, 128).
 """
@@ -123,7 +123,7 @@ def _segments(draw):
 def test_time_batch_bitwise_equals_time_segment(segments, freq_ghz):
     """Batched timing is bit-identical to the scalar path, per segment."""
     model = CoreModel(_SPEC)
-    batch_timing = model.time_batch(SegmentBatch(segments), freq_ghz)
+    (batch_timing,) = model.time_batch_multi(SegmentBatch(segments), [freq_ghz])
     for i, segment in enumerate(segments):
         scalar = model.time_segment(segment, freq_ghz)
         assert batch_timing.walls[i] == scalar.wall_ns

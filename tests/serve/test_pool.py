@@ -67,9 +67,12 @@ def test_unix_worker_configs_derive_private_sockets(tmp_path):
 def test_tcp_worker_configs_share_a_reuse_port(tmp_path):
     base = ServeConfig(host="127.0.0.1", port=0)
     pool = WorkerPool(base, n_workers=2)  # never started
-    ports = {c.port for c in pool.worker_configs}
-    assert len(ports) == 1 and 0 not in ports  # one concrete shared port
-    assert all(c.reuse_port for c in pool.worker_configs)
+    try:
+        ports = {c.port for c in pool.worker_configs}
+        assert len(ports) == 1 and 0 not in ports  # one concrete shared port
+        assert all(c.reuse_port for c in pool.worker_configs)
+    finally:
+        pool.stop()  # removes the pool's own fleet directory
 
 
 def test_unix_and_tcp_listeners_are_independent(tmp_path):
@@ -167,3 +170,51 @@ def test_stop_reaps_workers_and_cleans_the_filesystem(tmp_path):
     assert not any(os.path.exists(p) for p in pool.worker_paths())
     assert own_dir is not None and not os.path.exists(own_dir)
     pool.stop()  # idempotent
+
+
+class _FakeProcess:
+    """A ``multiprocessing.Process`` stand-in that starts nothing."""
+
+    def __init__(self, spawned, fail_on, name, **_):
+        self.spawned = spawned
+        self.fail_on = fail_on
+        self.name = name
+        self.alive = False
+        self.terminated = False
+
+    def start(self):
+        if len(self.spawned) == self.fail_on:
+            raise OSError("spawn failed")
+        self.spawned.append(self)
+        self.alive = True
+
+    def is_alive(self):
+        return self.alive
+
+    def terminate(self):
+        self.terminated = True
+        self.alive = False
+
+    def join(self, timeout=None):
+        pass
+
+
+def test_failed_spawn_stops_the_workers_already_started(tmp_path, monkeypatch):
+    import multiprocessing
+
+    spawned = []
+
+    class FakeContext:
+        def Process(self, **kwargs):
+            return _FakeProcess(spawned, fail_on=1, **kwargs)
+
+    monkeypatch.setattr(multiprocessing, "get_context", lambda _: FakeContext())
+    base = ServeConfig(socket_path=str(tmp_path / "serve.sock"))
+    pool = WorkerPool(base, n_workers=3)
+    own_dir = pool._own_dir
+    assert own_dir is not None and os.path.isdir(own_dir)
+    with pytest.raises(OSError, match="spawn failed"):
+        pool.start()
+    assert len(spawned) == 1 and spawned[0].terminated
+    assert pool.alive() == []
+    assert not os.path.exists(own_dir)

@@ -88,9 +88,15 @@ FIGURES_MIN_SPEEDUP = min(3.0, 0.70 * 11.081247226958784)
 #: min(5.0, 0.70 x 6.868503856277873), the governor_quantum speedup in
 #: BENCH_sweep.json: 4.808x, the baseline ratio binds.
 GOVERNOR_MIN_SPEEDUP = min(5.0, 0.70 * 6.868503856277873)
-#: min(3.0, 0.70 x 3.7533878813974884), the batch_corpus_32 speedup in
-#: BENCH_batch.json: 2.627x, the baseline ratio binds.
-BATCH_MIN_SPEEDUP = min(3.0, 0.70 * 3.7533878813974884)
+#: Guards run_batch's group sharing (one static-program warm per group
+#: and set point, one GC model per group) against solo simulate, both
+#: pre-timing through the one chunked time_batch_multi kernel. The old
+#: line, 2.627x from BENCH_batch.json, compared against a solo side that
+#: pre-timed through a slower unchunked single-frequency kernel; with one
+#: kernel the solo side runs about 2.5x faster, and 8 readings have a
+#: median of 1.3503. min(3.0, 0.70 x 1.3503) = 0.945 is below 1.0, so
+#: the line is 1.0: batching must not lose to solo.
+BATCH_MIN_SPEEDUP = max(1.0, min(3.0, 0.70 * 1.350314937959471))
 #: Absolute floors of the fleet gate (BENCH_fleet.json's ratios only warned).
 FLEET_COLD_MIN_SPEEDUP = 3.0
 FLEET_WARM_MIN_SPEEDUP = 5.0
