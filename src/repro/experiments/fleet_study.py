@@ -14,21 +14,20 @@ peak fleet power — plus the per-tenant static-oracle bound
 assignment could do with hindsight (cap-independent, so one row).
 
 The run is deterministic from the study seed, cold or warm: the same
-table — and the same ``--out`` figure JSON from the
-``python -m repro.experiments.fleet_study`` renderer the CI smoke
-byte-compares — regenerates identically on every invocation.
+table regenerates identically on every invocation. The grid's figure
+JSON is written by ``repro-fleet grid --tenants 256 --seed 42 --out F``
+(:mod:`repro.fleet.cli`), which the CI fleet-store job renders twice
+against a warm store and byte-compares.
 """
 
 from __future__ import annotations
 
-import argparse
-import sys
 from pathlib import Path
 from typing import Optional
 
 from repro.experiments.report import ExperimentResult, pct_abs
 from repro.experiments.runner import ExperimentRunner
-from repro.fleet.grid import DEFAULT_CAPS_W, GridConfig, grid_bytes, run_grid
+from repro.fleet.grid import DEFAULT_CAPS_W, GridConfig, run_grid
 from repro.fleet.profile_cache import ProfileCache
 
 #: Fleet drawn for the study (big enough that every builtin family and
@@ -46,14 +45,6 @@ def work(config):
     return []
 
 
-def _grid_config(tenants: int = None, seed: int = None) -> GridConfig:
-    return GridConfig(
-        tenants=FLEET_TENANTS if tenants is None else tenants,
-        seed=FLEET_SEED if seed is None else seed,
-        caps_w=CAPS_W,
-    )
-
-
 def profile_cache_for(runner: ExperimentRunner) -> Optional[ProfileCache]:
     """The fleet profile cache riding the suite's result cache.
 
@@ -67,7 +58,7 @@ def profile_cache_for(runner: ExperimentRunner) -> Optional[ProfileCache]:
 
 def run(runner: ExperimentRunner) -> ExperimentResult:
     """Evaluate every fleet policy at every cap over one population."""
-    config = _grid_config()
+    config = GridConfig(tenants=FLEET_TENANTS, seed=FLEET_SEED, caps_w=CAPS_W)
     payload = run_grid(config, cache=profile_cache_for(runner))
     result = ExperimentResult(
         experiment_id="Fleet study",
@@ -103,50 +94,3 @@ def run(runner: ExperimentRunner) -> ExperimentResult:
              "", "", "", "", "")
         )
     return result
-
-
-def write_figure(path, runner: ExperimentRunner):
-    """Write the grid figure JSON; return the payload."""
-    payload = run_grid(_grid_config(), cache=profile_cache_for(runner))
-    out = Path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_bytes(grid_bytes(payload))
-    return payload
-
-
-def main(argv=None) -> int:
-    """``python -m repro.experiments.fleet_study --out fleet_grid.json``.
-
-    The standalone figure renderer the CI smoke job runs cold and warm
-    and byte-compares (execution diagnostics are excluded from the
-    figure, so the two runs must match exactly).
-    """
-    parser = argparse.ArgumentParser(
-        description="Render the fleet policy x power-cap grid figure JSON."
-    )
-    parser.add_argument("--out", required=True, help="output JSON path")
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="do not read or write the persistent caches",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        help="persistent cache location (default: REPRO_CACHE_DIR)",
-    )
-    args = parser.parse_args(argv)
-    from repro.experiments.cache import ResultCache, default_cache_dir
-    from repro.experiments.runner import ExperimentRunner
-
-    cache = None
-    if not args.no_cache:
-        cache = ResultCache(args.cache_dir or default_cache_dir())
-    runner = ExperimentRunner(cache=cache)
-    payload = write_figure(args.out, runner)
-    print(f"wrote {args.out}: {len(payload['cells'])} grid cells")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

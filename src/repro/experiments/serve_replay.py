@@ -37,12 +37,11 @@ from repro.common.errors import ReproError
 from repro.energy.manager import EnergyManager, ManagerConfig
 from repro.experiments.report import ExperimentResult
 from repro.experiments.runner import ExperimentRunner
-from repro.serve import protocol
 from repro.serve.background import BackgroundServer
 from repro.serve.client import ServeClient, ShardedServeClient, replay_decisions
 from repro.serve.pool import WorkerPool
 from repro.serve.server import ServeConfig
-from repro.serve.sessions import decision_to_wire
+from repro.serve.sessions import decision_log_bytes
 from repro.serve.sharding import shard_for_key
 from repro.sim.run import simulate_managed
 
@@ -58,13 +57,6 @@ def work(config):
     which the shared runner summarizes away, so this driver simulates
     its benchmarks itself."""
     return []
-
-
-def decision_bytes(decisions) -> bytes:
-    """Encode a decision log exactly as the wire protocol would."""
-    return protocol.encode_frame(
-        {"decisions": [decision_to_wire(d) for d in decisions]}
-    )
 
 
 def _worker_sessions_opened(pool: WorkerPool) -> Dict[int, int]:
@@ -123,7 +115,7 @@ def run(runner: ExperimentRunner) -> ExperimentResult:
                                 quantum_ns=config.quantum_ns,
                             )
                             runner.simulations += 1
-                            local_bytes = decision_bytes(manager.decisions)
+                            local_bytes = decision_log_bytes(manager.decisions)
                             session_key = f"{benchmark}@{threshold:.2f}"
                             remote = replay_decisions(
                                 client, sim.trace, manager_config
@@ -136,7 +128,7 @@ def run(runner: ExperimentRunner) -> ExperimentResult:
                                 ("single-server", remote),
                                 (f"{POOL_WORKERS}-worker pool", pool_remote),
                             ):
-                                if decision_bytes(log) != local_bytes:
+                                if decision_log_bytes(log) != local_bytes:
                                     raise ReproError(
                                         f"serve replay parity broken for "
                                         f"{benchmark} at threshold "

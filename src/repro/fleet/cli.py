@@ -191,18 +191,13 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
 
 def _add_fleet_options(parser: argparse.ArgumentParser) -> None:
+    """Options of every subcommand that draws a fleet."""
     parser.add_argument("--tenants", type=int, default=100,
                         help="fleet size (default 100)")
     parser.add_argument("--seed", type=int, default=0,
                         help="root seed: arrivals, tenant draw (default 0)")
-    parser.add_argument("--power-cap", type=float, default=400.0,
-                        help="fleet power cap in W (default 400)")
     parser.add_argument("--rate", type=float, default=4000.0,
                         help="mean arrival rate per second (default 4000)")
-    parser.add_argument("--no-batch", action="store_true",
-                        help="simulate every tenant independently instead "
-                             "of batching distinct shapes (identical "
-                             "results, much slower; disables the cache)")
     parser.add_argument("--corpus", action="append", metavar="DIR",
                         help="directory of promoted tenant specs "
                              "(repeatable)")
@@ -213,6 +208,16 @@ def _add_fleet_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--no-cache", action="store_true",
                         help="do not read or write the persistent "
                              "profile store")
+
+
+def _add_engine_options(parser: argparse.ArgumentParser) -> None:
+    """Options of the subcommands that run one engine config (not grid)."""
+    parser.add_argument("--power-cap", type=float, default=400.0,
+                        help="fleet power cap in W (default 400)")
+    parser.add_argument("--no-batch", action="store_true",
+                        help="simulate every tenant independently instead "
+                             "of batching distinct shapes (identical "
+                             "results, much slower; disables the cache)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -230,6 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="simulate one fleet under one policy")
     _add_fleet_options(run)
+    _add_engine_options(run)
     run.add_argument("--policy", default="paper-governor",
                      choices=policy_names(),
                      help="fleet policy (default paper-governor)")
@@ -248,6 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
         "compare", help="run several policies over one drawn fleet"
     )
     _add_fleet_options(compare)
+    _add_engine_options(compare)
     compare.add_argument("--policies", default=None,
                          help="comma-separated subset (default: all)")
     compare.set_defaults(func=_cmd_compare)

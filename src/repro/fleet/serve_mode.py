@@ -27,18 +27,10 @@ from repro.common.errors import ConfigError, ReproError
 from repro.energy.manager import ManagerConfig
 from repro.fleet.profiles import ProfileStore, TenantProfile
 from repro.fleet.tenants import TenantSpec, profile_key
-from repro.serve import protocol
-from repro.serve.client import ShardedServeClient
+from repro.serve.client import ShardedServeClient, replay_decisions
 from repro.serve.pool import WorkerPool
 from repro.serve.server import ServeConfig
-from repro.serve.sessions import decision_to_wire
-
-
-def decision_stream_bytes(decisions) -> bytes:
-    """A decision log encoded exactly as the wire protocol frames it."""
-    return protocol.encode_frame(
-        {"decisions": [decision_to_wire(d) for d in decisions]}
-    )
+from repro.serve.sessions import decision_log_bytes
 
 
 def decision_groups(
@@ -63,25 +55,6 @@ def decision_groups(
         if key not in groups:
             groups[key] = (key, store.profile_for(tenant), manager)
     return [groups[key] for key in sorted(groups)]
-
-
-def replay_group(
-    client: ShardedServeClient,
-    key: str,
-    profile: TenantProfile,
-    manager: ManagerConfig,
-):
-    """Stream one group's intervals through a server-side session."""
-    session = client.open_session(
-        config=manager,
-        predictor=profile.predictor_name,
-        session_key=key,
-    )
-    # Mirror the in-process plan: every interval but the last is
-    # stepped (the live governor never sees the final partial quantum).
-    for i, record in enumerate(profile.records[:-1]):
-        session.step(record, profile.epochs_for(i))
-    return session.close()
 
 
 def validate_decision_streams(
@@ -115,12 +88,13 @@ def validate_decision_streams(
             with ShardedServeClient.connect_workers(
                     pool.worker_paths()) as client:
                 for key, profile, manager in groups:
-                    local = decision_stream_bytes(
+                    local = decision_log_bytes(
                         profile.governor_plan(manager).decisions
                     )
-                    remote = decision_stream_bytes(
-                        replay_group(client, key, profile, manager)
-                    )
+                    remote = decision_log_bytes(replay_decisions(
+                        client, profile.trace, manager,
+                        predictor=profile.predictor_name, session_key=key,
+                    ))
                     if remote != local:
                         raise ReproError(
                             f"serve-backed fleet parity broken for group "

@@ -46,15 +46,6 @@ def _trace_bytes(trace) -> bytes:
     ).encode()
 
 
-def _decision_bytes(decisions) -> bytes:
-    from repro.serve import protocol
-    from repro.serve.sessions import decision_to_wire
-
-    return protocol.encode_frame(
-        {"decisions": [decision_to_wire(d) for d in decisions]}
-    )
-
-
 # ----------------------------------------------------------------------
 # Classic vs. fast engines
 # ----------------------------------------------------------------------
@@ -87,10 +78,12 @@ def _diff_engine_trace(context: CaseContext) -> List[str]:
     "both DES engines",
 )
 def _diff_engine_governor(context: CaseContext) -> List[str]:
+    from repro.serve.sessions import decision_log_bytes
+
     fast_trace, fast_decisions = context.managed("fast")
     classic_trace, classic_decisions = context.managed("classic")
     violations: List[str] = []
-    if _decision_bytes(fast_decisions) != _decision_bytes(classic_decisions):
+    if decision_log_bytes(fast_decisions) != decision_log_bytes(classic_decisions):
         violations.append(
             f"manager decisions diverge: {len(fast_decisions)} fast vs "
             f"{len(classic_decisions)} classic"
@@ -152,6 +145,7 @@ def _diff_predict_vectorized(context: CaseContext) -> List[str]:
 def _sweep_scalar_identity(context: CaseContext) -> List[str]:
     from repro.core.epochs import extract_epochs
     from repro.core.sweep import EpochArrays, TraceSweep, sweep_predict_epochs
+    from repro.serve.sessions import decision_log_bytes
 
     violations: List[str] = []
     trace = context.result().trace
@@ -195,7 +189,7 @@ def _sweep_scalar_identity(context: CaseContext) -> List[str]:
     # not depend on which engine scored the candidate table.
     _, swept = context.managed("fast", sweep=True)
     _, scalar = context.managed("fast", sweep=False)
-    if _decision_bytes(swept) != _decision_bytes(scalar):
+    if decision_log_bytes(swept) != decision_log_bytes(scalar):
         violations.append(
             f"manager decisions diverge between sweep ({len(swept)}) and "
             f"scalar ({len(scalar)}) candidate evaluation"
@@ -217,6 +211,7 @@ def _sweep_scalar_identity(context: CaseContext) -> List[str]:
 def _batch_single_identity(context: CaseContext) -> List[str]:
     from repro.core.epochs import extract_epochs
     from repro.energy.manager import EnergyManager
+    from repro.serve.sessions import decision_log_bytes
     from repro.sim.batch import BatchInstance, simulate_batch
 
     case = context.case
@@ -256,7 +251,7 @@ def _batch_single_identity(context: CaseContext) -> List[str]:
         violations.append(
             "batched managed trace differs from the single-instance run"
         )
-    if _decision_bytes(manager.decisions) != _decision_bytes(solo_decisions):
+    if decision_log_bytes(manager.decisions) != decision_log_bytes(solo_decisions):
         violations.append(
             f"batched governor decisions ({len(manager.decisions)}) differ "
             f"from the single-instance log ({len(solo_decisions)})"
@@ -280,6 +275,7 @@ def _hetero_single_domain_identity(context: CaseContext) -> List[str]:
     from repro.arch.clusters import homogeneous
     from repro.core.sweep import EpochArrays, sweep_predict_epochs
     from repro.energy.manager import ClusterManager
+    from repro.serve.sessions import decision_log_bytes
     from repro.sim.run import simulate_managed
 
     case = context.case
@@ -301,7 +297,7 @@ def _hetero_single_domain_identity(context: CaseContext) -> List[str]:
             "single-domain managed trace differs from the chip-wide "
             "manager's"
         )
-    if _decision_bytes(manager.decisions) != _decision_bytes(legacy_decisions):
+    if decision_log_bytes(manager.decisions) != decision_log_bytes(legacy_decisions):
         violations.append(
             f"single-domain decisions ({len(manager.decisions)}) differ "
             f"from the chip-wide log ({len(legacy_decisions)})"
@@ -456,10 +452,11 @@ def _diff_serve_governor(context: CaseContext) -> List[str]:
     if client is None:
         return [SERVE_SKIPPED]
     from repro.serve.client import replay_decisions
+    from repro.serve.sessions import decision_log_bytes
 
     trace, local = context.managed("fast")
     remote = replay_decisions(client, trace, context.case.manager)
-    if _decision_bytes(remote) != _decision_bytes(local):
+    if decision_log_bytes(remote) != decision_log_bytes(local):
         return [
             f"served decision log ({len(remote)} decisions) differs from "
             f"the in-process log ({len(local)} decisions)"

@@ -90,6 +90,8 @@ def config_from_args(args: argparse.Namespace) -> ServeConfig:
     """Translate CLI flags into a ServeConfig."""
     if args.workers < 1:
         raise ConfigError("--workers must be >= 1")
+    if args.shared_predict_cache and args.workers < 2:
+        raise ConfigError("--shared-predict-cache needs --workers > 1")
     return ServeConfig(
         socket_path=args.socket,
         host=args.host,

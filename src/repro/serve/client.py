@@ -14,16 +14,14 @@ returns the decision sequence the server produced.
 
 from __future__ import annotations
 
-import random
 import socket
-import time
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
-from repro.common.errors import ConfigError, ReproError
+from repro.common.errors import ReproError
 from repro.core.epochs import Epoch
 from repro.energy.manager import ManagerConfig, ManagerDecision, interval_epochs
 from repro.serve import protocol
+from repro.serve.sessions import decision_from_wire
 from repro.serve.sharding import shard_for_key
 from repro.sim.intervals import IntervalRecord
 from repro.sim.trace import SimulationTrace
@@ -42,66 +40,18 @@ class ServeProtocolViolation(ReproError):
     """The server's byte stream violated the protocol (or died mid-reply)."""
 
 
-#: Request kinds safe to resend after a broken connection. ``govern`` is
-#: excluded: resending a ``step`` could double-advance a session whose
-#: first copy was applied before the reply was lost.
-IDEMPOTENT_KINDS = frozenset({"predict", "health", "stats"})
-
-
-@dataclass(frozen=True)
-class ReconnectPolicy:
-    """Bounded exponential backoff with jitter for client reconnects.
-
-    Attempt ``k`` (0-based) sleeps ``base_delay_s * 2**k`` capped at
-    ``max_delay_s``, then multiplied by a uniform factor in
-    ``[1 - jitter, 1 + jitter]`` so a fleet of clients whose server
-    restarted does not reconnect in lockstep.
-    """
-
-    max_attempts: int = 5
-    base_delay_s: float = 0.05
-    max_delay_s: float = 2.0
-    jitter: float = 0.1
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ConfigError("max_attempts must be >= 1")
-        if self.base_delay_s < 0 or self.max_delay_s < self.base_delay_s:
-            raise ConfigError(
-                "need 0 <= base_delay_s <= max_delay_s"
-            )
-        if not 0 <= self.jitter <= 1:
-            raise ConfigError("jitter must be in [0, 1]")
-
-    def delay_s(self, attempt: int, uniform: Callable[[], float] = random.random) -> float:
-        """The sleep before reconnect attempt ``attempt`` (0-based)."""
-        delay = min(self.base_delay_s * (2.0 ** attempt), self.max_delay_s)
-        return delay * (1.0 - self.jitter + 2.0 * self.jitter * uniform())
-
-
 class ServeClient:
     """Blocking NDJSON client; use as a context manager or call close().
 
-    With a :class:`ReconnectPolicy`, connects retry with backoff, and a
-    connection that breaks mid-request is transparently re-established —
-    but the failed request is resent only if its kind is idempotent
-    (:data:`IDEMPOTENT_KINDS`); a broken ``govern`` request always
-    raises, because the server may or may not have applied it.
+    A connection that breaks mid-request raises
+    :class:`ServeProtocolViolation` or :class:`OSError`; nothing is
+    resent, so the caller decides whether a request may be repeated.
     """
 
-    def __init__(
-        self,
-        sock: socket.socket,
-        reconnect: Optional[ReconnectPolicy] = None,
-        sleep: Callable[[float], None] = time.sleep,
-    ) -> None:
+    def __init__(self, sock: socket.socket) -> None:
         self._sock = sock
         self._file = sock.makefile("rwb")
         self._next_id = 0
-        self._reconnect_policy = reconnect
-        self._sleep = sleep
-        self._connect_args: Optional[Dict[str, Any]] = None
-        self.reconnects = 0
 
     # ------------------------------------------------------------------
     # Construction
@@ -114,38 +64,8 @@ class ServeClient:
         host: Optional[str] = None,
         port: Optional[int] = None,
         timeout: Optional[float] = 30.0,
-        reconnect: Optional[ReconnectPolicy] = None,
-        sleep: Callable[[float], None] = time.sleep,
     ) -> "ServeClient":
-        """Connect over a unix socket (preferred) or TCP.
-
-        With ``reconnect``, refused/failed connects are retried under the
-        policy, and the client remembers how to re-dial for mid-stream
-        recovery.
-        """
-        args = {"socket_path": socket_path, "host": host, "port": port,
-                "timeout": timeout}
-        attempt = 0
-        while True:
-            try:
-                sock = cls._dial(**args)
-                break
-            except OSError:
-                if reconnect is None or attempt >= reconnect.max_attempts - 1:
-                    raise
-                sleep(reconnect.delay_s(attempt))
-                attempt += 1
-        client = cls(sock, reconnect=reconnect, sleep=sleep)
-        client._connect_args = args
-        return client
-
-    @staticmethod
-    def _dial(
-        socket_path: Optional[str],
-        host: Optional[str],
-        port: Optional[int],
-        timeout: Optional[float],
-    ) -> socket.socket:
+        """Connect over a unix socket (preferred) or TCP."""
         if socket_path is not None:
             sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
             sock.settimeout(timeout)
@@ -154,18 +74,10 @@ class ServeClient:
             except BaseException:
                 sock.close()
                 raise
-            return sock
+            return cls(sock)
         if host is not None and port is not None:
-            return socket.create_connection((host, port), timeout=timeout)
+            return cls(socket.create_connection((host, port), timeout=timeout))
         raise ValueError("need socket_path or host+port")
-
-    def _redial(self) -> None:
-        """Tear down the broken socket and dial the same endpoint again."""
-        assert self._connect_args is not None
-        self.close()
-        self._sock = self._dial(**self._connect_args)
-        self._file = self._sock.makefile("rwb")
-        self.reconnects += 1
 
     def __enter__(self) -> "ServeClient":
         return self
@@ -192,8 +104,7 @@ class ServeClient:
         """Send one request; return the ``result`` object of the reply.
 
         Raises :class:`ServeRequestError` for error replies and
-        :class:`ServeProtocolViolation` if the stream breaks (after
-        exhausting the reconnect policy, for idempotent kinds).
+        :class:`ServeProtocolViolation` if the stream breaks.
         """
         self._next_id += 1
         frame = {
@@ -205,40 +116,14 @@ class ServeClient:
         # prediction cache keys a request by its bytes with a trailing
         # integer id cut off, so only this layout is ever cached.
         frame["id"] = self._next_id
-        data = protocol.encode_frame(frame)
-        try:
-            self.send_raw(data)
-            reply = self.read_reply()
-        except (ServeProtocolViolation, OSError) as exc:
-            reply = self._retry_request(kind, data, exc)
+        self.send_raw(protocol.encode_frame(frame))
+        reply = self.read_reply()
         if reply.get("id") != self._next_id:
             raise ServeProtocolViolation(
                 f"reply id {reply.get('id')!r} does not match request "
                 f"id {self._next_id}"
             )
         return self._unwrap(reply)
-
-    def _retry_request(
-        self, kind: str, data: bytes, cause: Exception
-    ) -> Dict[str, Any]:
-        """Reconnect-and-resend after a mid-request stream break."""
-        policy = self._reconnect_policy
-        if (
-            policy is None
-            or self._connect_args is None
-            or kind not in IDEMPOTENT_KINDS
-        ):
-            raise cause
-        last: Exception = cause
-        for attempt in range(policy.max_attempts):
-            self._sleep(policy.delay_s(attempt))
-            try:
-                self._redial()
-                self.send_raw(data)
-                return self.read_reply()
-            except (ServeProtocolViolation, OSError) as exc:
-                last = exc
-        raise last
 
     def send_raw(self, data: bytes) -> None:
         """Write raw bytes (exposed for fault-injection tests)."""
@@ -338,7 +223,6 @@ class GovernSession:
     def __init__(self, client: ServeClient, session_id: str) -> None:
         self.client = client
         self.session_id = session_id
-        self.decisions: List[ManagerDecision] = []
 
     def step(
         self, record: IntervalRecord, epochs: Sequence[Epoch]
@@ -351,16 +235,6 @@ class GovernSession:
             record=protocol.record_to_wire(record),
             epochs=[protocol.epoch_to_wire(epoch) for epoch in epochs],
         )
-        decision = result.get("decision")
-        if decision is not None:
-            self.decisions.append(
-                ManagerDecision(
-                    interval_index=decision["interval_index"],
-                    base_freq_ghz=decision["base_freq_ghz"],
-                    chosen_freq_ghz=decision["chosen_freq_ghz"],
-                    predicted_slowdown=decision["predicted_slowdown"],
-                )
-            )
         return result.get("freq_ghz")
 
     def close(self) -> List[ManagerDecision]:
@@ -368,15 +242,7 @@ class GovernSession:
         result = self.client.request(
             "govern", op="close", session=self.session_id
         )
-        return [
-            ManagerDecision(
-                interval_index=d["interval_index"],
-                base_freq_ghz=d["base_freq_ghz"],
-                chosen_freq_ghz=d["chosen_freq_ghz"],
-                predicted_slowdown=d["predicted_slowdown"],
-            )
-            for d in result.get("decisions", [])
-        ]
+        return [decision_from_wire(d) for d in result.get("decisions", [])]
 
 
 class ShardedServeClient:
@@ -401,15 +267,14 @@ class ShardedServeClient:
         cls,
         worker_paths: Sequence[str],
         timeout: Optional[float] = 30.0,
-        reconnect: Optional[ReconnectPolicy] = None,
     ) -> "ShardedServeClient":
         """Connect to every private worker socket of a unix-mode pool."""
         clients: List[ServeClient] = []
         try:
             for path in worker_paths:
-                clients.append(ServeClient.connect(
-                    socket_path=path, timeout=timeout, reconnect=reconnect
-                ))
+                clients.append(
+                    ServeClient.connect(socket_path=path, timeout=timeout)
+                )
         except BaseException:
             for client in clients:
                 client.close()

@@ -20,7 +20,7 @@ from repro.energy.manager import (
     ManagerConfig,
     ManagerDecision,
 )
-from repro.serve.protocol import ProtocolError, require_number
+from repro.serve.protocol import ProtocolError, encode_frame, require_number
 from repro.serve.sharding import tag_session_id
 from repro.sim.intervals import IntervalRecord
 
@@ -72,6 +72,25 @@ def decision_to_wire(decision: ManagerDecision) -> Dict[str, Any]:
         "chosen_freq_ghz": decision.chosen_freq_ghz,
         "predicted_slowdown": decision.predicted_slowdown,
     }
+
+
+def decision_from_wire(payload: Mapping[str, Any]) -> ManagerDecision:
+    """Wire dict -> ManagerDecision (the inverse of decision_to_wire)."""
+    return ManagerDecision(
+        interval_index=payload["interval_index"],
+        base_freq_ghz=payload["base_freq_ghz"],
+        chosen_freq_ghz=payload["chosen_freq_ghz"],
+        predicted_slowdown=payload["predicted_slowdown"],
+    )
+
+
+def decision_log_bytes(decisions: Sequence[ManagerDecision]) -> bytes:
+    """A decision log as one NDJSON frame: the ``govern`` close result.
+
+    Every parity check (served vs. in-process, engine vs. engine) compares
+    decision logs in this encoding, so "equal" means equal on the wire.
+    """
+    return encode_frame({"decisions": [decision_to_wire(d) for d in decisions]})
 
 
 class SessionStore:

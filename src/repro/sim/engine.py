@@ -7,40 +7,29 @@ a *token*; bumping the token for a thread invalidates its outstanding
 events without the cost of removing them from the heap.
 
 The queue keeps a per-thread index of live tokens (:meth:`invalidate`).
-The hot-path :meth:`pop_raw` consults it and silently drops stale
-``("seg", tid, token)`` / ``("timer", tid, token)`` events during the pop,
-so the system's event loop never dispatches a handler for a revoked event
-and no per-pop record object is allocated. :meth:`pop` retains the original
-deliver-everything behavior for callers that do their own filtering.
+:meth:`pop` consults it and silently drops stale ``("seg", tid, token)`` /
+``("timer", tid, token)`` events, so the system's event loop never
+dispatches a handler for a revoked event, and it returns the raw heap
+tuple, so no per-pop record object is allocated.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.common.errors import SimulationError
-
-
-@dataclass(frozen=True)
-class ScheduledEvent:
-    """An event popped from the queue."""
-
-    time_ns: float
-    payload: Any
-    token: int
 
 
 class EventQueue:
     """Time-ordered event queue with monotonic pop and token invalidation."""
 
     def __init__(self) -> None:
-        self._heap: List[Tuple[float, int, int, Any]] = []
+        self._heap: List[Tuple[float, int, Any]] = []
         self._seq = 0
         self._now = 0.0
         #: tid -> currently-live token; payload-carried tokens that do not
-        #: match are stale completions/timers and are dropped by pop_raw.
+        #: match are stale completions/timers and are dropped by pop.
         self._live_tokens: Dict[int, int] = {}
 
     @property
@@ -48,7 +37,7 @@ class EventQueue:
         """Time of the most recently popped event (simulation clock)."""
         return self._now
 
-    def push(self, time_ns: float, payload: Any, token: int = 0) -> None:
+    def push(self, time_ns: float, payload: Any) -> None:
         """Schedule ``payload`` at ``time_ns`` (must not be in the past)."""
         if time_ns < self._now - 1e-9:
             raise SimulationError(
@@ -56,18 +45,21 @@ class EventQueue:
             )
         seq = self._seq
         self._seq = seq + 1
-        heapq.heappush(self._heap, (time_ns, seq, token, payload))
+        heapq.heappush(self._heap, (time_ns, seq, payload))
 
     def invalidate(self, tid: int, live_token: int) -> None:
         """Declare ``live_token`` the only valid token for ``tid``'s events.
 
         Previously pushed ``("seg"/"timer", tid, old_token)`` events become
-        stale: they stay in the heap but :meth:`pop_raw` discards them.
+        stale: they stay in the heap but :meth:`pop` discards them.
         """
         self._live_tokens[tid] = live_token
 
-    def pop_raw(self) -> Optional[Tuple[float, int, int, Any]]:
-        """Pop the earliest *live* event as a raw heap tuple; None when empty.
+    def pop(self) -> Optional[Tuple[float, int, Any]]:
+        """Pop the earliest *live* event as its heap tuple; None when empty.
+
+        The tuple is ``(time_ns, seq, payload)``; ``seq`` is the push
+        order, which breaks ties between events at the same time.
 
         Stale tokenized events are dropped without advancing the clock —
         equivalent to the unindexed behavior, since any later live event
@@ -77,7 +69,7 @@ class EventQueue:
         live = self._live_tokens
         while heap:
             item = heapq.heappop(heap)
-            payload = item[3]
+            payload = item[2]
             if type(payload) is tuple and len(payload) >= 3:
                 expected = live.get(payload[1])
                 if expected is not None and payload[2] != expected:
@@ -87,14 +79,6 @@ class EventQueue:
                 self._now = time_ns
             return item
         return None
-
-    def pop(self) -> Optional[ScheduledEvent]:
-        """Pop the earliest event and advance the clock; None when empty."""
-        if not self._heap:
-            return None
-        time_ns, _, token, payload = heapq.heappop(self._heap)
-        self._now = max(self._now, time_ns)
-        return ScheduledEvent(time_ns=time_ns, payload=payload, token=token)
 
     def __len__(self) -> int:
         return len(self._heap)

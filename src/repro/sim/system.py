@@ -246,9 +246,9 @@ class System:
         self._start_threads()
         self._queue.push(self.quantum_ns, ("quantum",))
         events_handled = 0
-        pop_raw = self._queue.pop_raw
+        pop = self._queue.pop
         while self._app_alive > 0:
-            item = pop_raw()
+            item = pop()
             if item is None:
                 raise SimulationError(
                     "deadlock: no pending events but "
@@ -262,7 +262,7 @@ class System:
             events_handled += 1
             if events_handled > _MAX_EVENTS:
                 raise SimulationError("event cap exceeded; likely livelock")
-            payload = item[3]
+            payload = item[2]
             kind = payload[0]
             if kind == "seg":
                 self._on_segment_done(payload[1])

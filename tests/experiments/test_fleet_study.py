@@ -36,19 +36,40 @@ def test_study_covers_the_whole_grid(monkeypatch):
     assert again.rows == result.rows
 
 
-def test_figure_writer_is_deterministic(monkeypatch, tmp_path):
-    from repro.experiments.cache import ResultCache
+def _grid_cli(out, *extra):
+    """``repro-fleet grid`` at the study's seed: the figure's renderer."""
+    from repro.fleet.cli import main
 
-    monkeypatch.setattr(fleet_study, "FLEET_TENANTS", 6)
-    monkeypatch.setattr(fleet_study, "CAPS_W", (150.0, 400.0))
+    return main([
+        "grid", "--seed", str(fleet_study.FLEET_SEED), "--out", str(out),
+        *extra,
+    ])
+
+
+def _record_run_grid(monkeypatch, module):
+    """Wrap ``module.run_grid``; return the list its payloads land in."""
+    payloads = []
+    real = module.run_grid
+
+    def recording(*args, **kwargs):
+        payloads.append(real(*args, **kwargs))
+        return payloads[-1]
+
+    monkeypatch.setattr(module, "run_grid", recording)
+    return payloads
+
+
+def test_figure_writer_is_deterministic(monkeypatch, tmp_path):
+    import repro.fleet.grid
+
+    payloads = _record_run_grid(monkeypatch, repro.fleet.grid)
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     out_a = tmp_path / "cold.json"
     out_b = tmp_path / "warm.json"
-    fleet_study.write_figure(
-        out_a, ExperimentRunner(cache=ResultCache(tmp_path / "cache"))
-    )
-    warm = fleet_study.write_figure(
-        out_b, ExperimentRunner(cache=ResultCache(tmp_path / "cache"))
-    )
+    args = ("--tenants", "6", "--caps", "150,400")
+    assert _grid_cli(out_a, *args) == 0
+    assert _grid_cli(out_b, *args) == 0
+    warm = payloads[-1]
     assert warm["diagnostics"]["cache_hits"] == warm["diagnostics"]["profiles"]
     assert out_a.read_bytes() == out_b.read_bytes()
     payload = json.loads(out_a.read_text())
@@ -67,9 +88,15 @@ def test_profile_cache_rides_the_result_cache(tmp_path):
 
 
 def test_main_writes_the_figure(monkeypatch, tmp_path, capsys):
+    """The CLI's figure is the study's grid, byte for byte."""
+    from repro.fleet.grid import grid_bytes
+
     monkeypatch.setattr(fleet_study, "FLEET_TENANTS", 6)
     monkeypatch.setattr(fleet_study, "CAPS_W", (400.0,))
     out = tmp_path / "fleet_grid.json"
-    assert fleet_study.main(["--out", str(out), "--no-cache"]) == 0
-    assert f"wrote {out}" in capsys.readouterr().out
+    assert _grid_cli(out, "--tenants", "6", "--caps", "400", "--no-cache") == 0
+    assert f"figure written to {out}" in capsys.readouterr().out
     assert json.loads(out.read_text())["config"]["tenants"] == 6
+    payloads = _record_run_grid(monkeypatch, fleet_study)
+    fleet_study.run(ExperimentRunner())
+    assert grid_bytes(payloads[0]) == out.read_bytes()

@@ -90,6 +90,16 @@ def test_grid_writes_the_figure(tmp_path, capsys):
     assert "diagnostics" not in payload
 
 
+@pytest.mark.parametrize("flag", [["--power-cap", "150"], ["--no-batch"]])
+def test_grid_rejects_engine_only_flags(flag, capsys):
+    """grid sweeps its own caps and always batches: the flags would be
+    dropped, so parsing refuses them before anything runs."""
+    with pytest.raises(SystemExit) as exc:
+        main(["grid", *ARGS, *flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_cache_stats_and_clear(isolated_cache, capsys):
     assert main(["run", *ARGS]) == 0
     capsys.readouterr()

@@ -3,11 +3,8 @@
 import pytest
 
 from repro.common.errors import ConfigError
-from repro.fleet.serve_mode import (
-    decision_groups,
-    decision_stream_bytes,
-    validate_decision_streams,
-)
+from repro.fleet.serve_mode import decision_groups, validate_decision_streams
+from repro.serve.sessions import decision_log_bytes
 from tests.util import requires_af_unix
 
 
@@ -25,9 +22,7 @@ def test_decision_groups_dedup_profile_and_manager(tiny_store, tiny_fleet):
 def test_decision_stream_bytes_is_deterministic(tiny_store, tiny_fleet):
     _, profile, manager = decision_groups(tiny_store, tiny_fleet)[0]
     decisions = profile.governor_plan(manager).decisions
-    assert decision_stream_bytes(decisions) == decision_stream_bytes(
-        decisions
-    )
+    assert decision_log_bytes(decisions) == decision_log_bytes(decisions)
 
 
 def test_validation_rejects_zero_workers(tiny_store, tiny_fleet):

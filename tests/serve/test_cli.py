@@ -65,6 +65,21 @@ class TestFlagParsing:
         )
         assert args.shared_predict_cache is True
 
+    def test_shared_predict_cache_without_a_pool_exits_2(
+        self, monkeypatch, capsys
+    ):
+        """One in-process server has no pool cache to share: refuse the
+        flag at parse time instead of dropping it."""
+        from repro.serve import cli
+
+        monkeypatch.setattr(
+            cli, "_run", lambda config: pytest.fail("a server was started")
+        )
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--socket", "/tmp/x.sock", "--shared-predict-cache"])
+        assert exc.value.code == 2
+        assert "--workers > 1" in capsys.readouterr().err
+
 
 # ----------------------------------------------------------------------
 # Pool-mode lifecycle (a real repro-serve process)

@@ -6,13 +6,11 @@ import socket
 import pytest
 
 from repro.arch.specs import haswell_i7_4770k
-from repro.common.errors import ConfigError
 from repro.core.predictors import make_predictor
 from repro.energy.manager import EnergyManager, ManagerConfig
 from repro.serve import protocol
 from repro.serve.background import BackgroundServer
 from repro.serve.client import (
-    ReconnectPolicy,
     ServeClient,
     ServeProtocolViolation,
     ServeRequestError,
@@ -202,131 +200,34 @@ def test_replay_skips_the_final_interval_record():
 
 
 # ----------------------------------------------------------------------
-# Reconnect policy: backoff math
+# Broken connections, against real servers
 # ----------------------------------------------------------------------
-
-
-class TestReconnectPolicy:
-    def test_rejects_nonsense_parameters(self):
-        with pytest.raises(ConfigError):
-            ReconnectPolicy(max_attempts=0)
-        with pytest.raises(ConfigError):
-            ReconnectPolicy(base_delay_s=-0.1)
-        with pytest.raises(ConfigError):
-            ReconnectPolicy(base_delay_s=1.0, max_delay_s=0.5)
-        with pytest.raises(ConfigError):
-            ReconnectPolicy(jitter=1.5)
-
-    def test_delay_doubles_then_caps(self):
-        policy = ReconnectPolicy(
-            base_delay_s=0.1, max_delay_s=0.5, jitter=0.0
-        )
-        mid = lambda: 0.5  # noqa: E731 — jitter factor 1.0
-        assert [policy.delay_s(k, uniform=mid) for k in range(5)] == [
-            pytest.approx(d) for d in (0.1, 0.2, 0.4, 0.5, 0.5)
-        ]
-
-    def test_jitter_spreads_the_delay_symmetrically(self):
-        policy = ReconnectPolicy(base_delay_s=1.0, max_delay_s=1.0, jitter=0.1)
-        assert policy.delay_s(0, uniform=lambda: 0.0) == pytest.approx(0.9)
-        assert policy.delay_s(0, uniform=lambda: 1.0) == pytest.approx(1.1)
-
-
-# ----------------------------------------------------------------------
-# Reconnects, against real (re)started servers
-# ----------------------------------------------------------------------
-
-
-def _fast_policy(attempts=3):
-    return ReconnectPolicy(
-        max_attempts=attempts, base_delay_s=0.01, max_delay_s=0.02
-    )
 
 
 @requires_af_unix
 class TestReconnect:
-    def test_connect_retries_with_backoff_until_giving_up(self, tmp_path):
-        slept = []
-        with pytest.raises(OSError):
-            ServeClient.connect(
-                socket_path=str(tmp_path / "never-bound.sock"),
-                reconnect=_fast_policy(attempts=3),
-                sleep=slept.append,
-            )
-        # Attempts 0..2 dial; only the first two failures sleep.
-        assert len(slept) == 2
+    """The client never re-dials or resends: a failed connect and a
+    request over a connection whose server went away both raise."""
 
     def test_connect_without_policy_fails_fast(self, tmp_path):
-        slept = []
         with pytest.raises(OSError):
-            ServeClient.connect(
-                socket_path=str(tmp_path / "never-bound.sock"),
-                sleep=slept.append,
-            )
-        assert slept == []
-
-    def test_idempotent_request_survives_a_server_restart(self, tmp_path):
-        """predict/health resend transparently after the stream breaks."""
-        path = str(tmp_path / "restart.sock")
-        first = BackgroundServer(ServeConfig(socket_path=path))
-        first.start()
-        client = ServeClient.connect(
-            socket_path=path,
-            reconnect=_fast_policy(attempts=5),
-            sleep=lambda _s: None,
-        )
-        try:
-            assert client.health()["status"] == "ok"
-            first.stop()
-            os.unlink(path)
-            with BackgroundServer(ServeConfig(socket_path=path)):
-                assert client.health()["status"] == "ok"
-                assert client.reconnects >= 1
-        finally:
-            client.close()
-
-    def test_broken_govern_request_is_never_resent(self, tmp_path):
-        """A lost govern step may or may not have been applied: raise."""
-        path = str(tmp_path / "govern.sock")
-        first = BackgroundServer(ServeConfig(socket_path=path))
-        first.start()
-        client = ServeClient.connect(
-            socket_path=path,
-            reconnect=_fast_policy(attempts=5),
-            sleep=lambda _s: None,
-        )
-        try:
-            session = client.open_session()
-            first.stop()
-            os.unlink(path)
-            with BackgroundServer(ServeConfig(socket_path=path)):
-                with pytest.raises((ServeProtocolViolation, OSError)):
-                    client.request(
-                        "govern", op="close", session=session.session_id
-                    )
-                assert client.reconnects == 0
-                # The connection is still broken, but idempotent kinds
-                # recover on their next call.
-                assert client.health()["status"] == "ok"
-                assert client.reconnects >= 1
-        finally:
-            client.close()
+            ServeClient.connect(socket_path=str(tmp_path / "never-bound.sock"))
 
     def test_exhausted_policy_surfaces_the_last_error(self, tmp_path):
-        """When the server never comes back, the retry loop gives up."""
+        """A request after the server went away raises, even once a new
+        server listens on the same path: nothing re-dials."""
         path = str(tmp_path / "gone.sock")
         server = BackgroundServer(ServeConfig(socket_path=path))
         server.start()
-        client = ServeClient.connect(
-            socket_path=path,
-            reconnect=_fast_policy(attempts=2),
-            sleep=lambda _s: None,
-        )
+        client = ServeClient.connect(socket_path=path)
         try:
             assert client.health()["status"] == "ok"
             server.stop()
             os.unlink(path)
             with pytest.raises((ServeProtocolViolation, OSError)):
                 client.health()
+            with BackgroundServer(ServeConfig(socket_path=path)):
+                with pytest.raises((ServeProtocolViolation, OSError)):
+                    client.health()
         finally:
             client.close()

@@ -6,10 +6,10 @@ import pytest
 
 from repro.arch.specs import haswell_i7_4770k
 from repro.energy.manager import EnergyManager, ManagerConfig
-from repro.experiments.serve_replay import decision_bytes
 from repro.serve.background import BackgroundServer
 from repro.serve.client import ServeClient, replay_decisions
 from repro.serve.server import ServeConfig
+from repro.serve.sessions import decision_log_bytes
 from repro.sim.run import simulate_managed
 from tests.util import make_program, memory
 
@@ -48,7 +48,7 @@ def test_replay_is_byte_identical(server, config):
     assert manager.decisions, "the managed run must have decided something"
     with ServeClient.connect(socket_path=server.config.socket_path) as client:
         remote = replay_decisions(client, result.trace, config)
-    assert decision_bytes(remote) == decision_bytes(manager.decisions)
+    assert decision_log_bytes(remote) == decision_log_bytes(manager.decisions)
 
 
 def test_replay_sessions_are_independent(server):
@@ -62,5 +62,5 @@ def test_replay_sessions_are_independent(server):
     with ServeClient.connect(socket_path=server.config.socket_path) as client:
         first = replay_decisions(client, result.trace, config)
         second = replay_decisions(client, result.trace, config)
-    assert decision_bytes(first) == decision_bytes(second)
-    assert decision_bytes(first) == decision_bytes(manager.decisions)
+    assert decision_log_bytes(first) == decision_log_bytes(second)
+    assert decision_log_bytes(first) == decision_log_bytes(manager.decisions)

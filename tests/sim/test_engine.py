@@ -11,15 +11,15 @@ def test_pops_in_time_order():
     queue.push(30.0, "c")
     queue.push(10.0, "a")
     queue.push(20.0, "b")
-    assert [queue.pop().payload for _ in range(3)] == ["a", "b", "c"]
+    assert [queue.pop()[2] for _ in range(3)] == ["a", "b", "c"]
 
 
 def test_ties_break_by_insertion_order():
     queue = EventQueue()
     queue.push(5.0, "first")
     queue.push(5.0, "second")
-    assert queue.pop().payload == "first"
-    assert queue.pop().payload == "second"
+    assert queue.pop()[2] == "first"
+    assert queue.pop()[2] == "second"
 
 
 def test_clock_advances_monotonically():
@@ -48,9 +48,23 @@ def test_empty_pop_returns_none():
     assert queue and len(queue) == 1
 
 
-def test_tokens_carried_through():
+def test_invalidated_token_is_dropped_without_moving_the_clock():
     queue = EventQueue()
-    queue.push(1.0, ("seg", 3), token=7)
-    event = queue.pop()
-    assert event.token == 7
-    assert event.payload == ("seg", 3)
+    queue.push(5.0, ("seg", 3, 1))
+    queue.push(8.0, ("seg", 3, 2))
+    queue.invalidate(3, 2)
+    time_ns, _, payload = queue.pop()
+    assert (time_ns, payload) == (8.0, ("seg", 3, 2))
+    assert queue.now_ns == 8.0
+    assert queue.pop() is None
+
+
+def test_revoked_event_time_is_never_reached():
+    queue = EventQueue()
+    queue.push(9.0, ("timer", 4, 1))
+    queue.invalidate(4, 2)
+    queue.push(3.0, ("timer", 4, 2))
+    assert queue.pop()[2] == ("timer", 4, 2)
+    assert queue.now_ns == 3.0
+    assert queue.pop() is None
+    assert queue.now_ns == 3.0

@@ -26,8 +26,7 @@ from repro.energy.manager import (
     ManagerConfig,
     interval_epochs,
 )
-from repro.serve import protocol
-from repro.serve.sessions import decision_to_wire
+from repro.serve.sessions import decision_log_bytes
 from repro.sim.run import simulate, simulate_managed
 from repro.sim.serialize import trace_to_dict
 from repro.workloads.registry import get_benchmark
@@ -44,12 +43,6 @@ def _serialized(trace) -> bytes:
     return json.dumps(
         trace_to_dict(trace), sort_keys=True, separators=(",", ":")
     ).encode()
-
-
-def _decision_bytes(decisions) -> bytes:
-    return protocol.encode_frame(
-        {"decisions": [decision_to_wire(d) for d in decisions]}
-    )
 
 
 def _build_families():
@@ -144,7 +137,7 @@ def test_matrix_epochs_identical(matrix):
 def test_matrix_decision_streams_identical(matrix):
     for name, (legacy, _, cluster, _) in matrix.items():
         assert len(legacy.decisions) > 0, name
-        assert _decision_bytes(cluster.decisions) == _decision_bytes(
+        assert decision_log_bytes(cluster.decisions) == decision_log_bytes(
             legacy.decisions
         ), name
 
@@ -265,7 +258,7 @@ def test_big_little_run_is_deterministic(families, spec):
             per_core_dvfs=True,
         )
         renderings.append(_serialized(result.trace))
-        decision_logs.append(_decision_bytes(manager.decisions))
+        decision_logs.append(decision_log_bytes(manager.decisions))
     assert renderings[0] == renderings[1]
     assert decision_logs[0] == decision_logs[1]
 
